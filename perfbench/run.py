@@ -6,11 +6,12 @@ Run from the root of a checkout; the program is imported from ``src/``.
 The workload runs in its own process (``worker.py``).  With ``--trace 0``
 the end-to-end metrics are printed: ``setup_s`` (median over several fresh
 processes of the time from process start until the first op can start),
-``pass_s`` (median time of one pass over the op list) and ``peak_rss_mb``
-(peak resident memory of the workload process).  With ``--trace 1`` the
-per-layer metrics of a traced run are printed instead.  The last line of
-stdout is the JSON result; the lines before it give the environment, the
-op counts and ``error_rate``.
+``pass_s`` (median time of one pass over the op list), both at the
+reference machine speed of ``speed.py``, and ``peak_rss_mb`` (peak resident
+memory of the workload process).  With ``--trace 1`` the per-layer metrics
+of a traced run are printed instead.  The last line of stdout is the JSON
+result; the lines before it give the environment, the op counts,
+``error_rate`` and the unscaled wall times.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -59,9 +61,12 @@ class WorkerFailed(Exception):
     pass
 
 
-def start_worker(args, workdir: Path, *extra) -> tuple[subprocess.Popen, float]:
-    """Start a workload process; return it and its set-up time, measured
-    from the start of the process until it reports ``ready``."""
+def start_worker(args, workdir: Path, *extra) -> tuple[subprocess.Popen, float, float]:
+    """Start a workload process; return it, its set-up time, measured from
+    the start of the process until it reports ``ready``, and that time at
+    the reference speed measured just before the start.  (After ``ready``
+    the worker is busy with its passes, so no reference is taken then.)"""
+    reference = speed.reference()
     cmd = [sys.executable, str(HERE / "worker.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--workdir", str(workdir), *extra]
     start = time.perf_counter()
@@ -71,7 +76,7 @@ def start_worker(args, workdir: Path, *extra) -> tuple[subprocess.Popen, float]:
     if line.strip() != "ready":
         stop(proc)
         raise WorkerFailed(f"{args.workload} did not finish set-up")
-    return proc, ready
+    return proc, ready, speed.scale(ready, reference)
 
 
 def stop(proc: subprocess.Popen) -> None:
@@ -79,7 +84,7 @@ def stop(proc: subprocess.Popen) -> None:
     proc.communicate()
 
 
-def measure(args, workdir: Path) -> tuple[list, dict]:
+def measure(args, workdir: Path) -> tuple[list, list, dict]:
     deadline = time.perf_counter() + DEADLINE_S
 
     def finish(proc):
@@ -89,19 +94,21 @@ def measure(args, workdir: Path) -> tuple[list, dict]:
             stop(proc)
             raise WorkerFailed("workload process did not finish in time") from None
 
-    setups = []
+    setups, scaled_setups = [], []
     if not args.trace:
         for _ in range(SETUP_PROBES):
-            proc, ready = start_worker(args, workdir, "--probe")
+            proc, ready, scaled = start_worker(args, workdir, "--probe")
             setups.append(ready)
+            scaled_setups.append(scaled)
             finish(proc)
-    proc, ready = start_worker(args, workdir, "--seconds", str(args.seconds),
-                               "--trace", str(args.trace))
+    proc, ready, scaled = start_worker(args, workdir, "--seconds", str(args.seconds),
+                                       "--trace", str(args.trace))
     setups.append(ready)
+    scaled_setups.append(scaled)
     out = finish(proc)
     if proc.returncode != 0 or not out.strip():
         raise WorkerFailed(f"workload exited with code {proc.returncode}")
-    return setups, json.loads(out.strip().splitlines()[-1])
+    return setups, scaled_setups, json.loads(out.strip().splitlines()[-1])
 
 
 def metric(value, unit) -> dict:
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
         return 2
     workdir = Path.cwd() / ".perfbench_out" / f"{args.workload}-seed{args.seed}"
     try:
-        setups, result = measure(args, workdir)
+        setups, scaled_setups, result = measure(args, workdir)
     except WorkerFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -145,10 +152,15 @@ def main(argv=None) -> int:
         metrics = {name: metric(result["layers"][name], unit)
                    for name, unit in tracing.LAYER_METRICS.items()}
     else:
-        print(f"passes: {len(times)}, pass times {[round(t, 4) for t in times]} s; "
-              f"set-up samples {[round(t, 4) for t in setups]} s")
-        metrics = {"setup_s": metric(statistics.median(setups), "s"),
-                   "pass_s": metric(statistics.median(times), "s"),
+        scaled_times = result["scaled_pass_times"]
+        print(f"passes: {len(times)}, wall pass times {[round(t, 4) for t in times]} s; "
+              f"wall set-up samples {[round(t, 4) for t in setups]} s")
+        print(f"wall medians: pass {statistics.median(times)} s, set-up "
+              f"{statistics.median(setups)} s; at the reference speed "
+              f"({speed.REFERENCE_S} s per round): pass samples "
+              f"{[round(t, 4) for t in scaled_times]} s")
+        metrics = {"setup_s": metric(statistics.median(scaled_setups), "s"),
+                   "pass_s": metric(statistics.median(scaled_times), "s"),
                    "peak_rss_mb": metric(result["peak_rss_mb"], "MB")}
     for name, m in metrics.items():
         print(f"{name} {m['value']} {m['unit']}")

@@ -38,6 +38,7 @@ def test_short_pass_of_every_workload_is_correct(tmp_path, workload):
     assert result["failures"] == []
     assert result["attempted"] == result["ops_per_pass"] > 0
     assert len(result["pass_times"]) == 1
+    assert len(result["scaled_pass_times"]) == 1 and result["scaled_pass_times"][0] > 0
 
 
 def test_altered_expected_answer_counts_as_failed_op(tmp_path):

@@ -3,8 +3,10 @@
 A single caller in a single thread runs a closed loop: each op is one
 in-process ``fdgtool`` invocation, ``cli.main(argv)`` with stdout captured,
 and the next op starts when the previous one returns.  Only ``cli.main``
-is inside the timed region; checks run between ops.  The last line of
-stdout is a JSON object with the pass times, op counts and failures.
+is inside the timed region; checks run between ops, and so does
+``speed.reference()``, which gives each op's time at the reference speed.
+The last line of stdout is a JSON object with the pass times, wall and
+scaled, op counts and failures.
 
 Run from the root of a checkout (``src/fdgtool`` must be there), normally
 by ``run.py``.  ``--record`` instead writes the workload's answers to
@@ -31,6 +33,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -105,40 +108,50 @@ class Runner:
             errors.append("stderr: " + err.getvalue().strip().splitlines()[-1])
         return elapsed, errors
 
-    def run_pass(self) -> tuple[float, list]:
+    def run_pass(self) -> tuple[float, float, list]:
+        """One pass over the op list: its wall time, the same time at the
+        reference speed and the failed ops.  Each op is scaled by the mean
+        of the machine speeds measured just before and just after it."""
         gc.collect()
-        total, failures = 0.0, []
+        wall = scaled = 0.0
+        failures = []
+        before = speed.reference()
         for op in self.workload.ops:
             if self.tracer is not None:
                 self.tracer.op_index += 1  # spans of one op share this id
             elapsed, errors = self.run_op(op)
-            total += elapsed
+            after = speed.reference()
+            wall += elapsed
+            scaled += speed.scale(elapsed, (before + after) / 2)
+            before = after
             if errors:
                 failures.append({"op": op.key, "errors": errors})
-        return total, failures
+        return wall, scaled, failures
 
-    def run_passes(self, seconds: float, min_passes: int) -> tuple[list, list]:
+    def run_passes(self, seconds: float, min_passes: int) -> tuple[list, list, list]:
         """At least ``min_passes`` passes, then more while the next one is
         expected to end within ``seconds``; checks count towards the time."""
-        times, failures = [], []
+        times, scaled_times, failures = [], [], []
         for _ in _budget(seconds, min_passes):
-            elapsed, failed = self.run_pass()
-            times.append(elapsed)
+            wall, scaled, failed = self.run_pass()
+            times.append(wall)
+            scaled_times.append(scaled)
             failures += failed
-        return times, failures
+        return times, scaled_times, failures
 
     def run_traced(self, seconds: float, min_pairs: int) -> tuple[list, list, list]:
         """Untraced and traced passes in turn, so that both see the same
-        machine; the difference of their medians is the tracing overhead."""
+        machine; the difference of their medians at the reference speed is
+        the tracing overhead."""
         plain, traced, failures = [], [], []
         self.tracer = tracing.Tracer()
         for _ in _budget(seconds, min_pairs):
-            elapsed, failed = self.run_pass()
+            _, elapsed, failed = self.run_pass()
             plain.append(elapsed)
             failures += failed
             self.tracer.install(self.modules)
             try:
-                elapsed, failed = self.run_pass()
+                _, elapsed, failed = self.run_pass()
             finally:
                 self.tracer.uninstall()
             traced.append(elapsed)
@@ -207,8 +220,8 @@ def main(argv=None) -> int:
         result.update(pass_times=plain, traced_pass_times=traced, layers=layers,
                       spans=str(spans))
     else:
-        times, failures = runner.run_passes(args.seconds, args.min_passes)
-        result.update(pass_times=times)
+        times, scaled, failures = runner.run_passes(args.seconds, args.min_passes)
+        result.update(pass_times=times, scaled_pass_times=scaled)
     passes = len(result["pass_times"]) + len(result.get("traced_pass_times", ()))
     result.update(
         attempted=passes * len(workload.ops), failures=failures,

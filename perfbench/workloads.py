@@ -58,13 +58,13 @@ SEARCHES = (  # fixture, reduce mode, field, pins, known status
     ("parallel_relay", "none", 3, "", "exhausted"),
 )
 
-# Reduced LPs the exact simplex finishes in seconds; the unreduced ones and
-# fano-linear (N=8) run for minutes or more.
+# Reduced LPs the exact simplex finishes in under a second.  Left out:
+# two_unicast_side-shannon (5-8 s, too few samples per run for a steady
+# figure), the unreduced LPs, butterfly-shannon and fano-linear (minutes).
 EXACT_SOLVES = (
     ("parallel_relay", "shannon"), ("parallel_relay", "linear"),
     ("two_unicast_chain", "shannon"), ("two_unicast_chain", "linear"),
-    ("two_unicast_side", "shannon"), ("two_unicast_side", "linear"),
-    ("butterfly", "linear"),
+    ("two_unicast_side", "linear"), ("butterfly", "linear"),
 )
 
 # Generated networks for reduce-generated; only the smallest also gets the
