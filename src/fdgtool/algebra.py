@@ -16,12 +16,20 @@ with early rejection, so the first hit is the lexicographically smallest.
 
 Polynomials are sparse with exact integer coefficients; reduction modulo p
 happens only at evaluation time, so one symbolic matrix serves every field.
+The search compiles each entry once per call for its field: indeterminates
+become integer positions in the search order, and an entry becomes a flat
+table of (coefficient mod p, positions) terms.  The order is cut into
+blocks at the depths where some entry becomes checkable; each block's value
+combinations are enumerated in one loop and checked only against the
+entries due at its end.  The node and evaluation counters are defined by
+the plain depth-first search that assigns one indeterminate per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .fdg import EdgeVar, Fdg
 
@@ -328,6 +336,39 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _term_table(entry: Poly, position: dict, p: int) -> list:
+    """``entry`` over GF(p) as (coefficient mod p, positions) per monomial.
+
+    A position repeats once per power; monomials whose coefficient vanishes
+    mod p are dropped.
+    """
+    return [(c % p, tuple(position[name] for name, e in mono for _ in range(e)))
+            for mono, c in entry.terms.items() if c % p]
+
+
+def _compile_check(due: list, p: int, lo: int):
+    """One function checking the (term table, target) pairs ``due`` in order.
+
+    ``check(v, c)`` reads position i from ``c[i - lo]`` when i >= lo and from
+    ``v[i]`` otherwise.  It returns the 1-based index of the first entry
+    whose value mod p misses its target, or 0 when all match.  The source
+    text is built from integers only.
+    """
+    lines = ["def check(v, c):"]
+    for k, (table, target) in enumerate(due, 1):
+        terms = []
+        for c, positions in table:
+            factors = [f"c[{i - lo}]" if i >= lo else f"v[{i}]" for i in positions]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            terms.append("*".join(factors))
+        lines.append(f"    if ({' + '.join(terms) or '0'}) % {p} != {target}: return {k}")
+    lines.append("    return 0")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]
+
+
 def solvability_search(M, demand, p: int, *, order=None, pinned=None,
                        field_cap: int = DEFAULT_FIELD_CAP,
                        indet_cap: int = DEFAULT_INDET_CAP) -> SearchResult:
@@ -338,6 +379,20 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     match the demand pattern entrywise, or exhaustion.  An entry is checked
     as soon as the last indeterminate it mentions is assigned, which prunes
     whole subtrees.  ``pinned`` fixes chosen indeterminates to constants.
+
+    The depths at which some entry becomes checkable cut ``order`` into
+    blocks.  Each block's value combinations are enumerated with
+    ``itertools.product`` (a pinned position has one choice) and checked
+    against the entries due at the block's end, compiled for this field;
+    a combination that passes recurses into the next block.
+
+    The counters are those of a depth-first search that assigns one
+    indeterminate per node and checks each entry at its depth.
+    ``evaluations_tried`` counts the nodes it visits: the root when the
+    constant entries hold, every node inside a block on the way to a
+    combination tried (counted arithmetically), and every block end whose
+    check passes.  ``entry_evals`` counts entry evaluations, the failing
+    one included; a check stops at its first failure.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -367,51 +422,67 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
             f"{len(free)} free indeterminates exceed the exhaustive-search "
             f"cap {indet_cap}; pin some values")
 
-    entries = []
+    n = len(order)
+    position = {name: k for k, name in enumerate(order)}
+    due = [[] for _ in range(n + 1)]
     for i, row in enumerate(M):
         for j, entry in enumerate(row):
-            target = demand[i][j]
-            entries.append((entry, target, entry.indeterminates()))
+            depth = max((position[x] + 1 for x in entry.indeterminates()), default=0)
+            due[depth].append((_term_table(entry, position, p), demand[i][j] % p))
 
-    position = {n: k for k, n in enumerate(order)}
-    by_depth = [[] for _ in range(len(order) + 1)]
-    for entry, target, used in entries:
-        depth = max((position[n] + 1 for n in used), default=0)
-        by_depth[depth].append((entry, target))
+    choices = [(pinned[name],) if name in pinned else range(p) for name in order]
 
-    assignment = dict(pinned)
-    visited = 0
-    entry_evals = 0
+    def inner_nodes(lo, combo) -> int:
+        # Nodes strictly inside the block up to and including ``combo``: at
+        # each inner depth, the mixed-radix index of combo's prefix plus one.
+        total = index = 0
+        for options, value in zip(choices[lo:], combo[:-1]):
+            index = index * len(options) + options.index(value)
+            total += index + 1
+        return total
 
-    def check(depth) -> bool:
-        nonlocal entry_evals
-        for entry, target in by_depth[depth]:
-            entry_evals += 1
-            if entry.eval_mod(assignment, p) != target % p:
-                return False
-        return True
+    # Block b covers positions lo..hi-1; the first block is the empty one at
+    # the root, whose single (empty) combination checks the constant entries.
+    # An exhausted block has passed through every inner node, as many as up
+    # to its last combination.
+    ends = sorted({0, n}.union(d for d in range(1, n) if due[d]))
+    blocks = [(lo, hi, _compile_check(due[hi], p, lo), len(due[hi]),
+               inner_nodes(lo, tuple(options[-1] for options in choices[lo:hi])))
+              for lo, hi in zip([0] + ends, ends)]
 
-    def dfs(depth) -> bool:
-        nonlocal visited
-        visited += 1
-        if depth == len(order):
-            return True
-        name = order[depth]
-        if name in pinned:
-            return check(depth + 1) and dfs(depth + 1)
-        for value in range(p):
-            assignment[name] = value
-            if check(depth + 1) and dfs(depth + 1):
+    values = [0] * n
+    nodes = entry_evals = 0
+
+    def search(b) -> bool:
+        nonlocal nodes, entry_evals
+        lo, hi, check, cost, all_inner = blocks[b]
+        last = b + 1 == len(blocks)
+        passed = evals = 0
+        for combo in product(*choices[lo:hi]):
+            failed = check(values, combo)
+            if failed:
+                evals += failed
+                continue
+            values[lo:hi] = combo
+            evals += cost
+            passed += 1
+            if last or search(b + 1):
+                nodes += passed + inner_nodes(lo, combo)
+                entry_evals += evals
                 return True
-        del assignment[name]
+        nodes += passed + all_inner
+        entry_evals += evals
         return False
 
-    found = check(0) and dfs(0)
-    if found:
-        return SearchResult(status="found", field=p, assignment=dict(assignment),
-                            evaluations_tried=visited, entry_evals=entry_evals)
+    if search(0):
+        assignment = dict(pinned)
+        for name in order:
+            if name not in pinned:
+                assignment[name] = values[position[name]]
+        return SearchResult(status="found", field=p, assignment=assignment,
+                            evaluations_tried=nodes, entry_evals=entry_evals)
     return SearchResult(status="exhausted", field=p, assignment=None,
-                        evaluations_tried=visited, entry_evals=entry_evals)
+                        evaluations_tried=nodes, entry_evals=entry_evals)
 
 
 @dataclass(frozen=True)

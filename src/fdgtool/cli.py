@@ -105,7 +105,10 @@ def cmd_lp(args) -> int:
     net = _read_network(args.network)
     graph = _reduced_graph(net, args.reduce)
     if args.weights:
-        weights = netmodel.Weights.parse(args.weights)
+        try:
+            weights = netmodel.Weights.parse(args.weights)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"bad weights {args.weights!r}: {exc}") from None
         weights.check_against(net)
     else:
         weights = netmodel.Weights.of({s.index: 1 for s in net.sources})
@@ -132,7 +135,11 @@ def cmd_lp(args) -> int:
         return OK
 
     try:
-        solution = lpbound.lp_solve(problem)
+        max_n = lpbound.solve_cap()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    try:
+        solution = lpbound.lp_solve(problem, max_n)
     except ValueError as exc:
         raise _UsageError(f"{exc}; try --export and an external solver") from None
     if solution.status != "optimal":
@@ -163,6 +170,8 @@ def _parse_pins(text: str) -> dict:
         if "=" not in part:
             raise _UsageError(f"bad pin {part!r}; expected name=value")
         name, _, value = part.rpartition("=")
+        if name in pins:
+            raise _UsageError(f"pin {name!r} given more than once")
         try:
             pins[name] = int(value)
         except ValueError:
@@ -224,6 +233,8 @@ def cmd_replay(args) -> int:
             trace = fdgmod.ReductionTrace.from_jsonl(handle.read())
     except OSError as exc:
         raise _UsageError(f"cannot read {args.trace}: {exc}") from None
+    except fdgmod.TraceFormatError as exc:
+        raise _UsageError(f"bad trace {args.trace}: {exc}") from None
     try:
         result = fdgmod.replay(graph, trace)
     except fdgmod.ReplayError as exc:

@@ -47,6 +47,10 @@ class UnitCapacityError(ValueError):
     """A unit-capacity rule was requested on a graph with other capacities."""
 
 
+class TraceFormatError(ValueError):
+    """A trace document that does not parse into reduction steps."""
+
+
 class ReplayError(ValueError):
     """A trace does not match the graph it is replayed against."""
 
@@ -396,7 +400,17 @@ class ReductionTrace:
     @classmethod
     def from_jsonl(cls, text: str, delta_v: int | None = None,
                    delta_e: int | None = None) -> "ReductionTrace":
-        steps = tuple(Step.from_json(line) for line in text.splitlines() if line.strip())
+        steps = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                steps.append(Step.from_json(line))
+            except KeyError as exc:
+                raise TraceFormatError(f"line {number}: missing key {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise TraceFormatError(f"line {number}: {exc}") from None
+        steps = tuple(steps)
         dv = sum(len(s.removed) for s in steps)
         return cls(steps=steps, delta_v=dv if delta_v is None else delta_v,
                    delta_e=0 if delta_e is None else delta_e)

@@ -257,7 +257,10 @@ def _ray_violates(row: Row, ray_value: Fraction) -> bool:
 def solve_cap() -> int:
     env = os.environ.get(MAX_N_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_SOLVE_CAP
 
 

@@ -89,6 +89,26 @@ def test_replay_mismatch_fails(on_disk, tmp_path, capsys):
     assert "replay failed" in err
 
 
+@pytest.mark.parametrize("edit, detail", [
+    (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                              if k != "removed"}), "missing key 'removed'"),
+    (lambda line: "{not json", "line 1"),
+    (lambda line: "[]", "line 1"),
+], ids=["no-removed", "not-json", "not-an-object"])
+def test_replay_malformed_trace_is_a_usage_error(on_disk, tmp_path, capsys, edit, detail):
+    trace_file = tmp_path / "trace.jsonl"
+    net = on_disk("butterfly")
+    code, _, _ = run(capsys, "reduce", "--mode", "linear",
+                     "--trace-out", str(trace_file), net)
+    assert code == 0
+    lines = trace_file.read_text().splitlines()
+    trace_file.write_text("\n".join([edit(lines[0])] + lines[1:]) + "\n")
+    code, out, err = run(capsys, "replay", "--trace", str(trace_file), net)
+    assert code == 2
+    assert out == ""
+    assert detail in err and err.count("\n") == 1
+
+
 def test_lp_stats_reduced_butterfly(on_disk, capsys):
     code, out, _ = run(capsys, "lp", "--reduce", "linear", "--stats",
                        on_disk("butterfly"))
@@ -112,6 +132,22 @@ def test_lp_solve_cap_suggests_export(on_disk, capsys, monkeypatch):
     code, _, err = run(capsys, "lp", "--solve", on_disk("butterfly"))
     assert code == 2
     assert "--export" in err
+
+
+@pytest.mark.parametrize("weights", ["abc", "1/0", ","])
+def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
+    code, out, err = run(capsys, "lp", "--solve", "-w", weights, on_disk("butterfly"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad weights") and err.count("\n") == 1
+
+
+def test_lp_bad_solve_cap_names_the_variable(on_disk, capsys, monkeypatch):
+    monkeypatch.setenv("FDGTOOL_MAX_N", "x")
+    code, _, err = run(capsys, "lp", "--reduce", "linear", "--solve", on_disk("butterfly"))
+    assert code == 2
+    assert "FDGTOOL_MAX_N" in err and "--export" not in err
+    assert err.count("\n") == 1
 
 
 def test_lp_export_writes_file(on_disk, tmp_path, capsys):
@@ -151,6 +187,14 @@ def test_transfer_pin_parsing(on_disk, capsys):
                        "--pin", "garbage", on_disk("single_edge"))
     assert code == 2
     assert "pin" in err
+
+
+def test_transfer_pin_given_twice_is_a_usage_error(on_disk, capsys):
+    code, out, err = run(capsys, "transfer", "--search", "2",
+                         "--pin", "eps[Y1->e1]=1,eps[Y1->e1]=0", on_disk("single_edge"))
+    assert code == 2
+    assert out == ""
+    assert "eps[Y1->e1]" in err and err.count("\n") == 1
 
 
 def test_transfer_requires_unit_capacities(tmp_path, capsys):
