@@ -37,6 +37,14 @@ def _read_network(path: str) -> netmodel.Network:
     return netmodel.parse_network(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 class _UsageError(Exception):
     pass
 
@@ -78,8 +86,7 @@ def cmd_reduce(args) -> int:
     graph = fdgmod.build_fdg(net)
     reduced, trace = fdgmod.reduce(graph, args.mode)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(trace.to_jsonl())
+        _write(args.trace_out, trace.to_jsonl())
     steps = [json.loads(step.to_json()) for step in trace.steps]
     if args.format == "json":
         _print_json({
@@ -107,9 +114,9 @@ def cmd_lp(args) -> int:
     if args.weights:
         try:
             weights = netmodel.Weights.parse(args.weights)
+            weights.check_against(net)
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad weights {args.weights!r}: {exc}") from None
-        weights.check_against(net)
     else:
         weights = netmodel.Weights.of({s.index: 1 for s in net.sources})
     problem = lpbound.build_lp(graph, weights)
@@ -130,8 +137,7 @@ def cmd_lp(args) -> int:
         if args.export == "-":
             sys.stdout.write(text)
         else:
-            with open(args.export, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write(args.export, text)
         return OK
 
     try:

@@ -20,14 +20,15 @@ their parents to their children.  Two families of rules are implemented:
   is of interest.
 
 Every removal is logged in a replayable trace so a reduction can be audited
-step by step.
+step by step: ``reduce`` and ``replay`` take each step through the same
+function, which refuses any removal its rule does not permit.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Network, validate
@@ -67,7 +68,7 @@ class SourceVar:
 @dataclass(frozen=True)
 class EdgeVar:
     edge_id: str
-    cap: Fraction
+    cap: Fraction = field(hash=False)  # compared but not hashed: Fraction hashing is slow
 
     @property
     def name(self) -> str:
@@ -235,6 +236,24 @@ def build_fdg(net: Network) -> Fdg:
     return fdg
 
 
+def _shared_neighbourhood(fdg: Fdg, group: tuple):
+    """The ``(up, down)`` of ``group`` outside itself, or None unless the
+    group is non-empty, has no repeated members, holds only edge variables,
+    and all members have the same parent set and the same child set."""
+    members = set(group)
+    if not group or len(members) != len(group):
+        return None
+    if not all(isinstance(v, EdgeVar) for v in group):
+        return None
+    first = group[0]
+    if len(group) > 1:
+        up, down = set(fdg.up(first)), set(fdg.down(first))
+        if any(set(fdg.up(v)) != up or set(fdg.down(v)) != down for v in group[1:]):
+            return None
+    return (tuple(p for p in fdg.up(first) if p not in members),
+            tuple(c for c in fdg.down(first) if c not in members))
+
+
 def remove_var(fdg: Fdg, v: EdgeVar) -> Fdg:
     """Delete an edge variable, connecting each parent to each child.
 
@@ -252,19 +271,18 @@ def remove_group(fdg: Fdg, group) -> Fdg:
             raise ValueError(f"{v.name} is a source variable; only edge variables are removable")
         if v not in fdg:
             raise ValueError(f"{v.name} is not in the graph")
-    gset = set(group)
-    for v in group[1:]:
-        if set(fdg.up(v)) != set(fdg.up(group[0])) or set(fdg.down(v)) != set(fdg.down(group[0])):
-            raise ValueError("group removal requires identical parent and child sets")
-    up = [p for p in fdg.up(group[0]) if p not in gset]
-    new_vars = [v for v in fdg.vars if v not in gset]
+    shared = _shared_neighbourhood(fdg, group)
+    if shared is None:
+        raise ValueError("group removal requires distinct variables with "
+                         "identical parent and child sets")
+    up, _ = shared
+    members = set(group)
+    new_vars = [v for v in fdg.vars if v not in members]
     new_parents = {}
     for v in new_vars:
-        ps = [p for p in fdg.up(v) if p not in gset]
-        if any(g in fdg.up(v) for g in gset):
-            for a in up:
-                if a != v and a not in ps:
-                    ps.append(a)
+        ps = [p for p in fdg.up(v) if p not in members]
+        if len(ps) < len(fdg.up(v)):
+            ps += [a for a in up if a != v and a not in ps]
         new_parents[v] = tuple(ps)
     return Fdg(new_vars, new_parents, fdg.demand_origin)
 
@@ -277,88 +295,73 @@ def _require_unit(fdg: Fdg, rule: str) -> None:
 
 
 def cor1(fdg: Fdg, v) -> bool:
-    """Single variable: no source parent, capacity covers the parents' sum."""
-    if not isinstance(v, EdgeVar):
-        return False
-    up = fdg.up(v)
-    if any(isinstance(p, SourceVar) for p in up):
-        return False
-    return v.cap >= sum((p.cap for p in up), Fraction(0))
+    """Single variable: no source parent, capacity covers the parents' sum.
+
+    This is ``cor2`` of the one-member group, as no variable is its own parent.
+    """
+    return cor2(fdg, (v,))
 
 
 def cor2(fdg: Fdg, group) -> bool:
     """Group with identical neighborhoods whose joint capacity covers its parents."""
     group = tuple(group)
-    if not group or not all(isinstance(v, EdgeVar) for v in group):
+    shared = _shared_neighbourhood(fdg, group)
+    if shared is None or any(isinstance(p, SourceVar) for p in shared[0]):
         return False
-    up = set(fdg.up(group[0]))
-    down = set(fdg.down(group[0]))
-    for v in group[1:]:
-        if set(fdg.up(v)) != up or set(fdg.down(v)) != down:
-            return False
-    up -= set(group)
-    down -= set(group)
-    if any(isinstance(p, SourceVar) for p in up):
+    return sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in shared[0]), Fraction(0))
+
+
+def _one_link(fdg: Fdg, v, rule: str, side: int) -> bool:
+    """Unit-capacity single variable with exactly one parent (``side`` 0) or
+    one child (``side`` 1), which is not a source."""
+    _require_unit(fdg, rule)
+    shared = _shared_neighbourhood(fdg, (v,))
+    if shared is None:
         return False
-    return sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in up), Fraction(0))
+    links = shared[side]
+    return len(links) == 1 and not isinstance(links[0], SourceVar)
 
 
 def cor3(fdg: Fdg, v) -> bool:
     """Unit-capacity single variable: exactly one parent, which is not a source."""
-    _require_unit(fdg, COR3)
-    if not isinstance(v, EdgeVar):
-        return False
-    up = fdg.up(v)
-    return len(up) == 1 and not isinstance(up[0], SourceVar)
+    return _one_link(fdg, v, COR3, 0)
 
 
 def cor4(fdg: Fdg, group) -> bool:
-    """Unit-capacity group: identical neighborhoods, no more parents than members."""
+    """Unit-capacity group: identical neighborhoods, no more parents than members.
+
+    With unit capacities the capacity sums of ``cor2`` are these counts.
+    """
     _require_unit(fdg, COR4)
-    group = tuple(group)
-    if not group or not all(isinstance(v, EdgeVar) for v in group):
-        return False
-    up = set(fdg.up(group[0]))
-    down = set(fdg.down(group[0]))
-    for v in group[1:]:
-        if set(fdg.up(v)) != up or set(fdg.down(v)) != down:
-            return False
-    up -= set(group)
-    if any(isinstance(p, SourceVar) for p in up):
-        return False
-    return len(up) <= len(group)
+    return cor2(fdg, group)
 
 
 def cor5a(fdg: Fdg, v) -> bool:
     """Linear-coding rule: one parent and it is not a source."""
-    _require_unit(fdg, COR5A)
-    if not isinstance(v, EdgeVar):
-        return False
-    up = fdg.up(v)
-    return len(up) == 1 and not isinstance(up[0], SourceVar)
+    return _one_link(fdg, v, COR5A, 0)
 
 
 def cor5b(fdg: Fdg, v) -> bool:
     """Linear-coding rule: one child and it is not a source."""
-    _require_unit(fdg, COR5B)
-    if not isinstance(v, EdgeVar):
-        return False
-    down = fdg.down(v)
-    return len(down) == 1 and not isinstance(down[0], SourceVar)
+    return _one_link(fdg, v, COR5B, 1)
 
 
-SINGLE_RULES = {COR1: cor1, COR3: cor3, COR5A: cor5a, COR5B: cor5b}
-GROUP_RULES = {COR2: cor2, COR4: cor4}
+def _single(rule):
+    return lambda fdg, group: len(group) == 1 and rule(fdg, group[0])
+
+
+# Each rule as a predicate over a tuple of variables.
+RULES = {COR1: _single(cor1), COR2: cor2, COR3: _single(cor3), COR4: cor4,
+         COR5A: _single(cor5a), COR5B: _single(cor5b)}
 
 
 def removable(fdg: Fdg, target, rule: str) -> bool:
     """Uniform entry point: ``target`` is a variable or, for the group rules,
     an iterable of variables."""
-    if rule in SINGLE_RULES:
-        return SINGLE_RULES[rule](fdg, target)
-    if rule in GROUP_RULES:
-        return GROUP_RULES[rule](fdg, target)
-    raise ValueError(f"unknown rule {rule!r}")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    group = (target,) if isinstance(target, (SourceVar, EdgeVar)) else tuple(target)
+    return RULES[rule](fdg, group)
 
 
 @dataclass(frozen=True)
@@ -381,6 +384,8 @@ class Step:
     @classmethod
     def from_json(cls, line: str) -> "Step":
         doc = json.loads(line)
+        if not isinstance(doc["rule"], str):
+            raise TypeError("rule is not a string")
         return cls(rule=doc["rule"],
                    removed=tuple(doc["removed"]),
                    up=tuple(doc["up"]),
@@ -411,9 +416,12 @@ class ReductionTrace:
             except (ValueError, TypeError) as exc:
                 raise TraceFormatError(f"line {number}: {exc}") from None
         steps = tuple(steps)
+        # A step deletes each member's edges to and from its neighbourhood
+        # (members share no edge) and adds the ``added`` pairs.
         dv = sum(len(s.removed) for s in steps)
+        de = sum(len(s.removed) * (len(s.up) + len(s.down)) - len(s.added) for s in steps)
         return cls(steps=steps, delta_v=dv if delta_v is None else delta_v,
-                   delta_e=0 if delta_e is None else delta_e)
+                   delta_e=de if delta_e is None else delta_e)
 
 
 def _edge_var_depths(fdg: Fdg) -> dict:
@@ -438,35 +446,48 @@ def _edge_var_depths(fdg: Fdg) -> dict:
     return depth
 
 
-def _candidates(fdg: Fdg):
-    depth = _edge_var_depths(fdg)
-    return sorted(fdg.edge_vars(), key=lambda v: (depth[v], fdg.index(v)))
+def _step(fdg: Fdg, group: tuple, rule: str) -> tuple[Fdg, Step]:
+    """Remove ``group`` under ``rule``: the reduced graph and its trace step.
 
-
-def _apply_removal(fdg: Fdg, group, rule: str):
-    gset = set(group)
-    up = tuple(p for p in fdg.up(group[0]) if p not in gset)
-    down = tuple(c for c in fdg.down(group[0]) if c not in gset)
-    added = []
-    existing = {(a, b) for b in fdg.vars for a in fdg.up(b)}
-    for a in up:
-        for b in down:
-            if a != b and (a, b) not in existing:
-                added.append((a.name, b.name))
+    Raises ValueError for an unknown rule or a group the rule does not
+    permit, and UnitCapacityError for a unit rule on other capacities.
+    """
+    if not removable(fdg, group, rule):
+        raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
+    up, down = _shared_neighbourhood(fdg, group)
     step = Step(rule=rule,
                 removed=tuple(v.name for v in group),
                 up=tuple(p.name for p in up),
                 down=tuple(c.name for c in down),
-                added=tuple(added))
+                added=tuple((a.name, b.name) for a in up for b in down
+                            if a != b and a not in fdg.up(b)))
     return remove_group(fdg, group), step
 
 
 def _cor2_classes(fdg: Fdg):
+    """Classes of more than one edge variable with identical neighbourhoods."""
     classes = {}
     for v in fdg.edge_vars():
         key = (frozenset(fdg.up(v)), frozenset(fdg.down(v)))
         classes.setdefault(key, []).append(v)
-    return sorted(classes.values(), key=lambda grp: min(fdg.index(v) for v in grp))
+    return [tuple(c) for c in sorted(classes.values(), key=lambda c: fdg.index(c[0]))
+            if len(c) > 1]
+
+
+_MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5A, COR5B)}
+
+
+def _first_removal(fdg: Fdg, rules):
+    """The first ``(group, rule)`` that a rule permits, trying the rules in
+    order: COR2 on the classes, the others on single variables in
+    topological-then-index order."""
+    depth = _edge_var_depths(fdg)
+    singles = [(v,) for v in sorted(fdg.edge_vars(), key=lambda v: (depth[v], fdg.index(v)))]
+    for rule in rules:
+        for group in _cor2_classes(fdg) if rule == COR2 else singles:
+            if RULES[rule](fdg, group):
+                return group, rule
+    return None
 
 
 def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
@@ -479,66 +500,41 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
     No claim of order independence is made, so the order is part of the
     contract.
     """
-    if mode not in (SHANNON, LINEAR):
+    if mode not in _MODE_RULES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == LINEAR and not fdg.unit_capacities():
         raise UnitCapacityError("linear mode requires unit capacities")
 
-    start_edges = fdg.dependence_edge_count()
     steps = []
     cur = fdg
-    while True:
-        cands = _candidates(cur)
-        group = None
-        rule = None
-        for v in cands:
-            if cor1(cur, v):
-                group, rule = (v,), COR1
-                break
-        if group is None:
-            for cls_ in _cor2_classes(cur):
-                if len(cls_) > 1 and cor2(cur, cls_):
-                    group, rule = tuple(cls_), COR2
-                    break
-        if group is None and mode == LINEAR:
-            for v in cands:
-                if cor5a(cur, v):
-                    group, rule = (v,), COR5A
-                    break
-        if group is None and mode == LINEAR:
-            for v in cands:
-                if cor5b(cur, v):
-                    group, rule = (v,), COR5B
-                    break
-        if group is None:
-            break
-        cur, step = _apply_removal(cur, group, rule)
+    while (found := _first_removal(cur, _MODE_RULES[mode])) is not None:
+        cur, step = _step(cur, *found)
         steps.append(step)
 
     trace = ReductionTrace(steps=tuple(steps),
                            delta_v=fdg.order - cur.order,
-                           delta_e=start_edges - cur.dependence_edge_count())
+                           delta_e=fdg.dependence_edge_count() - cur.dependence_edge_count())
     return cur, trace
 
 
 def replay(fdg: Fdg, trace: ReductionTrace) -> Fdg:
-    """Re-apply a trace to a graph, verifying each recorded step.
+    """Re-apply a trace to a graph, re-deriving and checking each step.
 
-    Raises ReplayError if a step's removed variables or their recorded
-    neighborhoods do not match the current graph state.
+    A step is accepted only when its ``removed`` names distinct variables of
+    the current graph, its rule is known and permits removing them (unit
+    rules only on unit-capacity graphs), and the ``up``, ``down`` and
+    ``added`` derived from the graph equal the recorded ones.  Raises
+    ReplayError at the first step that fails.
     """
     cur = fdg
     for i, step in enumerate(trace.steps):
         try:
             group = tuple(cur.var_by_name(n) for n in step.removed)
-        except KeyError as exc:
+            cur, derived = _step(cur, group, step.rule)
+        except (KeyError, ValueError) as exc:
             raise ReplayError(f"step {i}: {exc}") from None
-        gset = set(group)
-        up = tuple(p.name for p in cur.up(group[0]) if p not in gset)
-        down = tuple(c.name for c in cur.down(group[0]) if c not in gset)
-        if up != step.up or down != step.down:
+        if derived != step:
             raise ReplayError(
-                f"step {i}: recorded neighborhood does not match the graph "
-                f"(up {step.up} vs {up}, down {step.down} vs {down})")
-        cur = remove_group(cur, group)
+                f"step {i}: recorded step does not match the graph "
+                f"(recorded {step.to_json()}, derived {derived.to_json()})")
     return cur

@@ -291,7 +291,8 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
             f"solve cap {max_n}; reduce the graph or use the LP export with "
             f"an external solver (override with {MAX_N_ENV})")
 
-    certified = _certified_from_float(problem)
+    solved = _float_solve(problem)
+    certified = _certified_from_float(problem, solved)
     if certified is not None:
         return certified
 
@@ -302,10 +303,16 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
             or (row.tag == ELEMENTAL2 and len(row.coeffs) == 3)]
     working = list(seed)
     in_working = set(working)
-    for i in _dual_support_rows(problem):
-        if i not in in_working:
-            working.append(i)
-            in_working.add(i)
+    # Warm start: the rows with nonzero float dual.  By weak duality the dual
+    # support alone can certify the optimum, and unlike tightness it stays
+    # small at degenerate optima where thousands of rows are tight by
+    # accident.  It only steers which rows the exact simplex sees first.
+    if solved is not None and solved[0].success:
+        res, ub_idx, _ = solved
+        for r, i in enumerate(ub_idx):
+            if abs(res.ineqlin.marginals[r]) > 1e-9 and i not in in_working:
+                working.append(i)
+                in_working.add(i)
     objective = {mask - 1: c for mask, c in problem.objective}
     aux = _bounding_helpers(problem)
 
@@ -349,24 +356,6 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
         for i in violated[:chunk]:
             working.append(i)
             in_working.add(i)
-
-
-def _dual_support_rows(problem: LpProblem) -> list:
-    """Rows with nonzero float dual, as a working-set warm start.
-
-    By weak duality the dual support alone can certify the optimum, and
-    unlike tightness it stays small at degenerate optima where thousands of
-    rows are tight by accident.  Selection only steers which rows the exact
-    simplex sees first; correctness never depends on it.
-    """
-    solved = _float_solve(problem)
-    if solved is None:
-        return []
-    res, ub_idx, _ = solved
-    if not res.success:
-        return []
-    duals = res.ineqlin.marginals if ub_idx else []
-    return [i for r, i in enumerate(ub_idx) if abs(duals[r]) > 1e-9]
 
 
 def _float_solve(problem: LpProblem):
@@ -420,17 +409,17 @@ def _round_vector(values, limits=(10 ** 4, 10 ** 8)):
         yield [Fraction(float(v)).limit_denominator(limit) for v in values]
 
 
-def _certified_from_float(problem: LpProblem) -> LpSolution | None:
+def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
     """Exact optimum via rounded float certificates, or None.
 
-    The float solution only *suggests* a primal point and a dual vector;
-    both are snapped to rationals and checked exactly.  When the witness
-    satisfies every row, the dual is feasible with nonnegative multipliers
-    on inequalities, and the two exact objectives coincide, weak duality
-    certifies optimality outright.  Any failure falls back to the exact
+    ``solved`` is the result of ``_float_solve``.  The float solution only
+    *suggests* a primal point and a dual vector; both are snapped to
+    rationals and checked exactly.  When the witness satisfies every row,
+    the dual is feasible with nonnegative multipliers on inequalities, and
+    the two exact objectives coincide, weak duality certifies optimality
+    outright.  Any failure falls back to the exact
     simplex path, so this routine can only accelerate, never corrupt.
     """
-    solved = _float_solve(problem)
     if solved is None:
         return None
     res, ub_idx, eq_idx = solved

@@ -14,6 +14,23 @@ UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
                  "parallel_relay", "fano", "single_edge")
 
 
+# One-step butterfly traces that replay must refuse: id -> (network text, step).
+_BUTTERFLY = netmodel.fixture_text("butterfly")
+_FIRST_STEP = {"rule": "COR1", "removed": ["U:e_d"], "up": ["U:e_c"],
+               "down": ["Y1"], "added": [["U:e_c", "Y1"]]}
+FORGED_STEPS = {
+    # right neighbourhood and added edge, but the source parent Y1 blocks COR1
+    "source-parent": (_BUTTERFLY, {"rule": "COR1", "removed": ["U:e_a"], "up": ["Y1"],
+                                   "down": ["U:e_c"], "added": [["Y1", "U:e_c"]]}),
+    "unknown-rule": (_BUTTERFLY, {**_FIRST_STEP, "rule": "COR9"}),
+    "tampered-added": (_BUTTERFLY, {**_FIRST_STEP, "added": []}),
+    "empty-removed": (_BUTTERFLY, {**_FIRST_STEP, "removed": []}),
+    "repeated-removed": (_BUTTERFLY, {**_FIRST_STEP, "removed": ["U:e_d", "U:e_d"]}),
+    "unit-rule-on-capacity-2": (_BUTTERFLY.replace('"cap": "1"', '"cap": "2"'),
+                                {**_FIRST_STEP, "rule": "COR5a"}),
+}
+
+
 @pytest.fixture
 def butterfly():
     return netmodel.load_fixture("butterfly")

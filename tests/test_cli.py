@@ -5,6 +5,8 @@ import pytest
 from fdgtool import cli
 from fdgtool.netmodel import fixture_text
 
+from conftest import FORGED_STEPS
+
 
 @pytest.fixture
 def on_disk(tmp_path):
@@ -89,12 +91,39 @@ def test_replay_mismatch_fails(on_disk, tmp_path, capsys):
     assert "replay failed" in err
 
 
+@pytest.mark.parametrize("case", FORGED_STEPS)
+def test_replay_refuses_a_forged_step(tmp_path, capsys, case):
+    text, step = FORGED_STEPS[case]
+    net = tmp_path / "net.json"
+    net.write_text(text)
+    trace_file = tmp_path / "trace.jsonl"
+    trace_file.write_text(json.dumps(step) + "\n")
+    code, out, err = run(capsys, "replay", "--trace", str(trace_file), str(net))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("replay failed: step 0: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--trace-out", "{missing}/trace.jsonl"],
+    ["lp", "--reduce", "linear", "--export", "{missing}/butterfly.lp"],
+], ids=["reduce-trace-out", "lp-export"])
+def test_unwritable_output_is_a_usage_error(on_disk, tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    argv = [a.format(missing=missing) for a in argv]
+    code, out, err = run(capsys, *argv, on_disk("butterfly"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit, detail", [
     (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
                               if k != "removed"}), "missing key 'removed'"),
     (lambda line: "{not json", "line 1"),
     (lambda line: "[]", "line 1"),
-], ids=["no-removed", "not-json", "not-an-object"])
+    (lambda line: json.dumps({**json.loads(line), "rule": ["COR1"]}), "rule is not a string"),
+], ids=["no-removed", "not-json", "not-an-object", "rule-not-a-string"])
 def test_replay_malformed_trace_is_a_usage_error(on_disk, tmp_path, capsys, edit, detail):
     trace_file = tmp_path / "trace.jsonl"
     net = on_disk("butterfly")
@@ -134,7 +163,7 @@ def test_lp_solve_cap_suggests_export(on_disk, capsys, monkeypatch):
     assert "--export" in err
 
 
-@pytest.mark.parametrize("weights", ["abc", "1/0", ","])
+@pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1"])
 def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
     code, out, err = run(capsys, "lp", "--solve", "-w", weights, on_disk("butterfly"))
     assert code == 2

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fdgtool import fdg as F
 from fdgtool import netmodel
@@ -11,7 +14,7 @@ from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
                          cor5a, cor5b, reduce, remove_var, removable, replay)
 from fdgtool.netmodel import in_edges, load_fixture
 
-from conftest import UNIT_FIXTURES
+from conftest import FORGED_STEPS, UNIT_FIXTURES, random_network
 
 
 def test_orders_match_edge_plus_source_count():
@@ -218,6 +221,8 @@ def test_trace_replays_exactly(name, mode):
     rebuilt = ReductionTrace.from_jsonl(trace.to_jsonl(), delta_v=trace.delta_v,
                                         delta_e=trace.delta_e)
     assert replay(g, rebuilt) == reduced
+    read_back = ReductionTrace.from_jsonl(trace.to_jsonl())
+    assert (read_back.delta_v, read_back.delta_e) == (trace.delta_v, trace.delta_e)
 
 
 def test_replay_detects_tampering():
@@ -229,6 +234,74 @@ def test_replay_detects_tampering():
     bad = ReductionTrace.from_jsonl("\n".join([json.dumps(first)] + lines[1:]))
     with pytest.raises(F.ReplayError):
         replay(g, bad)
+
+
+@pytest.mark.parametrize("case", FORGED_STEPS)
+def test_replay_rechecks_the_rules(case):
+    text, step = FORGED_STEPS[case]
+    g = build_fdg(netmodel.parse_network(text))
+    with pytest.raises(F.ReplayError, match="step 0"):
+        replay(g, ReductionTrace.from_jsonl(json.dumps(step)))
+
+
+def _random_graph(seed):
+    return build_fdg(random_network(random.Random(seed), max_edges=12))
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["shannon", "linear"]))
+def test_replay_of_reduce_is_the_reduction(seed, mode):
+    g = _random_graph(seed)
+    reduced, trace = reduce(g, mode)
+    assert replay(g, trace) == reduced
+    read_back = ReductionTrace.from_jsonl(trace.to_jsonl())
+    assert read_back == trace
+    assert replay(g, read_back) == reduced
+
+
+def _mutate(data, cur, step):
+    """A copy of ``step`` that is wrong for the graph ``cur`` it applies to."""
+    first = cur.var_by_name(step.removed[0])
+    kind = data.draw(st.sampled_from(["rule", "swap", "drop-added", "add-added", "empty"]))
+    if kind == "rule":
+        group = tuple(cur.var_by_name(n) for n in step.removed)
+        refused = [r for r in F.RULES if not F.RULES[r](cur, group)]
+        return dataclasses.replace(step, rule=data.draw(st.sampled_from(refused + ["COR9"])))
+    if kind == "swap":
+        # a variable whose parent or child set differs from the removed one's
+        def sets(v):
+            return set(cur.up(v)), set(cur.down(v))
+        others = [v.name for v in cur.vars
+                  if v.name not in step.removed and sets(v) != sets(first)]
+        assume(others)
+        removed = list(step.removed)
+        removed[data.draw(st.integers(0, len(removed) - 1))] = data.draw(st.sampled_from(others))
+        return dataclasses.replace(step, removed=tuple(removed))
+    if kind == "drop-added":
+        assume(step.added)
+        drop = data.draw(st.integers(0, len(step.added) - 1))
+        return dataclasses.replace(step, added=step.added[:drop] + step.added[drop + 1:])
+    if kind == "add-added":
+        extra = [(a, b) for a in step.up for b in step.down if (a, b) not in step.added]
+        pair = data.draw(st.sampled_from(extra + [(first.name, first.name)]))
+        return dataclasses.replace(step, added=step.added + (pair,))
+    return dataclasses.replace(step, removed=())
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["shannon", "linear"]), st.data())
+def test_mutated_trace_is_rejected(seed, mode, data):
+    g = _random_graph(seed)
+    _, trace = reduce(g, mode)
+    assume(trace.steps)
+    i = data.draw(st.integers(0, len(trace.steps) - 1))
+    before = replay(g, dataclasses.replace(trace, steps=trace.steps[:i]))
+    steps = list(trace.steps)
+    steps[i] = _mutate(data, before, steps[i])
+    with pytest.raises(F.ReplayError, match=f"step {i}:"):
+        replay(g, dataclasses.replace(trace, steps=tuple(steps)))
 
 
 @pytest.mark.parametrize("name", UNIT_FIXTURES)

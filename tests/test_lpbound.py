@@ -122,6 +122,19 @@ def test_certificate_and_fallback_agree(monkeypatch):
         assert fast.value == slow.value
 
 
+def test_failed_certificate_reuses_the_float_solve(monkeypatch):
+    calls = []
+    float_solve = lpbound._float_solve
+    monkeypatch.setattr(lpbound, "_float_solve",
+                        lambda problem: calls.append(1) or float_solve(problem))
+    monkeypatch.setattr(lpbound, "_dual_certifies", lambda *args: False)
+    lin, _ = reduce(build_fdg(load_fixture("butterfly")), "linear")
+    p = build_lp(lin, W11)
+    sol = lp_solve(p)
+    assert sol.status == "optimal" and sol.value == 2
+    assert len(calls) == 1
+
+
 def test_unbounded_when_a_weighted_source_is_undemanded(recwarn):
     net = parse_network(json.dumps({
         "nodes": ["s1", "s2", "t"],
