@@ -5,14 +5,16 @@ coefficient.  Collecting them into the source-to-edge matrix A, the
 edge-to-edge matrix F and the edge-to-decoder matrix B yields the transfer
 matrix
 
-    M = A (I - F)^{-1} B = A (I + F + F^2 + ... + F^L) B,
+    M = A (I - F)^{-1} B.
 
-where the series is finite because F is the adjacency of an acyclic edge
-relation.  Entry (s, t) of M is the polynomial coefficient with which source
-s arrives at decode slot t; a scalar linear code over GF(p) exists exactly
-when the indeterminates can be assigned field values making M match the 0/1
-demand pattern.  The search enumerates assignments in lexicographic order
-with early rejection, so the first hit is the lexicographically smallest.
+F is the adjacency of an acyclic edge relation, so row s of A (I - F)^{-1},
+the x with x = A_s + x F, is filled in one forward pass over the edges in
+topological order.  Entry (s, t) of M is the polynomial coefficient with
+which source s arrives at decode slot t; a scalar linear code over GF(p)
+exists exactly when the indeterminates can be assigned field values making
+M match the 0/1 demand pattern.  The search enumerates assignments in
+lexicographic order with early rejection, so the first hit is the
+lexicographically smallest.
 
 Polynomials are sparse with exact integer coefficients; reduction modulo p
 happens only at evaluation time, so one symbolic matrix serves every field.
@@ -254,61 +256,50 @@ def build_transfer_system(fdg: Fdg) -> TransferSystem:
     )
 
 
-def _mat_mul(X, Y):
-    rows, inner, cols = len(X), len(Y), len(Y[0]) if Y else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = Poly.zero()
-            for k in range(inner):
-                if X[i][k] and Y[k][j]:
-                    acc = acc + X[i][k] * Y[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _identity(n):
-    return tuple(tuple(Poly.const(1) if i == j else Poly.zero() for j in range(n))
-                 for i in range(n))
-
-
-def nilpotency_index(ts: TransferSystem) -> int:
-    """Length of the longest edge-to-edge path; also checks acyclicity."""
-    n = ts.adjacency_dim
-    succ = {i: [j for j in range(n) if ts.F[i][j]] for i in range(n)}
-    depth = {}
-
-    def visit(i, stack):
-        if i in depth:
-            return depth[i]
-        if i in stack:
-            raise ValueError("edge adjacency has a cycle; the series does not terminate")
-        stack.add(i)
-        depth[i] = 0 if not succ[i] else 1 + max(visit(j, stack) for j in succ[i])
-        stack.discard(i)
-        return depth[i]
-
-    return max((visit(i, set()) for i in range(n)), default=0)
-
-
-def series_inverse(ts: TransferSystem):
-    """(I - F)^{-1} as the finite geometric series I + F + ... + F^L."""
-    n = ts.adjacency_dim
-    L = nilpotency_index(ts)
-    total = _identity(n)
-    power = _identity(n)
-    for _ in range(L):
-        power = _mat_mul(power, ts.F)
-        total = tuple(tuple(a + b for a, b in zip(ra, rb))
-                      for ra, rb in zip(total, power))
-    return total
+def _topological_order(parents) -> list:
+    """Positions ordered with each after its ``parents``, by one depth-first search."""
+    order, state = [], [0] * len(parents)  # 0 unseen, 1 on the path, 2 placed
+    for root in range(len(parents)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(parents[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for p in pending:
+                if state[p] == 1:
+                    raise ValueError("edge adjacency has a cycle; "
+                                     "(I - F)^{-1} is not a polynomial matrix")
+                if not state[p]:
+                    state[p] = 1
+                    stack.append((p, iter(parents[p])))
+                    break
+            else:
+                stack.pop()
+                state[v] = 2
+                order.append(v)
+    return order
 
 
 def transfer_matrix(ts: TransferSystem):
-    """M = A (I + F + ... + F^L) B, one polynomial per (source, slot)."""
-    return _mat_mul(_mat_mul(ts.A, series_inverse(ts)), ts.B)
+    """M = A (I - F)^{-1} B, one polynomial per (source, slot).
+
+    Row s of A (I - F)^{-1} is the x with x[v] = A[s][v] + sum of x[p] F[p][v]
+    over the parents p of v, filled in topological order; M[s][t] is then
+    the sum of x[p] B[p][t].
+    """
+    n = ts.adjacency_dim
+    parents = [[p for p in range(n) if ts.F[p][v]] for v in range(n)]
+    feeds = [[p for p in range(n) if ts.B[p][t]] for t in range(len(ts.slots))]
+    order = _topological_order(parents)
+    rows = []
+    for a_row in ts.A:
+        x = list(a_row)
+        for v in order:
+            x[v] = sum((x[p] * ts.F[p][v] for p in parents[v] if x[p]), x[v])
+        rows.append(tuple(sum((x[p] * ts.B[p][t] for p in feeds[t] if x[p]), Poly.zero())
+                          for t in range(len(ts.slots))))
+    return tuple(rows)
 
 
 def render_matrix(M) -> str:

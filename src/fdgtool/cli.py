@@ -119,6 +119,15 @@ def cmd_lp(args) -> int:
             raise _UsageError(f"bad weights {args.weights!r}: {exc}") from None
     else:
         weights = netmodel.Weights.of({s.index: 1 for s in net.sources})
+    if not args.stats and args.export is None:
+        try:
+            max_n = lpbound.solve_cap()
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        try:  # N is the graph order: refuse before generating the rows
+            lpbound.check_solve_cap(graph.order, max_n)
+        except ValueError as exc:
+            raise _UsageError(f"{exc}; try --export and an external solver") from None
     problem = lpbound.build_lp(graph, weights)
 
     if args.stats:
@@ -140,14 +149,7 @@ def cmd_lp(args) -> int:
             _write(args.export, text)
         return OK
 
-    try:
-        max_n = lpbound.solve_cap()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
-        solution = lpbound.lp_solve(problem, max_n)
-    except ValueError as exc:
-        raise _UsageError(f"{exc}; try --export and an external solver") from None
+    solution = lpbound.lp_solve(problem, max_n)
     if solution.status != "optimal":
         if args.format == "json":
             _print_json({"status": solution.status})

@@ -110,6 +110,7 @@ class Fdg:
         self._children = {v: tuple(sorted(cs, key=self._index.__getitem__))
                           for v, cs in children.items()}
         self._demand_origin = {k: frozenset(v) for k, v in (demand_origin or {}).items()}
+        self._unit = all(v.cap == 1 for v in self._vars if isinstance(v, EdgeVar))
 
     @property
     def vars(self) -> tuple:
@@ -142,7 +143,7 @@ class Fdg:
         return tuple(v for v in self._vars if isinstance(v, EdgeVar))
 
     def unit_capacities(self) -> bool:
-        return all(v.cap == 1 for v in self.edge_vars())
+        return self._unit
 
     def dependence_edge_count(self) -> int:
         return sum(len(self._parents[v]) for v in self._vars)

@@ -47,6 +47,8 @@ TAG_ORDER = (ELEMENTAL1, ELEMENTAL2, INDEP, ENCODE, DECODE, CAPACITY)
 DEFAULT_GENERATION_CAP = 24
 DEFAULT_SOLVE_CAP = 16
 MAX_N_ENV = "FDGTOOL_MAX_N"
+# Violated rows the exact fallback adds to its working set per round.
+WORKING_SET_CHUNK = 400
 
 
 class Row(NamedTuple):
@@ -264,8 +266,16 @@ def solve_cap() -> int:
     return DEFAULT_SOLVE_CAP
 
 
-def lp_solve(problem: LpProblem, max_n: int | None = None,
-             chunk: int = 400) -> LpSolution:
+def check_solve_cap(n_vars: int, max_n: int) -> None:
+    """Refuse, with ValueError, an in-process solve of N = ``n_vars`` above ``max_n``."""
+    if n_vars > max_n:
+        raise ValueError(
+            f"problem has N={n_vars} variables, above the in-process "
+            f"solve cap {max_n}; reduce the graph or use the LP export with "
+            f"an external solver (override with {MAX_N_ENV})")
+
+
+def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     """Exact rational optimum of the LP, with a verified witness.
 
     Two cooperating engines, both ending in the same exact verification:
@@ -283,13 +293,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
     Either way the returned witness is re-verified against every row of the
     full problem.
     """
-    if max_n is None:
-        max_n = solve_cap()
-    if problem.n_vars > max_n:
-        raise ValueError(
-            f"problem has N={problem.n_vars} variables, above the in-process "
-            f"solve cap {max_n}; reduce the graph or use the LP export with "
-            f"an external solver (override with {MAX_N_ENV})")
+    check_solve_cap(problem.n_vars, solve_cap() if max_n is None else max_n)
 
     solved = _float_solve(problem)
     certified = _certified_from_float(problem, solved)
@@ -298,9 +302,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
 
     n_cols = problem.dimension
     seed = [i for i, row in enumerate(problem.rows)
-            if row.tag not in (ELEMENTAL1, ELEMENTAL2)
-            or row.tag == ELEMENTAL1
-            or (row.tag == ELEMENTAL2 and len(row.coeffs) == 3)]
+            if row.tag != ELEMENTAL2 or len(row.coeffs) == 3]
     working = list(seed)
     in_working = set(working)
     # Warm start: the rows with nonzero float dual.  By weak duality the dual
@@ -353,7 +355,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None,
             return LpSolution(status="infeasible", value=None, witness=None,
                               source_masks=problem.source_masks)
 
-        for i in violated[:chunk]:
+        for i in violated[:WORKING_SET_CHUNK]:
             working.append(i)
             in_working.add(i)
 

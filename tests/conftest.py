@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, a random-network generator, and the
-independent oracles (symbolic forward propagation, LP-text re-import into
-scipy) used to cross-check the library's own computation paths."""
+independent oracles (the paper's finite series for A (I - F)^{-1} B,
+symbolic forward propagation, LP-text re-import into scipy) used to
+cross-check the library's own computation paths."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fdgtool import netmodel
-from fdgtool.algebra import Poly, ind_decode, ind_edge, ind_source
+from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
                  "parallel_relay", "fano", "single_edge")
@@ -102,6 +103,66 @@ def random_network(rng: random.Random, max_edges: int = 8) -> netmodel.Network:
     )
     assert netmodel.validate(net) == []
     return net
+
+
+# Reference transfer matrix: (I - F)^{-1} as the finite nilpotent series,
+# multiplied out densely, as the paper writes it.
+
+def _mat_mul(X, Y):
+    rows, inner, cols = len(X), len(Y), len(Y[0]) if Y else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = Poly.zero()
+            for k in range(inner):
+                if X[i][k] and Y[k][j]:
+                    acc = acc + X[i][k] * Y[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _identity(n):
+    return tuple(tuple(Poly.const(1) if i == j else Poly.zero() for j in range(n))
+                 for i in range(n))
+
+
+def nilpotency_index(ts: TransferSystem) -> int:
+    """Length of the longest edge-to-edge path; also checks acyclicity."""
+    n = ts.adjacency_dim
+    succ = {i: [j for j in range(n) if ts.F[i][j]] for i in range(n)}
+    depth = {}
+
+    def visit(i, stack):
+        if i in depth:
+            return depth[i]
+        if i in stack:
+            raise ValueError("edge adjacency has a cycle; the series does not terminate")
+        stack.add(i)
+        depth[i] = 0 if not succ[i] else 1 + max(visit(j, stack) for j in succ[i])
+        stack.discard(i)
+        return depth[i]
+
+    return max((visit(i, set()) for i in range(n)), default=0)
+
+
+def series_inverse(ts: TransferSystem):
+    """(I - F)^{-1} as the finite geometric series I + F + ... + F^L."""
+    n = ts.adjacency_dim
+    L = nilpotency_index(ts)
+    total = _identity(n)
+    power = _identity(n)
+    for _ in range(L):
+        power = _mat_mul(power, ts.F)
+        total = tuple(tuple(a + b for a, b in zip(ra, rb))
+                      for ra, rb in zip(total, power))
+    return total
+
+
+def series_transfer_matrix(ts: TransferSystem):
+    """M = A (I + F + ... + F^L) B, by dense products."""
+    return _mat_mul(_mat_mul(ts.A, series_inverse(ts)), ts.B)
 
 
 def propagate_messages(net: netmodel.Network):

@@ -12,14 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from fdgtool import algebra, netmodel
+from fdgtool import netmodel
 from fdgtool.algebra import (Poly, build_transfer_system, reduction_stats,
-                             series_inverse, solvability_search, transfer_matrix)
+                             solvability_search, transfer_matrix)
 from fdgtool.fdg import build_fdg, cor1, cor2, cor3, cor4, reduce
 from fdgtool.lpbound import build_lp, export_lp, lp_solve, lp_stats, verify_witness
 from fdgtool.netmodel import Weights, load_fixture
 
-from conftest import propagate_messages, random_network, scipy_solve_exported
+from conftest import (_identity, _mat_mul, propagate_messages, random_network,
+                      scipy_solve_exported, series_inverse)
 
 W11 = Weights.of({1: 1, 2: 1})
 
@@ -254,10 +255,10 @@ def test_criterion_7c_series_inverse_identity():
         systems.append(build_transfer_system(build_fdg(random_network(rng))))
     for ts in systems:
         n = ts.adjacency_dim
-        I = algebra._identity(n)
+        I = _identity(n)
         ImF = tuple(tuple(I[i][j] - ts.F[i][j] for j in range(n))
                     for i in range(n))
-        assert algebra._mat_mul(ImF, series_inverse(ts)) == I
+        assert _mat_mul(ImF, series_inverse(ts)) == I
     report("7c", f"series identity holds on {len(systems)} systems PASS")
 
 

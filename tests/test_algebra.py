@@ -4,14 +4,15 @@ import time
 
 import pytest
 
-from fdgtool import algebra, netmodel
-from fdgtool.algebra import (Poly, build_transfer_system, nilpotency_index,
-                             reduction_stats, series_inverse,
-                             solvability_search, transfer_matrix)
+from fdgtool import netmodel
+from fdgtool.algebra import (Poly, TransferSystem, build_transfer_system,
+                             reduction_stats, solvability_search, transfer_matrix)
 from fdgtool.fdg import build_fdg, reduce
 from fdgtool.netmodel import load_fixture, parse_network
 
-from conftest import propagate_messages, random_network
+from conftest import (UNIT_FIXTURES, _identity, _mat_mul, nilpotency_index,
+                      propagate_messages, random_network, series_inverse,
+                      series_transfer_matrix)
 
 
 def random_poly(rng, names, max_terms=4):
@@ -142,9 +143,37 @@ def test_series_inverse_identity_on_fixtures_and_random():
     for ts in systems:
         n = ts.adjacency_dim
         inv = series_inverse(ts)
-        I = algebra._identity(n)
+        I = _identity(n)
         ImF = tuple(tuple(I[i][j] - ts.F[i][j] for j in range(n)) for i in range(n))
-        assert algebra._mat_mul(ImF, inv) == I
+        assert _mat_mul(ImF, inv) == I
+
+
+@pytest.mark.parametrize("mode", ["none", "shannon", "linear"])
+@pytest.mark.parametrize("name", UNIT_FIXTURES)
+def test_transfer_matrix_equals_series_reference_on_fixtures(name, mode):
+    g = build_fdg(load_fixture(name))
+    if mode != "none":
+        g = reduce(g, mode)[0]
+    ts = build_transfer_system(g)
+    assert transfer_matrix(ts) == series_transfer_matrix(ts)
+
+
+@pytest.mark.filterwarnings("ignore:source")
+def test_transfer_matrix_equals_series_reference_on_random_networks():
+    rng = random.Random(2003)
+    for _ in range(100):
+        ts = build_transfer_system(build_fdg(random_network(rng)))
+        assert transfer_matrix(ts) == series_transfer_matrix(ts)
+
+
+def test_cyclic_adjacency_is_refused():
+    a, f1, f2, b = (Poly.var(name) for name in ("a", "f1", "f2", "b"))
+    zero = Poly.zero()
+    ts = TransferSystem(source_indices=(1,), edge_ids=("e1", "e2"), slots=(("t", 1),),
+                        A=((a, zero),), F=((zero, f1), (f2, zero)), B=((b,), (zero,)),
+                        demand=((1,),), indeterminates=("a", "f1", "f2", "b"))
+    with pytest.raises(ValueError, match="cycle"):
+        transfer_matrix(ts)
 
 
 def fano_reduced_system():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fdgtool import cli
+from fdgtool import cli, lpbound
 from fdgtool.netmodel import fixture_text
 
 from conftest import FORGED_STEPS
@@ -162,6 +162,16 @@ def test_lp_solve_cap_suggests_export(on_disk, capsys, monkeypatch):
     assert code == 2
     assert "--export" in err
 
+
+def test_lp_solve_cap_refuses_before_building_the_lp(on_disk, capsys, monkeypatch):
+    def build_lp(*args):
+        raise AssertionError("build_lp called for a graph above the solve cap")
+    monkeypatch.setattr(lpbound, "build_lp", build_lp)
+    code, out, err = run(capsys, "lp", "--solve", "--reduce", "none", on_disk("fano"))
+    assert code == 2
+    assert out == ""
+    assert "N=21" in err and "solve cap 16" in err and "--export" in err
+    assert err.count("\n") == 1
 
 @pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1"])
 def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
