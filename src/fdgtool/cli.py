@@ -111,7 +111,7 @@ def cmd_reduce(args) -> int:
 def cmd_lp(args) -> int:
     net = _read_network(args.network)
     graph = _reduced_graph(net, args.reduce)
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = netmodel.Weights.parse(args.weights)
             weights.check_against(net)

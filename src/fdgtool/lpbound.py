@@ -22,6 +22,12 @@ independent oracle in the tests.  The solver is exact: a dense rational
 simplex is driven through lazy row generation (the full elemental family is
 enormous, but optima are supported on few of them), and every returned
 witness is re-checked against every row of the full problem afterwards.
+
+The exact checks run in Python integers, not in ``Fraction`` arithmetic: a
+point (witness or ray) is scaled once to the common denominator of its
+values and each row by the lcm of its own denominators, so a row and its
+right-hand side are compared as integers.  The elemental rows, nearly all
+of the rows, have coefficients +-1 by construction, so their scale is 1.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import simplex
@@ -49,6 +56,12 @@ DEFAULT_SOLVE_CAP = 16
 MAX_N_ENV = "FDGTOOL_MAX_N"
 # Violated rows the exact fallback adds to its working set per round.
 WORKING_SET_CHUNK = 400
+# Denominator limits tried, in order, when snapping float solutions to rationals.
+ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class Row(NamedTuple):
@@ -85,6 +98,7 @@ class LpSolution:
     value: Fraction | None
     witness: dict | None       # sparse: column mask -> Fraction, zeros omitted
     source_masks: tuple = ()
+    method: str = "exact"      # 'certificate' (rounded float solve) | 'exact' (simplex)
 
     def rate(self, index: int) -> Fraction:
         """The witness entropy of a single source, read as its rate bound."""
@@ -124,27 +138,25 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
             f"n={n} exceeds the generation cap {cap}; reduce the graph first")
     full = (1 << n) - 1
     rows = []
-    one = Fraction(1)
     for i in range(n):
-        terms = {full: one}
         rest = full & ~(1 << i)
-        if rest:
-            terms[rest] = -one
-        rows.append(Row(name=f"elem1_{i + 1}", tag=ELEMENTAL1,
-                        coeffs=_coeff_row(terms), sense=">=", rhs=Fraction(0)))
+        coeffs = ((rest, _MINUS_ONE), (full, _ONE)) if rest else ((full, _ONE),)
+        rows.append(Row(f"elem1_{i + 1}", ELEMENTAL1, coeffs, ">=", _ZERO))
     k = 0
     for i in range(n):
         for j in range(i + 1, n):
             a, b = 1 << i, 1 << j
-            rest = full & ~(a | b)
-            for c in _submasks_ascending(rest):
+            ab = a | b
+            for c in _submasks_ascending(full & ~ab):
                 k += 1
-                terms = {}
-                for m, s in (((a | c), 1), ((b | c), 1), ((a | b | c), -1), (c, -1)):
-                    if m:
-                        terms[m] = terms.get(m, Fraction(0)) + s
-                rows.append(Row(name=f"elem2_{k}", tag=ELEMENTAL2,
-                                coeffs=_coeff_row(terms), sense=">=", rhs=Fraction(0)))
+                # c misses bits i < j, so c < a|c < b|c < a|b|c: the four masks
+                # are distinct and already sorted, and only c can be empty.
+                if c:
+                    coeffs = ((c, _MINUS_ONE), (a | c, _ONE), (b | c, _ONE),
+                              (ab | c, _MINUS_ONE))
+                else:
+                    coeffs = ((a, _ONE), (b, _ONE), (ab, _MINUS_ONE))
+                rows.append(Row(f"elem2_{k}", ELEMENTAL2, coeffs, ">=", _ZERO))
     return rows
 
 
@@ -231,29 +243,41 @@ def _eval_row(coeffs, witness) -> Fraction:
     return total
 
 
-def _row_ok(row: Row, lhs: Fraction) -> bool:
-    if row.sense == "<=":
-        return lhs <= row.rhs
-    if row.sense == ">=":
-        return lhs >= row.rhs
-    return lhs == row.rhs
+def _violated_rows(problem: LpProblem, point: dict, ray: bool = False) -> list[int]:
+    """Indices of the rows ``point`` violates, in row order, checked in integers.
+
+    ``point`` maps column masks to rationals.  It is scaled once to the common
+    denominator ``den`` of its values, and each row by the lcm ``scale`` of
+    the denominators of its coefficients and right-hand side, so the row sum
+    and the right-hand side, both multiplied by ``scale * den``, compare as
+    integers.  With ``ray`` the point is a direction, checked against the
+    homogeneous rows (right-hand side 0).
+    """
+    den = lcm(*[x.denominator for x in point.values()])
+    scaled = {mask: x.numerator * (den // x.denominator) for mask, x in point.items()}
+    bad = []
+    for i, (_, _, coeffs, sense, rhs) in enumerate(problem.rows):
+        scale = lcm(rhs.denominator, *[c.denominator for _, c in coeffs])
+        total = 0
+        for mask, c in coeffs:
+            x = scaled.get(mask)
+            if x:
+                total += c.numerator * (scale // c.denominator) * x
+        bound = 0 if ray else rhs.numerator * (scale // rhs.denominator) * den
+        if sense == ">=":
+            ok = total >= bound
+        elif sense == "<=":
+            ok = total <= bound
+        else:
+            ok = total == bound
+        if not ok:
+            bad.append(i)
+    return bad
 
 
 def verify_witness(problem: LpProblem, witness: dict) -> list[str]:
     """Exactly re-check a candidate point against every row; [] means feasible."""
-    bad = []
-    for row in problem.rows:
-        if not _row_ok(row, _eval_row(row.coeffs, witness)):
-            bad.append(row.name)
-    return bad
-
-
-def _ray_violates(row: Row, ray_value: Fraction) -> bool:
-    if row.sense == "<=":
-        return ray_value > 0
-    if row.sense == ">=":
-        return ray_value < 0
-    return ray_value != 0
+    return [problem.rows[i].name for i in _violated_rows(problem, witness)]
 
 
 def solve_cap() -> int:
@@ -329,31 +353,30 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
 
         if res.status == simplex.OPTIMAL:
             witness = {j + 1: x for j, x in enumerate(res.x) if x}
-            violated = [i for i, row in enumerate(problem.rows)
-                        if i not in in_working
-                        and not _row_ok(row, _eval_row(row.coeffs, witness))]
+            # One scan of every row: it finds the rows to add and, once none
+            # is left outside the working set, re-verifies the witness.
+            bad = _violated_rows(problem, witness)
+            violated = [i for i in bad if i not in in_working]
             if not violated:
-                leftover = verify_witness(problem, witness)
-                if leftover:
-                    raise RuntimeError(
-                        f"internal error: witness fails rows {leftover[:5]}")
+                if bad:
+                    names = [problem.rows[i].name for i in bad[:5]]
+                    raise RuntimeError(f"internal error: witness fails rows {names}")
                 value = _eval_row(problem.objective, witness)
                 if value != res.value:
                     raise RuntimeError("internal error: objective mismatch")
                 return LpSolution(status="optimal", value=res.value,
                                   witness=witness,
-                                  source_masks=problem.source_masks)
+                                  source_masks=problem.source_masks, method="exact")
         elif res.status == simplex.UNBOUNDED:
             ray = {j + 1: x for j, x in enumerate(res.ray) if x}
-            violated = [i for i, row in enumerate(problem.rows)
-                        if i not in in_working
-                        and _ray_violates(row, _eval_row(row.coeffs, ray))]
+            violated = [i for i in _violated_rows(problem, ray, ray=True)
+                        if i not in in_working]
             if not violated:
                 return LpSolution(status="unbounded", value=None, witness=None,
-                                  source_masks=problem.source_masks)
+                                  source_masks=problem.source_masks, method="exact")
         else:
             return LpSolution(status="infeasible", value=None, witness=None,
-                              source_masks=problem.source_masks)
+                              source_masks=problem.source_masks, method="exact")
 
         for i in violated[:WORKING_SET_CHUNK]:
             working.append(i)
@@ -365,7 +388,10 @@ def _float_solve(problem: LpProblem):
 
     Returns (result, ub_idx, eq_idx) where the index lists map scipy's
     inequality/equality row positions back to problem row indices.  Rows
-    with sense '>=' are negated to '<=' on the way in.
+    with sense '>=' are negated to '<=' on the way in.  Each number enters
+    as ``numerator / denominator``, which is exactly ``float`` of it.  None
+    also when scipy is missing or a number does not fit a float: this solve
+    only suggests a certificate, and the exact path answers without it.
     """
     try:
         import numpy as np
@@ -376,25 +402,30 @@ def _float_solve(problem: LpProblem):
 
     n = problem.dimension
     c = np.zeros(n)
-    for mask, w in problem.objective:
-        c[mask - 1] = -float(w)
     ub_idx, eq_idx = [], []
     ub_data, ub_r, ub_c, ub_b = [], [], [], []
     eq_data, eq_r, eq_c, eq_b = [], [], [], []
-    for i, row in enumerate(problem.rows):
-        if row.sense == "=":
-            r = len(eq_idx)
-            eq_idx.append(i)
-            for mask, v in row.coeffs:
-                eq_r.append(r); eq_c.append(mask - 1); eq_data.append(float(v))
-            eq_b.append(float(row.rhs))
-        else:
-            flip = -1.0 if row.sense == ">=" else 1.0
-            r = len(ub_idx)
-            ub_idx.append(i)
-            for mask, v in row.coeffs:
-                ub_r.append(r); ub_c.append(mask - 1); ub_data.append(flip * float(v))
-            ub_b.append(flip * float(row.rhs))
+    try:
+        for mask, w in problem.objective:
+            c[mask - 1] = -(w.numerator / w.denominator)
+        for i, (_, _, coeffs, sense, rhs) in enumerate(problem.rows):
+            if sense == "=":
+                r = len(eq_idx)
+                eq_idx.append(i)
+                for mask, v in coeffs:
+                    eq_r.append(r); eq_c.append(mask - 1)
+                    eq_data.append(v.numerator / v.denominator)
+                eq_b.append(rhs.numerator / rhs.denominator)
+            else:
+                flip = -1.0 if sense == ">=" else 1.0
+                r = len(ub_idx)
+                ub_idx.append(i)
+                for mask, v in coeffs:
+                    ub_r.append(r); ub_c.append(mask - 1)
+                    ub_data.append(flip * (v.numerator / v.denominator))
+                ub_b.append(flip * (rhs.numerator / rhs.denominator))
+    except OverflowError:
+        return None
     A_ub = csr_matrix((ub_data, (ub_r, ub_c)), shape=(len(ub_idx), n)) if ub_idx else None
     A_eq = csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_idx), n)) if eq_idx else None
     try:
@@ -405,10 +436,14 @@ def _float_solve(problem: LpProblem):
     return res, ub_idx, eq_idx
 
 
-def _round_vector(values, limits=(10 ** 4, 10 ** 8)):
-    """Snap floats to small rationals, trying tight denominators first."""
-    for limit in limits:
-        yield [Fraction(float(v)).limit_denominator(limit) for v in values]
+def _round_vector(values, limit: int) -> list:
+    """Snap floats to rationals with denominator at most ``limit``.
+
+    An integral float becomes its integer, which is what
+    ``limit_denominator`` would return for it, without the search.
+    """
+    return [Fraction(int(x)) if x.is_integer() else Fraction(x).limit_denominator(limit)
+            for x in values]
 
 
 def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
@@ -421,6 +456,8 @@ def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
     the two exact objectives coincide, weak duality certifies optimality
     outright.  Any failure falls back to the exact
     simplex path, so this routine can only accelerate, never corrupt.
+    Each (witness limit, dual limit) pair is tried in ``ROUNDING_LIMITS``
+    order; a dual is rounded only when it is first needed.
     """
     if solved is None:
         return None
@@ -428,50 +465,62 @@ def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
     if not res.success:
         return None
 
-    dual_candidates = None
-    for witness_vals in _round_vector(res.x):
-        witness = {j + 1: v for j, v in enumerate(witness_vals) if v}
+    duals = {}
+
+    def dual(limit):
+        # Rounding never carries a value across zero, so clamping the float
+        # multipliers at zero gives the same u >= 0 as clamping rounded ones.
+        if limit not in duals:
+            u = _round_vector((-res.ineqlin.marginals).clip(0.0).tolist(), limit) \
+                if ub_idx else []
+            v = _round_vector((-res.eqlin.marginals).tolist(), limit) if eq_idx else []
+            duals[limit] = (u, v)
+        return duals[limit]
+
+    x = res.x.tolist()
+    for limit in ROUNDING_LIMITS:
+        witness = {j + 1: q for j, q in enumerate(_round_vector(x, limit)) if q}
         if verify_witness(problem, witness):
             continue
         value = _eval_row(problem.objective, witness)
-
-        if dual_candidates is None:
-            u_float = [-m for m in res.ineqlin.marginals] if ub_idx else []
-            v_float = [-m for m in res.eqlin.marginals] if eq_idx else []
-            dual_candidates = list(zip(_round_vector(u_float), _round_vector(v_float)))
-        for u, v in dual_candidates:
-            u = [max(q, Fraction(0)) for q in u]
+        for dual_limit in ROUNDING_LIMITS:
+            u, v = dual(dual_limit)
             if _dual_certifies(problem, ub_idx, eq_idx, u, v, value):
                 return LpSolution(status="optimal", value=value, witness=witness,
-                                  source_masks=problem.source_masks)
+                                  source_masks=problem.source_masks,
+                                  method="certificate")
     return None
 
 
 def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
     """Exact weak-duality check: u >= 0 was ensured by the caller; verify
-    dual feasibility and that the dual objective equals ``value``."""
+    dual feasibility and that the dual objective equals ``value``.
+
+    In integers: the dual is scaled to its common denominator ``den``, the
+    coefficients of its support rows to theirs (``coeff_den``) and the
+    right-hand sides to theirs (``rhs_den``), so a column sum is an integer
+    over ``den * coeff_den`` and the dual objective one over ``den * rhs_den``.
+    """
+    support = [(q, problem.rows[i]) for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
+    den = lcm(*[q.denominator for q, _ in support])
+    coeff_den = lcm(*[c.denominator for _, row in support for _, c in row.coeffs])
+    rhs_den = lcm(*[row.rhs.denominator for _, row in support])
     column_sums = {}
-    dual_value = Fraction(0)
-    for q, i in zip(u, ub_idx):
-        if not q:
-            continue
-        row = problem.rows[i]
-        flip = -1 if row.sense == ">=" else 1
+    dual_value = 0
+    for q, row in support:
+        y = q.numerator * (den // q.denominator)
+        if row.sense == ">=":  # negated to '<=' for the float solve
+            y = -y
         for mask, c in row.coeffs:
-            column_sums[mask] = column_sums.get(mask, Fraction(0)) + flip * q * c
-        dual_value += flip * q * row.rhs
-    for q, i in zip(v, eq_idx):
-        if not q:
-            continue
-        row = problem.rows[i]
-        for mask, c in row.coeffs:
-            column_sums[mask] = column_sums.get(mask, Fraction(0)) + q * c
-        dual_value += q * row.rhs
-    if dual_value != value:
+            column_sums[mask] = (column_sums.get(mask, 0)
+                                 + y * c.numerator * (coeff_den // c.denominator))
+        dual_value += y * row.rhs.numerator * (rhs_den // row.rhs.denominator)
+    if dual_value * value.denominator != value.numerator * den * rhs_den:
         return False
     objective = dict(problem.objective)
     for mask in set(column_sums) | set(objective):
-        if column_sums.get(mask, Fraction(0)) < objective.get(mask, Fraction(0)):
+        w = objective.get(mask, _ZERO)
+        if column_sums.get(mask, 0) * w.denominator < w.numerator * den * coeff_den:
             return False
     return True
 
@@ -511,9 +560,9 @@ def _bounding_helpers(problem: LpProblem) -> list:
     return helpers
 
 
-def _decimal_exact(f: Fraction) -> str | None:
-    """Render exactly as a decimal string, or None if impossible."""
-    den = f.denominator
+def _decimal_digits(den: int) -> int | None:
+    """Digits after the point of an exact decimal with denominator ``den``,
+    or None if ``den`` has a prime factor other than 2 and 5."""
     two = five = 0
     while den % 2 == 0:
         den //= 2
@@ -521,47 +570,50 @@ def _decimal_exact(f: Fraction) -> str | None:
     while den % 5 == 0:
         den //= 5
         five += 1
-    if den != 1:
-        return None
-    digits = max(two, five)
-    if digits == 0:
-        return str(f.numerator)
-    scaled = f.numerator * 10 ** digits // f.denominator
+    return max(two, five) if den == 1 else None
+
+
+def _decimal_exact(num: int, den: int) -> str:
+    """Render num/den (lowest terms, ``den`` = 2^a 5^b) exactly as a decimal."""
+    digits = _decimal_digits(den)
+    if not digits:
+        return str(num)
+    scaled = num * 10 ** digits // den
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
+def _scaled(q, scale: int) -> tuple[int, int]:
+    """q * scale as (numerator, denominator); ``scale`` is 1 or a multiple
+    of the denominator of q."""
+    if scale == 1:
+        return q.numerator, q.denominator
+    return q.numerator * (scale // q.denominator), 1
 
 
-def _render_terms(coeffs, scale: Fraction) -> str:
+def _render_terms(coeffs, scale: int) -> str:
     if not coeffs:
         return "0 h_1"
     parts = []
     for mask, c in coeffs:
-        c = c * scale
-        mag = abs(c)
-        mag_text = "" if mag == 1 else _decimal_exact(mag) + " "
-        term = f"{mag_text}h_{mask:x}"
-        if not parts:
-            parts.append(term if c > 0 else f"- {term}")
+        num, den = _scaled(c, scale)
+        unit = den == 1 and (num == 1 or num == -1)
+        mag = "" if unit else _decimal_exact(abs(num), den) + " "
+        if num > 0:
+            parts.append(f"+ {mag}h_{mask:x}" if parts else f"{mag}h_{mask:x}")
         else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+            parts.append(f"- {mag}h_{mask:x}")
     return " ".join(parts)
 
 
-def _row_scale(coeffs, rhs: Fraction) -> Fraction:
-    """Identity when all numbers are exactly decimal, else the integerizing factor."""
-    values = [c for _, c in coeffs] + [rhs]
-    if all(_decimal_exact(v) is not None for v in values):
-        return Fraction(1)
-    denom = 1
-    for v in values:
-        denom = _lcm(denom, v.denominator)
-    return Fraction(denom)
+def _row_scale(coeffs, rhs) -> int:
+    """1 when every number is an integer or an exact decimal, else the lcm
+    of the denominators, which turns every number into an integer."""
+    dens = [rhs.denominator, *[c.denominator for _, c in coeffs]]
+    if all(d == 1 or _decimal_digits(d) is not None for d in dens):
+        return 1
+    return lcm(*dens)
 
 
 def export_lp(problem: LpProblem) -> str:
@@ -573,15 +625,15 @@ def export_lp(problem: LpProblem) -> str:
     external solvers from quietly adding their default lower bound.
     """
     lines = []
-    obj_scale = _row_scale(problem.objective, Fraction(0))
+    obj_scale = _row_scale(problem.objective, _ZERO)
     if obj_scale != 1:
         lines.append(f"\\ objective scaled by {obj_scale}")
     lines += ["Maximize", f" obj: {_render_terms(problem.objective, obj_scale)}",
               "Subject To"]
-    for row in problem.rows:
-        scale = _row_scale(row.coeffs, row.rhs)
-        rhs = _decimal_exact(row.rhs * scale)
-        lines.append(f" {row.name}: {_render_terms(row.coeffs, scale)} {row.sense} {rhs}")
+    for name, _, coeffs, sense, rhs in problem.rows:
+        scale = _row_scale(coeffs, rhs)
+        lines.append(f" {name}: {_render_terms(coeffs, scale)} {sense} "
+                     f"{_decimal_exact(*_scaled(rhs, scale))}")
     lines.append("Bounds")
     for mask in range(1, problem.dimension + 1):
         lines.append(f" h_{mask:x} free")

@@ -1,7 +1,7 @@
 """Shared test helpers: fixture loading, a random-network generator, and the
 independent oracles (the paper's finite series for A (I - F)^{-1} B,
-symbolic forward propagation, LP-text re-import into scipy) used to
-cross-check the library's own computation paths."""
+symbolic forward propagation, LP-text re-import into scipy, the Fraction
+LP layers) used to cross-check the library's own computation paths."""
 
 import random
 from fractions import Fraction
@@ -10,6 +10,7 @@ import pytest
 
 from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
+from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
                  "parallel_relay", "fano", "single_edge")
@@ -309,3 +310,234 @@ def scipy_solve_exported(text: str):
                   bounds=[(None, None)] * n, method="highs")
     assert res.status == 0, res.message
     return -res.fun / float(obj_scale)
+
+
+# Reference LP layers: the Fraction code that the integer row checks, the
+# integer dual check, the direct elemental rows and the integer export
+# replaced in ``lpbound``, kept verbatim (with ``_ray_violates``, the exact
+# fallback's old ray test).
+
+def _coeff_row(terms: dict) -> tuple:
+    return tuple(sorted((m, c) for m, c in terms.items() if c != 0))
+
+
+def _submasks_ascending(mask: int):
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
+def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Row]:
+    """All elemental entropy inequalities for n variables, in canonical order.
+
+    Type-1 rows come first, one per variable; type-2 rows follow with the
+    variable pairs in lexicographic order and the conditioning subset in
+    ascending bitmask order.  Refuses n above the generation cap: reduce the
+    graph first instead of generating astronomically many rows.
+    """
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if n > cap:
+        raise ValueError(
+            f"n={n} exceeds the generation cap {cap}; reduce the graph first")
+    full = (1 << n) - 1
+    rows = []
+    one = Fraction(1)
+    for i in range(n):
+        terms = {full: one}
+        rest = full & ~(1 << i)
+        if rest:
+            terms[rest] = -one
+        rows.append(Row(name=f"elem1_{i + 1}", tag=ELEMENTAL1,
+                        coeffs=_coeff_row(terms), sense=">=", rhs=Fraction(0)))
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = 1 << i, 1 << j
+            rest = full & ~(a | b)
+            for c in _submasks_ascending(rest):
+                k += 1
+                terms = {}
+                for m, s in (((a | c), 1), ((b | c), 1), ((a | b | c), -1), (c, -1)):
+                    if m:
+                        terms[m] = terms.get(m, Fraction(0)) + s
+                rows.append(Row(name=f"elem2_{k}", tag=ELEMENTAL2,
+                                coeffs=_coeff_row(terms), sense=">=", rhs=Fraction(0)))
+    return rows
+
+
+def _eval_row(coeffs, witness) -> Fraction:
+    total = Fraction(0)
+    for mask, c in coeffs:
+        w = witness.get(mask)
+        if w:
+            total += c * w
+    return total
+
+
+def _row_ok(row: Row, lhs: Fraction) -> bool:
+    if row.sense == "<=":
+        return lhs <= row.rhs
+    if row.sense == ">=":
+        return lhs >= row.rhs
+    return lhs == row.rhs
+
+
+def verify_witness(problem: LpProblem, witness: dict) -> list[str]:
+    """Exactly re-check a candidate point against every row; [] means feasible."""
+    bad = []
+    for row in problem.rows:
+        if not _row_ok(row, _eval_row(row.coeffs, witness)):
+            bad.append(row.name)
+    return bad
+
+
+def _ray_violates(row: Row, ray_value: Fraction) -> bool:
+    if row.sense == "<=":
+        return ray_value > 0
+    if row.sense == ">=":
+        return ray_value < 0
+    return ray_value != 0
+
+
+def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
+    """Exact weak-duality check: u >= 0 was ensured by the caller; verify
+    dual feasibility and that the dual objective equals ``value``."""
+    column_sums = {}
+    dual_value = Fraction(0)
+    for q, i in zip(u, ub_idx):
+        if not q:
+            continue
+        row = problem.rows[i]
+        flip = -1 if row.sense == ">=" else 1
+        for mask, c in row.coeffs:
+            column_sums[mask] = column_sums.get(mask, Fraction(0)) + flip * q * c
+        dual_value += flip * q * row.rhs
+    for q, i in zip(v, eq_idx):
+        if not q:
+            continue
+        row = problem.rows[i]
+        for mask, c in row.coeffs:
+            column_sums[mask] = column_sums.get(mask, Fraction(0)) + q * c
+        dual_value += q * row.rhs
+    if dual_value != value:
+        return False
+    objective = dict(problem.objective)
+    for mask in set(column_sums) | set(objective):
+        if column_sums.get(mask, Fraction(0)) < objective.get(mask, Fraction(0)):
+            return False
+    return True
+
+
+def _decimal_exact(f: Fraction) -> str | None:
+    """Render exactly as a decimal string, or None if impossible."""
+    den = f.denominator
+    two = five = 0
+    while den % 2 == 0:
+        den //= 2
+        two += 1
+    while den % 5 == 0:
+        den //= 5
+        five += 1
+    if den != 1:
+        return None
+    digits = max(two, five)
+    if digits == 0:
+        return str(f.numerator)
+    scaled = f.numerator * 10 ** digits // f.denominator
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _lcm(a: int, b: int) -> int:
+    from math import gcd
+    return a // gcd(a, b) * b
+
+
+def _render_terms(coeffs, scale: Fraction) -> str:
+    if not coeffs:
+        return "0 h_1"
+    parts = []
+    for mask, c in coeffs:
+        c = c * scale
+        mag = abs(c)
+        mag_text = "" if mag == 1 else _decimal_exact(mag) + " "
+        term = f"{mag_text}h_{mask:x}"
+        if not parts:
+            parts.append(term if c > 0 else f"- {term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
+def _row_scale(coeffs, rhs: Fraction) -> Fraction:
+    """Identity when all numbers are exactly decimal, else the integerizing factor."""
+    values = [c for _, c in coeffs] + [rhs]
+    if all(_decimal_exact(v) is not None for v in values):
+        return Fraction(1)
+    denom = 1
+    for v in values:
+        denom = _lcm(denom, v.denominator)
+    return Fraction(denom)
+
+
+def export_lp(problem: LpProblem) -> str:
+    """Render the problem in CPLEX-style LP text, byte-deterministically.
+
+    Row names are the tag-derived names from the problem; columns are named
+    h_<subset-bitmask-in-hex>.  Every variable is declared free: the
+    elemental rows imply nonnegativity, so the declaration only keeps
+    external solvers from quietly adding their default lower bound.
+    """
+    lines = []
+    obj_scale = _row_scale(problem.objective, Fraction(0))
+    if obj_scale != 1:
+        lines.append(f"\\ objective scaled by {obj_scale}")
+    lines += ["Maximize", f" obj: {_render_terms(problem.objective, obj_scale)}",
+              "Subject To"]
+    for row in problem.rows:
+        scale = _row_scale(row.coeffs, row.rhs)
+        rhs = _decimal_exact(row.rhs * scale)
+        lines.append(f" {row.name}: {_render_terms(row.coeffs, scale)} {row.sense} {rhs}")
+    lines.append("Bounds")
+    for mask in range(1, problem.dimension + 1):
+        lines.append(f" h_{mask:x} free")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def reference_linprog_inputs(problem):
+    """The arguments ``_float_solve`` handed to ``linprog`` when it built
+    them through ``float(Fraction)`` per number: (c, keyword arguments)."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    n = problem.dimension
+    c = np.zeros(n)
+    for mask, w in problem.objective:
+        c[mask - 1] = -float(w)
+    ub_idx, eq_idx = [], []
+    ub_data, ub_r, ub_c, ub_b = [], [], [], []
+    eq_data, eq_r, eq_c, eq_b = [], [], [], []
+    for i, row in enumerate(problem.rows):
+        if row.sense == "=":
+            r = len(eq_idx)
+            eq_idx.append(i)
+            for mask, v in row.coeffs:
+                eq_r.append(r); eq_c.append(mask - 1); eq_data.append(float(v))
+            eq_b.append(float(row.rhs))
+        else:
+            flip = -1.0 if row.sense == ">=" else 1.0
+            r = len(ub_idx)
+            ub_idx.append(i)
+            for mask, v in row.coeffs:
+                ub_r.append(r); ub_c.append(mask - 1); ub_data.append(flip * float(v))
+            ub_b.append(flip * float(row.rhs))
+    A_ub = csr_matrix((ub_data, (ub_r, ub_c)), shape=(len(ub_idx), n)) if ub_idx else None
+    A_eq = csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_idx), n)) if eq_idx else None
+    return c, dict(A_ub=A_ub, b_ub=ub_b or None, A_eq=A_eq, b_eq=eq_b or None,
+                   bounds=(0, None), method="highs")

@@ -173,12 +173,29 @@ def test_lp_solve_cap_refuses_before_building_the_lp(on_disk, capsys, monkeypatc
     assert "N=21" in err and "solve cap 16" in err and "--export" in err
     assert err.count("\n") == 1
 
-@pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1"])
+@pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1", ""])
 def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
     code, out, err = run(capsys, "lp", "--solve", "-w", weights, on_disk("butterfly"))
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad weights") and err.count("\n") == 1
+    if not weights.strip(","):
+        assert "empty weight list" in err
+
+
+@pytest.mark.parametrize("fixture, edit, argv, value", [
+    ("butterfly", None, ["--reduce", "linear", "-w", "1e400,1"], 10 ** 400 + 1),
+    ("single_edge", ('"cap": "1"', '"cap": "1e400"'), [], 10 ** 400),
+])
+def test_lp_solve_beyond_float_range_is_answered_exactly(tmp_path, capsys, fixture,
+                                                         edit, argv, value):
+    text = fixture_text(fixture)
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(text.replace(*edit) if edit else text)
+    code, out, err = run(capsys, "lp", "--solve", *argv, str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "optimal" and doc["value"] == str(value)
 
 
 def test_lp_bad_solve_cap_names_the_variable(on_disk, capsys, monkeypatch):

@@ -3,17 +3,33 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import conftest as ref
 from fdgtool import lpbound, netmodel
 from fdgtool.fdg import build_fdg, reduce
-from fdgtool.lpbound import (build_lp, elemental_inequalities, export_lp,
-                             lp_solve, lp_stats, verify_witness)
+from fdgtool.lpbound import (LpProblem, Row, build_lp, elemental_inequalities,
+                             export_lp, lp_solve, lp_stats, verify_witness)
 from fdgtool.netmodel import Weights, load_fixture, parse_network
 
-from conftest import random_network, scipy_solve_exported
+from conftest import UNIT_FIXTURES, random_network, scipy_solve_exported
 
 W11 = Weights.of({1: 1, 2: 1})
+MODES = ("none", "shannon", "linear")
+# Every fixture x reduce mode whose graph has N <= 10: the solves and exports
+# of the benchmark's lp-certified workload.  Fano is N=21 unreduced and N=13
+# after Shannon reduction.
+SMALL_FIXTURE_MODES = [(f, m) for f in UNIT_FIXTURES for m in MODES
+                       if not (f == "fano" and m != "linear")]
+KNOWN_OPTIMA = {"butterfly": 2, "two_unicast_side": 1, "two_unicast_chain": 1,
+                "parallel_relay": 1, "fano": 3, "single_edge": 1}
+# The reduced LPs of the benchmark's lp-exact workload, which the exact
+# simplex solves in about a second together.
+EXACT_FIXTURE_MODES = [("parallel_relay", "shannon"), ("parallel_relay", "linear"),
+                       ("two_unicast_chain", "shannon"), ("two_unicast_chain", "linear"),
+                       ("two_unicast_side", "linear"), ("butterfly", "linear")]
 
 
 def elemental_count_formula(n):
@@ -265,3 +281,179 @@ def test_export_with_fractional_weights_notes_scaling():
     ext = scipy_solve_exported(out)
     assert abs(ext - 1 / 3) <= 1e-9
     assert lp_solve(p).value == Fraction(1, 3)
+
+
+def _fixture_problem(name, mode, weights=None, text=None):
+    net = parse_network(text if text is not None else netmodel.fixture_text(name))
+    graph = build_fdg(net)
+    if mode != "none":
+        graph, _ = reduce(graph, mode)
+    if weights is None:
+        weights = Weights.of({s.index: 1 for s in net.sources})
+    return build_lp(graph, weights)
+
+
+def _reference_cases(name, mode):
+    """Unit weights, weights 1/3,2/7 and 0.5,1.25, and for modes that allow
+    them fractional capacities: one exact decimal and one that needs integer
+    scaling."""
+    n_sources = len(parse_network(netmodel.fixture_text(name)).sources)
+    thirds = Weights.of({1: Fraction(1, 3), 2: Fraction(2, 7)}
+                        if n_sources > 1 else {1: Fraction(1, 3)})
+    yield _fixture_problem(name, mode)
+    yield _fixture_problem(name, mode, thirds)
+    yield _fixture_problem(name, mode, Weights.of({1: Fraction(1, 2), 2: Fraction(5, 4)}
+                                                  if n_sources > 1 else {1: Fraction(1, 2)}))
+    if mode != "linear":  # linear reduction requires unit capacities
+        text = netmodel.fixture_text(name).replace('"cap": "1"', '"cap": "2.5"', 1)
+        text = text.replace('"cap": "1"', '"cap": "3/7"', 1)
+        yield _fixture_problem(name, mode, thirds, text=text)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_elemental_rows_equal_the_fraction_reference(n):
+    rows = elemental_inequalities(n)
+    assert rows == ref.elemental_inequalities(n)
+    assert all(type(c) is Fraction for row in rows for _, c in row.coeffs)
+    assert all(type(row.rhs) is Fraction for row in rows)
+
+
+@pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
+def test_rows_and_export_equal_the_fraction_reference(fixture, mode):
+    for p in _reference_cases(fixture, mode):
+        elemental = ref.elemental_inequalities(p.n_vars)
+        assert list(p.rows[:len(elemental)]) == elemental
+        assert export_lp(p) == ref.export_lp(p)
+
+
+@pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
+def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode, monkeypatch):
+    import scipy.optimize
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is b
+        if hasattr(a, "tocsr"):
+            return all(same(getattr(a, k), getattr(b, k))
+                       for k in ("shape", "indptr", "indices", "data"))
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    calls = []
+
+    def linprog(c, **kwargs):
+        calls.append((c, kwargs))
+        raise ValueError("arguments captured")  # _float_solve then returns None
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    for p in _reference_cases(fixture, mode):
+        calls.clear()
+        assert lpbound._float_solve(p) is None and len(calls) == 1
+        (c, kwargs), (ref_c, ref_kwargs) = calls[0], ref.reference_linprog_inputs(p)
+        assert same(c, ref_c)
+        assert kwargs.keys() == ref_kwargs.keys()
+        for key in ("A_ub", "b_ub", "A_eq", "b_eq"):
+            assert same(kwargs[key], ref_kwargs[key]), key
+        assert kwargs["bounds"] == ref_kwargs["bounds"] == (0, None)
+        assert kwargs["method"] == ref_kwargs["method"] == "highs"
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _rows_and_points(draw):
+    """A problem of random rows over N <= 3 and a sparse point whose values
+    include zeros, negatives and fractions.  A row's right-hand side is
+    sometimes its exact value at the point, so the boundary of every sense
+    is hit."""
+    n = draw(st.integers(1, 3))
+    masks = st.integers(1, (1 << n) - 1)
+    point = draw(st.dictionaries(masks, _RATIONALS, max_size=(1 << n) - 1))
+    rows = []
+    for k in range(draw(st.integers(1, 8))):
+        coeffs = tuple(sorted(draw(st.dictionaries(
+            masks, _RATIONALS.filter(bool), max_size=(1 << n) - 1)).items()))
+        rhs = draw(st.one_of(_RATIONALS, st.none()))
+        if rhs is None:
+            rhs = ref._eval_row(coeffs, point)
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        rows.append(Row(f"r{k}", "TEST", coeffs, sense, rhs))
+    problem = LpProblem(n_vars=n, var_names=tuple(f"v{i}" for i in range(n)),
+                        source_masks=(), objective=(), rows=tuple(rows))
+    return problem, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_points())
+def test_integer_row_checks_equal_the_fraction_reference(case):
+    problem, point = case
+    assert verify_witness(problem, point) == ref.verify_witness(problem, point)
+    assert lpbound._violated_rows(problem, point, ray=True) == [
+        i for i, row in enumerate(problem.rows)
+        if ref._ray_violates(row, ref._eval_row(row.coeffs, point))]
+
+
+@st.composite
+def _dual_checks(draw):
+    """Arguments for ``_dual_certifies`` over random rows with fractional
+    coefficients and right-hand sides.  The objective and the value are the
+    dual's own column sums and objective, each sometimes moved off them, so
+    the check both passes and fails."""
+    problem, _ = draw(_rows_and_points())
+    ub_idx = [i for i, row in enumerate(problem.rows) if row.sense != "="]
+    eq_idx = [i for i, row in enumerate(problem.rows) if row.sense == "="]
+    u = [abs(draw(_RATIONALS)) for _ in ub_idx]
+    v = [draw(_RATIONALS) for _ in eq_idx]
+    sums, value = {}, Fraction(0)
+    for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)]:
+        row = problem.rows[i]
+        q = -q if row.sense == ">=" else q
+        for mask, c in row.coeffs:
+            sums[mask] = sums.get(mask, Fraction(0)) + q * c
+        value += q * row.rhs
+    objective = tuple((mask, s - draw(st.sampled_from([0, 0, Fraction(1, 7), -1])))
+                      for mask, s in sorted(sums.items()))
+    value += draw(st.sampled_from([0, 0, Fraction(1, 3)]))
+    problem = LpProblem(n_vars=problem.n_vars, var_names=problem.var_names,
+                        source_masks=(), objective=objective, rows=problem.rows)
+    return problem, ub_idx, eq_idx, u, v, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dual_checks())
+def test_integer_dual_check_equals_the_fraction_reference(args):
+    assert lpbound._dual_certifies(*args) == ref._dual_certifies(*args)
+
+
+def test_negative_float_multipliers_never_certify():
+    # max h_1 s.t. h_1 <= 2, h_1 >= 0.  The point h_1 = 1 is feasible but not
+    # optimal; only a negative multiplier on the >= row would "certify" it.
+    from types import SimpleNamespace
+    rows = (Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", Fraction(2)),
+            Row("lower", lpbound.CAPACITY, ((1, Fraction(1)),), ">=", Fraction(0)))
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
+                        objective=((1, Fraction(1)),), rows=rows)
+    res = SimpleNamespace(success=True, x=np.array([1.0]),
+                          ineqlin=SimpleNamespace(marginals=np.array([-0.5, 0.5])))
+    assert lpbound._dual_certifies(problem, [0, 1], [], [Fraction(1, 2), Fraction(-1, 2)],
+                                   [], Fraction(1))
+    assert lpbound._certified_from_float(problem, (res, [0, 1], [])) is None
+
+
+@pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
+def test_benchmark_solves_answer_by_certificate(fixture, mode, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the exact simplex ran: the certificate failed")
+    monkeypatch.setattr(lpbound.simplex, "solve", solve)
+    sol = lp_solve(_fixture_problem(fixture, mode))
+    assert sol.status == "optimal" and sol.value == KNOWN_OPTIMA[fixture]
+    assert sol.method == "certificate"
+
+
+@pytest.mark.parametrize("fixture, mode", EXACT_FIXTURE_MODES)
+def test_solves_without_the_float_solve_answer_exactly(fixture, mode, monkeypatch):
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    sol = lp_solve(_fixture_problem(fixture, mode))
+    assert sol.status == "optimal" and sol.value == KNOWN_OPTIMA[fixture]
+    assert sol.method == "exact"
