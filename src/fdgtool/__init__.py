@@ -42,6 +42,7 @@ from .lpbound import (
     build_lp,
     elemental_inequalities,
     export_lp,
+    graph_lp_stats,
     lp_solve,
     lp_stats,
     verify_witness,

@@ -119,7 +119,18 @@ def cmd_lp(args) -> int:
             raise _UsageError(f"bad weights {args.weights!r}: {exc}") from None
     else:
         weights = netmodel.Weights.of({s.index: 1 for s in net.sources})
-    if not args.stats and args.export is None:
+    if args.stats:
+        stats = lpbound.graph_lp_stats(graph)
+        if args.format == "json":
+            _print_json({"n_vars": graph.order, "dimension": stats.dimension,
+                         "total_rows": stats.total, "counts": stats.counts})
+        else:
+            print(f"N={graph.order} dimension={stats.dimension} rows={stats.total}")
+            for tag in lpbound.TAG_ORDER:
+                print(f"  {tag:10s} {stats.counts[tag]}")
+        return OK
+
+    if args.export is None:
         try:
             max_n = lpbound.solve_cap()
         except ValueError as exc:
@@ -129,17 +140,6 @@ def cmd_lp(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"{exc}; try --export and an external solver") from None
     problem = lpbound.build_lp(graph, weights)
-
-    if args.stats:
-        stats = lpbound.lp_stats(problem)
-        if args.format == "json":
-            _print_json({"n_vars": problem.n_vars, "dimension": stats.dimension,
-                         "total_rows": stats.total, "counts": stats.counts})
-        else:
-            print(f"N={problem.n_vars} dimension={stats.dimension} rows={stats.total}")
-            for tag in lpbound.TAG_ORDER:
-                print(f"  {tag:10s} {stats.counts[tag]}")
-        return OK
 
     if args.export is not None:
         text = lpbound.export_lp(problem)

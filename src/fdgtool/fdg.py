@@ -276,16 +276,82 @@ def remove_group(fdg: Fdg, group) -> Fdg:
     if shared is None:
         raise ValueError("group removal requires distinct variables with "
                          "identical parent and child sets")
-    up, _ = shared
-    members = set(group)
-    new_vars = [v for v in fdg.vars if v not in members]
-    new_parents = {}
-    for v in new_vars:
-        ps = [p for p in fdg.up(v) if p not in members]
-        if len(ps) < len(fdg.up(v)):
-            ps += [a for a in up if a != v and a not in ps]
-        new_parents[v] = tuple(ps)
-    return Fdg(new_vars, new_parents, fdg.demand_origin)
+    work = _WorkGraph(fdg)
+    work.remove(group, *shared)
+    return work.freeze()
+
+
+class _WorkGraph:
+    """A mutable copy of an ``Fdg`` that removals rewire in place.
+
+    It answers ``up``, ``down`` and ``unit_capacities`` as the ``Fdg`` it
+    was copied from would after the same removals, so the rule predicates
+    read it unchanged; ``freeze`` builds that ``Fdg`` once.  It never leaves
+    this module, so every graph a caller sees stays immutable.
+
+    Variables are also known by their position in the original order, which
+    removals keep: ``parents``/``children`` hold the ascending positions of
+    each variable's neighbours, for callers that would otherwise hash every
+    variable they visit.
+    """
+
+    def __init__(self, fdg: Fdg):
+        self.vars = fdg.vars
+        self._index = fdg._index
+        self.is_edge = [isinstance(v, EdgeVar) for v in self.vars]
+        self._up = [fdg.up(v) for v in self.vars]
+        self._down = [fdg.down(v) for v in self.vars]
+        self.parents = [tuple(map(self.index, vs)) for vs in self._up]
+        self.children = [tuple(map(self.index, vs)) for vs in self._down]
+        self._alive = [True] * len(self.vars)
+        self._by_name = {v.name: i for i, v in reversed(list(enumerate(self.vars)))}
+        self._demand_origin = fdg.demand_origin
+        self._non_unit = sum(1 for v in fdg.edge_vars() if v.cap != 1)
+
+    def index(self, v) -> int:
+        return self._index[v]
+
+    def up(self, v) -> tuple:
+        return self._up[self._index[v]]
+
+    def down(self, v) -> tuple:
+        return self._down[self._index[v]]
+
+    def unit_capacities(self) -> bool:
+        return not self._non_unit
+
+    def edge_positions(self) -> list:
+        return [i for i, alive in enumerate(self._alive) if alive and self.is_edge[i]]
+
+    def var_by_name(self, name: str):
+        i = self._by_name.get(name)
+        if i is None or not self._alive[i]:
+            raise KeyError(f"no variable named {name!r}")
+        return self.vars[i]
+
+    def remove(self, group: tuple, up: tuple, down: tuple) -> None:
+        """Delete ``group``, whose members share the outside neighbourhood
+        ``(up, down)``, connecting each of ``up`` to each other of ``down``.
+        Only the parent sets in ``down`` and the child sets in ``up`` change."""
+        members = set(map(self.index, group))
+        ups, downs = list(map(self.index, up)), list(map(self.index, down))
+        var = self.vars.__getitem__
+        for a in ups:
+            kept = {c for c in self.children[a] if c not in members}
+            self.children[a] = tuple(sorted(kept.union(b for b in downs if b != a)))
+            self._down[a] = tuple(map(var, self.children[a]))
+        for b in downs:
+            kept = {p for p in self.parents[b] if p not in members}
+            self.parents[b] = tuple(sorted(kept.union(a for a in ups if a != b)))
+            self._up[b] = tuple(map(var, self.parents[b]))
+        for i in members:
+            self._alive[i] = False
+            self._non_unit -= self.vars[i].cap != 1
+
+    def freeze(self) -> Fdg:
+        alive = [i for i, a in enumerate(self._alive) if a]
+        return Fdg([self.vars[i] for i in alive], {self.vars[i]: self._up[i] for i in alive},
+                   self._demand_origin)
 
 
 def _require_unit(fdg: Fdg, rule: str) -> None:
@@ -425,70 +491,156 @@ class ReductionTrace:
                    delta_e=de if delta_e is None else delta_e)
 
 
-def _edge_var_depths(fdg: Fdg) -> dict:
+def _edge_var_depths(work: _WorkGraph) -> list:
     """Longest-path depth of each edge variable in the edge-variable subgraph,
-    which stays acyclic under removals."""
-    evars = fdg.edge_vars()
-    depth = {}
-
-    def visit(v, stack):
-        if v in depth:
-            return depth[v]
-        if v in stack:
-            raise ValueError("edge-variable subgraph has a cycle")
-        stack.add(v)
-        ps = [p for p in fdg.up(v) if isinstance(p, EdgeVar)]
-        depth[v] = 0 if not ps else 1 + max(visit(p, stack) for p in ps)
-        stack.discard(v)
-        return depth[v]
-
-    for v in evars:
-        visit(v, set())
+    which stays acyclic under removals, by position; -1 for the others.
+    One iterative depth-first search."""
+    depth = [-1] * len(work.vars)
+    state = [0] * len(work.vars)  # 0 unseen, 1 on the path, 2 placed
+    for root in work.edge_positions():
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(work.parents[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for p in pending:
+                if not work.is_edge[p] or state[p] == 2:
+                    continue
+                if state[p] == 1:
+                    raise ValueError("edge-variable subgraph has a cycle")
+                state[p] = 1
+                stack.append((p, iter(work.parents[p])))
+                break
+            else:
+                stack.pop()
+                state[v] = 2
+                depth[v] = 1 + max(map(depth.__getitem__, work.parents[v]), default=-1)
     return depth
 
 
-def _step(fdg: Fdg, group: tuple, rule: str) -> tuple[Fdg, Step]:
-    """Remove ``group`` under ``rule``: the reduced graph and its trace step.
+def _step(work: _WorkGraph, group: tuple, rule: str) -> tuple[Step, tuple, tuple]:
+    """Remove ``group`` under ``rule`` from the working graph: the trace step
+    and the group's outside neighbourhood ``(up, down)``, the only variables
+    whose parent or child sets changed.
 
     Raises ValueError for an unknown rule or a group the rule does not
     permit, and UnitCapacityError for a unit rule on other capacities.
     """
-    if not removable(fdg, group, rule):
+    if not removable(work, group, rule):
         raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
-    up, down = _shared_neighbourhood(fdg, group)
+    up, down = _shared_neighbourhood(work, group)
     step = Step(rule=rule,
                 removed=tuple(v.name for v in group),
                 up=tuple(p.name for p in up),
                 down=tuple(c.name for c in down),
                 added=tuple((a.name, b.name) for a in up for b in down
-                            if a != b and a not in fdg.up(b)))
-    return remove_group(fdg, group), step
-
-
-def _cor2_classes(fdg: Fdg):
-    """Classes of more than one edge variable with identical neighbourhoods."""
-    classes = {}
-    for v in fdg.edge_vars():
-        key = (frozenset(fdg.up(v)), frozenset(fdg.down(v)))
-        classes.setdefault(key, []).append(v)
-    return [tuple(c) for c in sorted(classes.values(), key=lambda c: fdg.index(c[0]))
-            if len(c) > 1]
+                            if a != b and a not in work.up(b)))
+    work.remove(group, up, down)
+    return step, up, down
 
 
 _MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5A, COR5B)}
 
 
-def _first_removal(fdg: Fdg, rules):
-    """The first ``(group, rule)`` that a rule permits, trying the rules in
-    order: COR2 on the classes, the others on single variables in
-    topological-then-index order."""
-    depth = _edge_var_depths(fdg)
-    singles = [(v,) for v in sorted(fdg.edge_vars(), key=lambda v: (depth[v], fdg.index(v)))]
-    for rule in rules:
-        for group in _cor2_classes(fdg) if rule == COR2 else singles:
-            if RULES[rule](fdg, group):
-                return group, rule
-    return None
+class _Candidates:
+    """The removals ``reduce`` can pick from, kept current step by step.
+
+    For each single-variable rule, the set of edge variables it permits
+    removing; the classes of edge variables with identical neighbourhoods,
+    keyed by (parent set, child set), with the keys of those of more than
+    one member that COR2 permits removing; and each edge variable's depth.
+    Variables are held by position.  After a step only the variables it
+    rewired are re-tested.
+    """
+
+    def __init__(self, work: _WorkGraph, rules: tuple):
+        self._work = work
+        self._rules = rules
+        self._singles = {rule: set() for rule in rules if rule != COR2}
+        self._depth = _edge_var_depths(work)
+        self._key = {}
+        self._classes = {}
+        self._cor2 = set()
+        self._retest(work.edge_positions(), set())
+
+    def first(self):
+        """The first ``(group, rule)`` that a rule permits, trying the rules
+        in order: COR2 on the classes in order of their first member, the
+        others on single variables in topological-then-index order."""
+        var = self._work.vars
+        for rule in self._rules:
+            if rule == COR2:
+                if self._cor2:
+                    key = min(self._cor2, key=lambda k: self._classes[k][0])
+                    return tuple(var[i] for i in self._classes[key]), COR2
+            elif self._singles[rule]:
+                depth = self._depth
+                return (var[min(self._singles[rule], key=lambda i: (depth[i], i))],), rule
+        return None
+
+    def update(self, group: tuple, up: tuple, down: tuple) -> None:
+        """Account for the removal of ``group`` with neighbourhood ``(up, down)``."""
+        work = self._work
+        dirty = set()
+        for i in map(work.index, group):
+            for passing in self._singles.values():
+                passing.discard(i)
+            key = self._key.pop(i)
+            self._classes[key].remove(i)
+            dirty.add(key)
+            self._depth[i] = -1
+        ups = [i for i in map(work.index, up) if work.is_edge[i]]
+        downs = [i for i in map(work.index, down) if work.is_edge[i]]
+        self._push_depths(downs)
+        self._retest(ups + downs, dirty)
+
+    def _push_depths(self, start: list) -> None:
+        # Only the parent sets of ``start`` changed; carry changes downstream.
+        depth, parents, children = self._depth, self._work.parents, self._work.children
+        is_edge = self._work.is_edge
+        pending = list(start)
+        while pending:
+            v = pending.pop()
+            d = 1 + max(map(depth.__getitem__, parents[v]), default=-1)
+            if d != depth[v]:
+                depth[v] = d
+                pending += [c for c in children[v] if is_edge[c]]
+
+    def _retest(self, positions, dirty: set) -> None:
+        """Re-test the single rules on ``positions``, move them to the
+        classes of their current neighbourhoods, and re-test COR2 on every
+        class that gained or lost a member (``dirty`` holds those changed
+        already)."""
+        work = self._work
+        for i in positions:
+            group = (work.vars[i],)
+            for rule, passing in self._singles.items():
+                if RULES[rule](work, group):
+                    passing.add(i)
+                else:
+                    passing.discard(i)
+            key = (frozenset(work.parents[i]), frozenset(work.children[i]))
+            old = self._key.get(i)
+            if key == old:
+                continue
+            if old is not None:
+                self._classes[old].remove(i)
+                dirty.add(old)
+            self._key[i] = key
+            self._classes.setdefault(key, []).append(i)
+            dirty.add(key)
+        for key in dirty:
+            members = self._classes[key]
+            if not members:
+                del self._classes[key]
+                self._cor2.discard(key)
+                continue
+            members.sort()
+            if len(members) > 1 and RULES[COR2](work, tuple(work.vars[i] for i in members)):
+                self._cor2.add(key)
+            else:
+                self._cor2.discard(key)
 
 
 def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
@@ -500,22 +652,31 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
     identical neighborhoods; in linear mode the two linear rules follow.
     No claim of order independence is made, so the order is part of the
     contract.
+
+    The steps run on one private working graph, and after each step only
+    the removed group's neighbourhood is rewired and re-tested against the
+    rules, so a step costs time in proportion to that neighbourhood (and to
+    the depths it shortens), not to the graph.  The reduced ``Fdg`` is built
+    once, at the end.
     """
     if mode not in _MODE_RULES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == LINEAR and not fdg.unit_capacities():
         raise UnitCapacityError("linear mode requires unit capacities")
 
+    work = _WorkGraph(fdg)
+    candidates = _Candidates(work, _MODE_RULES[mode])
     steps = []
-    cur = fdg
-    while (found := _first_removal(cur, _MODE_RULES[mode])) is not None:
-        cur, step = _step(cur, *found)
+    while (found := candidates.first()) is not None:
+        step, up, down = _step(work, *found)
+        candidates.update(found[0], up, down)
         steps.append(step)
 
+    reduced = work.freeze()
     trace = ReductionTrace(steps=tuple(steps),
-                           delta_v=fdg.order - cur.order,
-                           delta_e=fdg.dependence_edge_count() - cur.dependence_edge_count())
-    return cur, trace
+                           delta_v=fdg.order - reduced.order,
+                           delta_e=fdg.dependence_edge_count() - reduced.dependence_edge_count())
+    return reduced, trace
 
 
 def replay(fdg: Fdg, trace: ReductionTrace) -> Fdg:
@@ -527,15 +688,15 @@ def replay(fdg: Fdg, trace: ReductionTrace) -> Fdg:
     ``added`` derived from the graph equal the recorded ones.  Raises
     ReplayError at the first step that fails.
     """
-    cur = fdg
+    work = _WorkGraph(fdg)
     for i, step in enumerate(trace.steps):
         try:
-            group = tuple(cur.var_by_name(n) for n in step.removed)
-            cur, derived = _step(cur, group, step.rule)
+            group = tuple(work.var_by_name(n) for n in step.removed)
+            derived, _, _ = _step(work, group, step.rule)
         except (KeyError, ValueError) as exc:
             raise ReplayError(f"step {i}: {exc}") from None
         if derived != step:
             raise ReplayError(
                 f"step {i}: recorded step does not match the graph "
                 f"(recorded {step.to_json()}, derived {derived.to_json()})")
-    return cur
+    return work.freeze()

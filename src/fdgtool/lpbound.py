@@ -16,9 +16,10 @@ over the frozen variable order.  The constraint families are tagged:
 The objective maximizes the weighted sum of single-source entropies, whose
 optimum upper-bounds the corresponding weighted rate sum.
 
-Problem statistics are always computed from the rows actually generated,
-never from the closed-form count, so the closed form stays available as an
-independent oracle in the tests.  The solver is exact: a dense rational
+``lp_stats`` counts the rows a problem holds; ``graph_lp_stats`` gives the
+same counts from the graph alone, in closed form, so ``lp --stats`` never
+generates the rows it only counts (unreduced fano's LP has about 1.1e8).
+The tests hold the two equal.  The solver is exact: a dense rational
 simplex is driven through lazy row generation (the full elemental family is
 enormous, but optima are supported on few of them), and every returned
 witness is re-checked against every row of the full problem afterwards.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from . import simplex
@@ -123,6 +124,24 @@ def _submasks_ascending(mask: int):
         s = (s - mask) & mask
 
 
+def _check_generation_cap(n: int, cap: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if n > cap:
+        raise ValueError(
+            f"n={n} exceeds the generation cap {cap}; reduce the graph first")
+
+
+def _check_buildable(fdg: Fdg, cap: int) -> None:
+    """Raise the ValueError that ``build_lp`` refuses ``fdg`` with, if any."""
+    _check_generation_cap(fdg.order, cap)
+    for v in fdg.edge_vars():
+        if not fdg.up(v):
+            raise ValueError(
+                f"edge variable {v.name} has no parents; the underlying edge "
+                f"leaves a node with no inputs")
+
+
 def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Row]:
     """All elemental entropy inequalities for n variables, in canonical order.
 
@@ -131,11 +150,7 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
     ascending bitmask order.  Refuses n above the generation cap: reduce the
     graph first instead of generating astronomically many rows.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the generation cap {cap}; reduce the graph first")
+    _check_generation_cap(n, cap)
     full = (1 << n) - 1
     rows = []
     for i in range(n):
@@ -162,6 +177,7 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
 
 def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> LpProblem:
     """Assemble the full LP for a dependence graph and objective weights."""
+    _check_buildable(fdg, cap)
     n = fdg.order
     index = {v: i for i, v in enumerate(fdg.vars)}
 
@@ -183,12 +199,7 @@ def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> L
                     sense="=", rhs=Fraction(0)))
 
     for v in fdg.edge_vars():
-        parents = fdg.up(v)
-        if not parents:
-            raise ValueError(
-                f"edge variable {v.name} has no parents; the underlying edge "
-                f"leaves a node with no inputs")
-        p = mask_of(parents)
+        p = mask_of(fdg.up(v))
         rows.append(Row(name=f"enc_{v.edge_id}", tag=ENCODE,
                         coeffs=_coeff_row({p | mask_of([v]): Fraction(1),
                                            p: Fraction(-1)}),
@@ -232,6 +243,19 @@ def lp_stats(problem: LpProblem) -> LpStats:
         counts[row.tag] += 1
     return LpStats(dimension=problem.dimension, counts=counts,
                    total=len(problem.rows))
+
+
+def graph_lp_stats(fdg: Fdg, cap: int = DEFAULT_GENERATION_CAP) -> LpStats:
+    """``lp_stats(build_lp(fdg, weights, cap))`` for any weights, counted
+    from the graph without generating a row; refuses what ``build_lp``
+    refuses, with the same message."""
+    _check_buildable(fdg, cap)
+    n = fdg.order
+    n_edges = len(fdg.edge_vars())
+    decoded = sum(1 for s in fdg.source_vars() if fdg.up(s) and s not in fdg.up(s))
+    counts = {ELEMENTAL1: n, ELEMENTAL2: comb(n, 2) << (n - 2) if n > 1 else 0,
+              INDEP: 1, ENCODE: n_edges, DECODE: decoded, CAPACITY: n_edges}
+    return LpStats(dimension=(1 << n) - 1, counts=counts, total=sum(counts.values()))
 
 
 def _eval_row(coeffs, witness) -> Fraction:

@@ -1,7 +1,7 @@
 """Shared test helpers: fixture loading, a random-network generator, and the
 independent oracles (the paper's finite series for A (I - F)^{-1} B,
 symbolic forward propagation, LP-text re-import into scipy, the Fraction
-LP layers) used to cross-check the library's own computation paths."""
+LP layers, the rebuild-per-step reduction) used to cross-check the library's own computation paths."""
 
 import random
 from fractions import Fraction
@@ -10,6 +10,9 @@ import pytest
 
 from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
+from fdgtool.fdg import (COR2, LINEAR, RULES, SHANNON, _MODE_RULES, EdgeVar, Fdg,
+                         ReductionTrace, ReplayError, Step, UnitCapacityError,
+                         _shared_neighbourhood, removable)
 from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
@@ -102,6 +105,51 @@ def random_network(rng: random.Random, max_edges: int = 8) -> netmodel.Network:
                       for i, s in enumerate(sources)),
         sinks=tuple(sink_records),
     )
+    assert netmodel.validate(net) == []
+    return net
+
+
+def relay_grid(layers: int, width: int) -> netmodel.Network:
+    """A layered unit-capacity network in which every link is a two-edge relay.
+
+    Sources ``s1``/``s2`` feed alternate nodes of the first layer; node j of
+    each later layer hears nodes j and j+1 (mod ``width``) of the layer
+    before, each through its own relay node; sinks ``t1``/``t2`` demand
+    source 1/2 from the first two nodes of the last layer.  Every relay's
+    outgoing edge is a one-parent unit variable, so a reduction takes many
+    steps.  Needs ``width`` >= 2.
+    """
+    nodes, edges = ["s1", "s2"], []
+
+    def link(tail, head):
+        edges.append(netmodel.Edge(id=f"e{len(edges) + 1}", tail=tail, head=head,
+                                   cap=Fraction(1)))
+
+    def relay(tail, head):
+        mid = f"r{len(nodes)}"
+        nodes.append(mid)
+        link(tail, mid)
+        link(mid, head)
+
+    grid = [[f"n{k}_{j}" for j in range(width)] for k in range(layers)]
+    for j, node in enumerate(grid[0]):
+        nodes.append(node)
+        link(f"s{1 + j % 2}", node)
+    for k in range(1, layers):
+        for j, node in enumerate(grid[k]):
+            nodes.append(node)
+            relay(grid[k - 1][j], node)
+            relay(grid[k - 1][(j + 1) % width], node)
+    sinks = []
+    for i in (1, 2):
+        nodes.append(f"t{i}")
+        for node in grid[-1][:2]:
+            link(node, f"t{i}")
+        sinks.append(netmodel.Sink(at=f"t{i}", demands=(i,)))
+    net = netmodel.Network(nodes=tuple(nodes), edges=tuple(edges),
+                           sources=(netmodel.Source(index=1, at="s1"),
+                                    netmodel.Source(index=2, at="s2")),
+                           sinks=tuple(sinks))
     assert netmodel.validate(net) == []
     return net
 
@@ -541,3 +589,144 @@ def reference_linprog_inputs(problem):
     A_eq = csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_idx), n)) if eq_idx else None
     return c, dict(A_ub=A_ub, b_ub=ub_b or None, A_eq=A_eq, b_eq=eq_b or None,
                    bounds=(0, None), method="highs")
+
+
+# Reference reduction: the loop that rebuilt the whole graph per step and
+# searched every variable against every rule per step, kept verbatim from
+# ``fdg`` (``reduce`` and ``replay`` renamed ``reference_reduce`` and
+# ``reference_replay``).
+
+def remove_group(fdg: Fdg, group) -> Fdg:
+    group = tuple(group)
+    for v in group:
+        if not isinstance(v, EdgeVar):
+            raise ValueError(f"{v.name} is a source variable; only edge variables are removable")
+        if v not in fdg:
+            raise ValueError(f"{v.name} is not in the graph")
+    shared = _shared_neighbourhood(fdg, group)
+    if shared is None:
+        raise ValueError("group removal requires distinct variables with "
+                         "identical parent and child sets")
+    up, _ = shared
+    members = set(group)
+    new_vars = [v for v in fdg.vars if v not in members]
+    new_parents = {}
+    for v in new_vars:
+        ps = [p for p in fdg.up(v) if p not in members]
+        if len(ps) < len(fdg.up(v)):
+            ps += [a for a in up if a != v and a not in ps]
+        new_parents[v] = tuple(ps)
+    return Fdg(new_vars, new_parents, fdg.demand_origin)
+
+
+def _edge_var_depths(fdg: Fdg) -> dict:
+    """Longest-path depth of each edge variable in the edge-variable subgraph,
+    which stays acyclic under removals."""
+    evars = fdg.edge_vars()
+    depth = {}
+
+    def visit(v, stack):
+        if v in depth:
+            return depth[v]
+        if v in stack:
+            raise ValueError("edge-variable subgraph has a cycle")
+        stack.add(v)
+        ps = [p for p in fdg.up(v) if isinstance(p, EdgeVar)]
+        depth[v] = 0 if not ps else 1 + max(visit(p, stack) for p in ps)
+        stack.discard(v)
+        return depth[v]
+
+    for v in evars:
+        visit(v, set())
+    return depth
+
+
+def _step(fdg: Fdg, group: tuple, rule: str) -> tuple[Fdg, Step]:
+    """Remove ``group`` under ``rule``: the reduced graph and its trace step.
+
+    Raises ValueError for an unknown rule or a group the rule does not
+    permit, and UnitCapacityError for a unit rule on other capacities.
+    """
+    if not removable(fdg, group, rule):
+        raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
+    up, down = _shared_neighbourhood(fdg, group)
+    step = Step(rule=rule,
+                removed=tuple(v.name for v in group),
+                up=tuple(p.name for p in up),
+                down=tuple(c.name for c in down),
+                added=tuple((a.name, b.name) for a in up for b in down
+                            if a != b and a not in fdg.up(b)))
+    return remove_group(fdg, group), step
+
+
+def _cor2_classes(fdg: Fdg):
+    """Classes of more than one edge variable with identical neighbourhoods."""
+    classes = {}
+    for v in fdg.edge_vars():
+        key = (frozenset(fdg.up(v)), frozenset(fdg.down(v)))
+        classes.setdefault(key, []).append(v)
+    return [tuple(c) for c in sorted(classes.values(), key=lambda c: fdg.index(c[0]))
+            if len(c) > 1]
+
+
+def _first_removal(fdg: Fdg, rules):
+    """The first ``(group, rule)`` that a rule permits, trying the rules in
+    order: COR2 on the classes, the others on single variables in
+    topological-then-index order."""
+    depth = _edge_var_depths(fdg)
+    singles = [(v,) for v in sorted(fdg.edge_vars(), key=lambda v: (depth[v], fdg.index(v)))]
+    for rule in rules:
+        for group in _cor2_classes(fdg) if rule == COR2 else singles:
+            if RULES[rule](fdg, group):
+                return group, rule
+    return None
+
+
+def reference_reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
+    """Reduce to a fixpoint, returning the reduced graph and its trace.
+
+    The application order is fixed for determinism: the single-variable
+    capacity rule on the first removable variable in topological-then-index
+    order; failing that, the group rule on the first maximal class with
+    identical neighborhoods; in linear mode the two linear rules follow.
+    No claim of order independence is made, so the order is part of the
+    contract.
+    """
+    if mode not in _MODE_RULES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == LINEAR and not fdg.unit_capacities():
+        raise UnitCapacityError("linear mode requires unit capacities")
+
+    steps = []
+    cur = fdg
+    while (found := _first_removal(cur, _MODE_RULES[mode])) is not None:
+        cur, step = _step(cur, *found)
+        steps.append(step)
+
+    trace = ReductionTrace(steps=tuple(steps),
+                           delta_v=fdg.order - cur.order,
+                           delta_e=fdg.dependence_edge_count() - cur.dependence_edge_count())
+    return cur, trace
+
+
+def reference_replay(fdg: Fdg, trace: ReductionTrace) -> Fdg:
+    """Re-apply a trace to a graph, re-deriving and checking each step.
+
+    A step is accepted only when its ``removed`` names distinct variables of
+    the current graph, its rule is known and permits removing them (unit
+    rules only on unit-capacity graphs), and the ``up``, ``down`` and
+    ``added`` derived from the graph equal the recorded ones.  Raises
+    ReplayError at the first step that fails.
+    """
+    cur = fdg
+    for i, step in enumerate(trace.steps):
+        try:
+            group = tuple(cur.var_by_name(n) for n in step.removed)
+            cur, derived = _step(cur, group, step.rule)
+        except (KeyError, ValueError) as exc:
+            raise ReplayError(f"step {i}: {exc}") from None
+        if derived != step:
+            raise ReplayError(
+                f"step {i}: recorded step does not match the graph "
+                f"(recorded {step.to_json()}, derived {derived.to_json()})")
+    return cur

@@ -147,6 +147,61 @@ def test_lp_stats_reduced_butterfly(on_disk, capsys):
     assert doc["total_rows"] == 94
 
 
+def test_lp_stats_counts_without_generating_rows(on_disk, capsys, monkeypatch):
+    def build_lp(*args):
+        raise AssertionError("build_lp called to count rows")
+    monkeypatch.setattr(lpbound, "build_lp", build_lp)
+    code, out, err = run(capsys, "lp", "--stats", "--reduce", "none", on_disk("fano"))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["n_vars"] == 21
+    assert doc["counts"]["ELEMENTAL2"] == 110100480
+    assert doc["total_rows"] == 21 + 110100480 + 1 + 18 + 3 + 18
+
+
+def test_lp_stats_keeps_the_generation_refusals(tmp_path, capsys):
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(json.dumps({
+        "nodes": ["s", "a", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "t", "cap": "1"},
+                  {"id": "e2", "tail": "a", "head": "t", "cap": "1"}],
+        "sources": [{"index": 1, "at": "s"}],
+        "sinks": [{"at": "t", "demands": [1]}],
+    }))
+    code, _, err = run(capsys, "lp", "--stats", str(dangling))
+    assert code == 1
+    assert err == ("error: edge variable U:e2 has no parents; the underlying edge "
+                   "leaves a node with no inputs\n")
+    code, _, err = run(capsys, "lp", "--stats", str(_head_first_path(tmp_path, 30)))
+    assert code == 1
+    assert err == "error: n=31 exceeds the generation cap 24; reduce the graph first\n"
+
+
+def _head_first_path(tmp_path, n):
+    """A single path of ``n`` unit edges, listed from the sink back to the source."""
+    path = tmp_path / f"path{n}.json"
+    path.write_text(json.dumps({
+        "nodes": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}", "cap": "1"}
+                  for i in reversed(range(n))],
+        "sources": [{"index": 1, "at": "v0"}],
+        "sinks": [{"at": f"v{n}", "demands": [1]}],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["shannon", "linear"])
+def test_reduce_and_replay_a_1500_edge_path(tmp_path, capsys, mode):
+    net = _head_first_path(tmp_path, 1500)
+    trace = str(tmp_path / "trace.jsonl")
+    code, out, err = run(capsys, "reduce", "--mode", mode, "--trace-out", trace, net)
+    assert code == 0, err
+    assert json.loads(out)["reduced_order"] == 2
+    code, out, err = run(capsys, "replay", "--trace", trace, "--format", "text", net)
+    assert code == 0, err
+    assert out == "replayed 1499 steps -> order 2\n"
+
+
 def test_lp_solve_weights(on_disk, capsys):
     code, out, _ = run(capsys, "lp", "--reduce", "linear", "--solve",
                        "-w", "1,1", on_disk("two_unicast_chain"))

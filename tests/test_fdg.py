@@ -14,7 +14,8 @@ from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
                          cor5a, cor5b, reduce, remove_var, removable, replay)
 from fdgtool.netmodel import in_edges, load_fixture
 
-from conftest import FORGED_STEPS, UNIT_FIXTURES, random_network
+from conftest import (FORGED_STEPS, UNIT_FIXTURES, random_network, reference_reduce,
+                      reference_replay, relay_grid)
 
 
 def test_orders_match_edge_plus_source_count():
@@ -340,3 +341,84 @@ def test_irreducible_graph_has_empty_trace():
     assert reduced == g
     assert trace.steps == ()
     assert trace.delta_v == 0 and trace.delta_e == 0
+
+
+_CAPACITIES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(3, 2))
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from(["shannon", "linear"]))
+def test_reduce_equals_the_rebuild_per_step_reference(seed, unit, mode):
+    rng = random.Random(seed)
+    net = random_network(rng, max_edges=30)
+    if not unit:
+        net = dataclasses.replace(net, edges=tuple(
+            dataclasses.replace(e, cap=rng.choice(_CAPACITIES)) for e in net.edges))
+    g = build_fdg(net)
+    if mode == "linear" and not g.unit_capacities():
+        for run in (reduce, reference_reduce):
+            with pytest.raises(UnitCapacityError):
+                run(g, mode)
+        return
+    reduced, trace = reduce(g, mode)
+    want, want_trace = reference_reduce(g, mode)
+    assert reduced == want
+    assert reduced.to_json() == want.to_json()
+    assert trace.steps == want_trace.steps
+    assert trace.to_jsonl() == want_trace.to_jsonl()
+    assert (trace.delta_v, trace.delta_e) == (want_trace.delta_v, want_trace.delta_e)
+    assert replay(g, trace) == want
+    assert reference_replay(g, trace) == want
+
+
+def test_replay_sees_unit_capacities_once_the_others_are_removed():
+    # COR1 removes the only capacity-2 variable; the unit rule COR5a then
+    # applies to the rest, as it does on the graph rebuilt after that step
+    net = netmodel.parse_network(json.dumps({
+        "nodes": ["s", "a", "b", "c", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "a", "cap": "1"},
+                  {"id": "e2", "tail": "a", "head": "b", "cap": "2"},
+                  {"id": "e3", "tail": "b", "head": "c", "cap": "1"},
+                  {"id": "e4", "tail": "c", "head": "t", "cap": "1"}],
+        "sources": [{"index": 1, "at": "s"}],
+        "sinks": [{"at": "t", "demands": [1]}],
+    }))
+    g = build_fdg(net)
+    assert not g.unit_capacities()
+    trace = ReductionTrace.from_jsonl(
+        '{"rule": "COR1", "removed": ["U:e2"], "up": ["U:e1"], "down": ["U:e3"], '
+        '"added": [["U:e1", "U:e3"]]}\n'
+        '{"rule": "COR5a", "removed": ["U:e3"], "up": ["U:e1"], "down": ["U:e4"], '
+        '"added": [["U:e1", "U:e4"]]}\n')
+    assert replay(g, trace) == reference_replay(g, trace)
+    assert replay(g, trace).unit_capacities()
+
+
+def test_cyclic_edge_variables_are_refused():
+    a, b = EdgeVar("a", Fraction(1)), EdgeVar("b", Fraction(1))
+    g = Fdg([a, b], {a: (b,), b: (a,)})
+    with pytest.raises(ValueError, match="edge-variable subgraph has a cycle"):
+        reduce(g, "shannon")
+
+
+@pytest.mark.parametrize("mode", ["shannon", "linear"])
+def test_reduce_and_replay_build_one_graph(monkeypatch, mode):
+    g = build_fdg(relay_grid(5, 6))
+    assert len(g.edge_vars()) >= 100
+    built = []
+    init = Fdg.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fdg, "__init__", counting_init)
+    reduced, trace = reduce(g, mode)
+    assert len(trace.steps) >= 50
+    assert built == [reduced]
+    built.clear()
+    assert replay(g, trace) == reduced
+    assert len(built) == 1
+    assert reduced == reference_reduce(g, mode)[0]
+

@@ -11,7 +11,8 @@ import conftest as ref
 from fdgtool import lpbound, netmodel
 from fdgtool.fdg import build_fdg, reduce
 from fdgtool.lpbound import (LpProblem, Row, build_lp, elemental_inequalities,
-                             export_lp, lp_solve, lp_stats, verify_witness)
+                             export_lp, graph_lp_stats, lp_solve, lp_stats,
+                             verify_witness)
 from fdgtool.netmodel import Weights, load_fixture, parse_network
 
 from conftest import UNIT_FIXTURES, random_network, scipy_solve_exported
@@ -78,6 +79,23 @@ def test_stats_computed_from_rows_not_formula():
     assert st.total == elemental_count_formula(7) + 1 + 5 + 5 + 2
 
 
+@pytest.mark.parametrize("fixture,mode", SMALL_FIXTURE_MODES + [("fano", "shannon")])
+def test_graph_stats_count_the_generated_rows(fixture, mode):
+    g = build_fdg(load_fixture(fixture))
+    if mode != "none":
+        g, _ = reduce(g, mode)
+    assert graph_lp_stats(g) == lp_stats(build_lp(g, Weights.of({1: 1})))
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["shannon", "linear"]))
+def test_graph_stats_count_the_generated_rows_on_random_networks(seed, mode):
+    g, _ = reduce(build_fdg(random_network(random.Random(seed))), mode)
+    if g.order <= 12:
+        assert graph_lp_stats(g) == lp_stats(build_lp(g, W11))
+
+
 def test_dangling_edge_is_a_hard_error():
     net = parse_network(json.dumps({
         "nodes": ["s", "a", "t"],
@@ -88,6 +106,8 @@ def test_dangling_edge_is_a_hard_error():
     }))
     with pytest.raises(ValueError, match="no parents"):
         build_lp(build_fdg(net), Weights.of({1: 1}))
+    with pytest.raises(ValueError, match="no parents"):
+        graph_lp_stats(build_fdg(net))
 
 
 def test_single_edge_optimum_is_the_capacity():
