@@ -42,7 +42,6 @@ from .lpbound import (
     build_lp,
     elemental_inequalities,
     export_lp,
-    graph_lp_stats,
     lp_solve,
     lp_stats,
     verify_witness,

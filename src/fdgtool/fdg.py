@@ -655,8 +655,9 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
 
     The steps run on one private working graph, and after each step only
     the removed group's neighbourhood is rewired and re-tested against the
-    rules, so a step costs time in proportion to that neighbourhood (and to
-    the depths it shortens), not to the graph.  The reduced ``Fdg`` is built
+    rules, and only the depths it shortens are updated.  Picking the next
+    removal still scans every variable that passes a rule, so a step is
+    also linear in the number of candidates.  The reduced ``Fdg`` is built
     once, at the end.
     """
     if mode not in _MODE_RULES:

@@ -245,14 +245,14 @@ def lp_stats(problem: LpProblem) -> LpStats:
                    total=len(problem.rows))
 
 
-def graph_lp_stats(fdg: Fdg, cap: int = DEFAULT_GENERATION_CAP) -> LpStats:
-    """``lp_stats(build_lp(fdg, weights, cap))`` for any weights, counted
-    from the graph without generating a row; refuses what ``build_lp``
-    refuses, with the same message."""
-    _check_buildable(fdg, cap)
+def graph_lp_stats(fdg: Fdg) -> LpStats:
+    """``lp_stats(build_lp(fdg, weights))`` for any weights, counted from
+    the graph without generating a row; refuses what ``build_lp`` refuses,
+    with the same message."""
+    _check_buildable(fdg, DEFAULT_GENERATION_CAP)
     n = fdg.order
     n_edges = len(fdg.edge_vars())
-    decoded = sum(1 for s in fdg.source_vars() if fdg.up(s) and s not in fdg.up(s))
+    decoded = sum(1 for s in fdg.source_vars() if fdg.up(s))
     counts = {ELEMENTAL1: n, ELEMENTAL2: comb(n, 2) << (n - 2) if n > 1 else 0,
               INDEP: 1, ENCODE: n_edges, DECODE: decoded, CAPACITY: n_edges}
     return LpStats(dimension=(1 << n) - 1, counts=counts, total=sum(counts.values()))
