@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .fdg import EdgeVar, Fdg
+from .fdg import EdgeVar, Fdg, topological_order
 
 DEFAULT_FIELD_CAP = 7
 DEFAULT_INDET_CAP = 16
@@ -256,31 +256,6 @@ def build_transfer_system(fdg: Fdg) -> TransferSystem:
     )
 
 
-def _topological_order(parents) -> list:
-    """Positions ordered with each after its ``parents``, by one depth-first search."""
-    order, state = [], [0] * len(parents)  # 0 unseen, 1 on the path, 2 placed
-    for root in range(len(parents)):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(parents[root]))]
-        while stack:
-            v, pending = stack[-1]
-            for p in pending:
-                if state[p] == 1:
-                    raise ValueError("edge adjacency has a cycle; "
-                                     "(I - F)^{-1} is not a polynomial matrix")
-                if not state[p]:
-                    state[p] = 1
-                    stack.append((p, iter(parents[p])))
-                    break
-            else:
-                stack.pop()
-                state[v] = 2
-                order.append(v)
-    return order
-
-
 def transfer_matrix(ts: TransferSystem):
     """M = A (I - F)^{-1} B, one polynomial per (source, slot).
 
@@ -291,7 +266,8 @@ def transfer_matrix(ts: TransferSystem):
     n = ts.adjacency_dim
     parents = [[p for p in range(n) if ts.F[p][v]] for v in range(n)]
     feeds = [[p for p in range(n) if ts.B[p][t]] for t in range(len(ts.slots))]
-    order = _topological_order(parents)
+    order = topological_order(parents, "edge adjacency has a cycle; "
+                                       "(I - F)^{-1} is not a polynomial matrix")
     rows = []
     for a_row in ts.A:
         x = list(a_row)

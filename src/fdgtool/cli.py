@@ -63,20 +63,11 @@ def _reduced_graph(net: netmodel.Network, mode: str) -> fdgmod.Fdg:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.network, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.network}: {exc}", file=sys.stderr)
-        return USAGE
-    try:
-        netmodel.parse_network(text)
+        _read_network(args.network)
     except netmodel.InvalidNetworkError as exc:
         for violation in exc.violations:
             print(violation)
         return NEGATIVE
-    except netmodel.NetworkFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     print("ok")
     return OK
 

@@ -390,8 +390,12 @@ def _one_link(fdg: Fdg, v, rule: str, side: int) -> bool:
 
 
 def cor3(fdg: Fdg, v) -> bool:
-    """Unit-capacity single variable: exactly one parent, which is not a source."""
-    return _one_link(fdg, v, COR3, 0)
+    """Unit-capacity single variable: no source parent, at most one parent.
+
+    With unit capacities the capacity sum of ``cor1`` is this count.
+    """
+    _require_unit(fdg, COR3)
+    return cor1(fdg, v)
 
 
 def cor4(fdg: Fdg, group) -> bool:
@@ -491,31 +495,42 @@ class ReductionTrace:
                    delta_e=de if delta_e is None else delta_e)
 
 
-def _edge_var_depths(work: _WorkGraph) -> list:
-    """Longest-path depth of each edge variable in the edge-variable subgraph,
-    which stays acyclic under removals, by position; -1 for the others.
-    One iterative depth-first search."""
-    depth = [-1] * len(work.vars)
-    state = [0] * len(work.vars)  # 0 unseen, 1 on the path, 2 placed
-    for root in work.edge_positions():
+def topological_order(parents, cycle_message: str) -> list:
+    """Positions ``0 .. len(parents) - 1`` ordered with each after its
+    ``parents``, by one iterative depth-first search.  Raises ValueError with
+    ``cycle_message`` when the parent lists have a cycle."""
+    order, state = [], [0] * len(parents)  # 0 unseen, 1 on the path, 2 placed
+    for root in range(len(parents)):
         if state[root]:
             continue
         state[root] = 1
-        stack = [(root, iter(work.parents[root]))]
+        stack = [(root, iter(parents[root]))]
         while stack:
             v, pending = stack[-1]
             for p in pending:
-                if not work.is_edge[p] or state[p] == 2:
-                    continue
                 if state[p] == 1:
-                    raise ValueError("edge-variable subgraph has a cycle")
-                state[p] = 1
-                stack.append((p, iter(work.parents[p])))
-                break
+                    raise ValueError(cycle_message)
+                if not state[p]:
+                    state[p] = 1
+                    stack.append((p, iter(parents[p])))
+                    break
             else:
                 stack.pop()
                 state[v] = 2
-                depth[v] = 1 + max(map(depth.__getitem__, work.parents[v]), default=-1)
+                order.append(v)
+    return order
+
+
+def _edge_var_depths(work: _WorkGraph) -> list:
+    """Longest-path depth of each edge variable in the edge-variable subgraph,
+    which stays acyclic under removals, by position; -1 for the others."""
+    is_edge = work.is_edge
+    parents = [[p for p in ps if is_edge[p]] if is_edge[v] else []
+               for v, ps in enumerate(work.parents)]
+    depth = [-1] * len(parents)
+    for v in topological_order(parents, "edge-variable subgraph has a cycle"):
+        if is_edge[v]:
+            depth[v] = 1 + max(map(depth.__getitem__, parents[v]), default=-1)
     return depth
 
 

@@ -373,7 +373,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         # The full elemental family implies h(A) >= 0 for every subset, so
         # solving the relaxation inside the nonnegative cone never cuts a
         # point that is feasible for the complete problem.
-        res = simplex.solve(n_cols, objective, sub, maximize=True, nonneg=True)
+        res = simplex.solve(n_cols, objective, sub)
 
         if res.status == simplex.OPTIMAL:
             witness = {j + 1: x for j, x in enumerate(res.x) if x}

@@ -1,10 +1,9 @@
 """Exact rational simplex on a dense tableau.
 
-Solves  max/min c.x  subject to rows of the form  a.x (<=|>=|=) b  with all
-variables unrestricted in sign.  Free variables are split into nonnegative
-pairs internally, equalities become inequality pairs, and infeasible starts
-go through a standard phase-1 with artificial variables.  All arithmetic is
-exact: gmpy2 rationals when available, fractions.Fraction otherwise.
+Solves  max c.x  subject to x >= 0 and rows of the form  a.x (<=|>=|=) b.
+Equalities become inequality pairs, and infeasible starts go through a
+standard phase-1 with artificial variables.  All arithmetic is exact, in
+fractions.Fraction.
 
 Entering columns follow Dantzig's rule; leaving rows break ratio ties with
 the lexicographic rule over the initial identity block, which is equivalent
@@ -24,13 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Hard safety stop; lexicographic simplex terminates long before this.
 _MAX_PIVOTS = 2_000_000
@@ -38,12 +32,6 @@ _MAX_PIVOTS = 2_000_000
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
-
-
-def to_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 @dataclass
@@ -62,25 +50,24 @@ class _Tableau:
     the column improves the objective).
     """
 
-    def __init__(self, n_struct, rows_le, rhs):
+    def __init__(self, n_struct, rows_le):
         self.m = len(rows_le)
         self.n_struct = n_struct
-        self.n_slack = self.m
         self.art_cols = []
         width = n_struct + self.m
         self.rows = []
         self.basis = []
         art_rows = []
-        for i, (coeffs, b) in enumerate(zip(rows_le, rhs)):
+        for i, (coeffs, b) in enumerate(rows_le):
             row = [_ZERO] * width
             for j, val in coeffs.items():
-                row[j] = _Q(val)
+                row[j] = val
             row[n_struct + i] = _ONE
             if b < 0:
                 row = [-e for e in row]
                 b = -b
                 art_rows.append(i)
-            row.append(_Q(b))
+            row.append(b)
             self.rows.append(row)
             self.basis.append(n_struct + i)
         for k, i in enumerate(art_rows):
@@ -98,7 +85,7 @@ class _Tableau:
         """Load reduced costs for maximizing coeffs.x given the current basis."""
         c = [_ZERO] * self.width
         for j, val in coeffs.items():
-            c[j] = _Q(val)
+            c[j] = Fraction(val)
         obj = [-e for e in c] + [_ZERO]
         for i, b in enumerate(self.basis):
             f = c[b]
@@ -202,32 +189,16 @@ class _Tableau:
         return d
 
 
-def solve(n_cols: int, objective: dict, rows, maximize: bool = True,
-          nonneg: bool = False) -> SimplexResult:
-    """Solve an LP with exact rational arithmetic.
+def solve(n_cols: int, objective: dict, rows) -> SimplexResult:
+    """Maximise objective.x over x >= 0 with exact rational arithmetic.
 
     objective maps column index to coefficient; rows are (coeffs, sense, rhs)
-    triples with sense one of '<=', '>=', '='.  Variables are unrestricted by
-    default and are split into nonnegative pairs internally; pass
-    ``nonneg=True`` when every variable is known to be nonnegative, which
-    halves the tableau and gives the simplex a pointed cone to start from.
+    triples with sense one of '<=', '>=', '='.
     """
-    sign = 1 if maximize else -1
-
     rows_le = []
-    rhs = []
-
-    if nonneg:
-        def expand(coeffs):
-            return {j: _Q(v) for j, v in coeffs.items() if v}
-    else:
-        def expand(coeffs):
-            return ({2 * j: _Q(v) for j, v in coeffs.items() if v}
-                    | {2 * j + 1: -_Q(v) for j, v in coeffs.items() if v})
 
     def add_le(coeffs, b):
-        rows_le.append(expand(coeffs))
-        rhs.append(_Q(b))
+        rows_le.append(({j: Fraction(v) for j, v in coeffs.items() if v}, Fraction(b)))
 
     for coeffs, sense, b in rows:
         if sense == "<=":
@@ -240,7 +211,7 @@ def solve(n_cols: int, objective: dict, rows, maximize: bool = True,
         else:
             raise ValueError(f"unknown sense {sense!r}")
 
-    tab = _Tableau(n_cols if nonneg else 2 * n_cols, rows_le, rhs)
+    tab = _Tableau(n_cols, rows_le)
 
     if tab.art_cols:
         art = set(tab.art_cols)
@@ -258,27 +229,10 @@ def solve(n_cols: int, objective: dict, rows, maximize: bool = True,
                 if pivot_col is not None:
                     tab._pivot(i, pivot_col)
 
-    obj_internal = {}
-    for j, v in objective.items():
-        if nonneg:
-            obj_internal[j] = sign * _Q(v)
-        else:
-            obj_internal[2 * j] = sign * _Q(v)
-            obj_internal[2 * j + 1] = -sign * _Q(v)
-    tab.set_objective_max(obj_internal)
+    tab.set_objective_max(objective)
     pc = tab.run(forbidden=tab.art_cols)
-
-    def merge(vec):
-        if nonneg:
-            return [to_fraction(vec[j]) for j in range(n_cols)]
-        return [to_fraction(vec[2 * j] - vec[2 * j + 1]) for j in range(n_cols)]
-
     if pc is not None:
-        ray = merge(tab.ray(pc))
+        ray = tab.ray(pc)[:n_cols]
         return SimplexResult(status=UNBOUNDED, value=None, x=None, ray=ray)
-
-    x = merge(tab.solution())
-    value = to_fraction(tab.obj[-1])
-    if not maximize:
-        value = -value
-    return SimplexResult(status=OPTIMAL, value=value, x=x, ray=None)
+    return SimplexResult(status=OPTIMAL, value=tab.obj[-1],
+                         x=tab.solution()[:n_cols], ray=None)

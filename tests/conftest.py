@@ -1,9 +1,11 @@
-"""Shared test helpers: fixture loading, a random-network generator, and the
-independent oracles (the paper's finite series for A (I - F)^{-1} B,
-symbolic forward propagation, LP-text re-import into scipy, the Fraction
-LP layers, the rebuild-per-step reduction) used to cross-check the library's own computation paths."""
+"""Shared test helpers: a per-test time limit, fixture loading, a
+random-network generator, and the independent oracles (the paper's finite
+series for A (I - F)^{-1} B, symbolic forward propagation, LP-text re-import
+into scipy, the Fraction LP layers, the rebuild-per-step reduction) used to
+cross-check the library's own computation paths."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,40 @@ FORGED_STEPS = {
     "unit-rule-on-capacity-2": (_BUTTERFLY.replace('"cap": "1"', '"cap": "2"'),
                                 {**_FIRST_STEP, "rule": "COR5a"}),
 }
+
+
+# Wall-clock limit per test; the slowest test takes about 15 s.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past ``TEST_TIME_LIMIT_S``.  Not an ``Exception``, so
+    hypothesis neither catches it nor replays the example that hung."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test that hangs instead of stalling the suite (POSIX only).
+
+    The alarm is cancelled as soon as the test body ends, before pytest
+    reports on it.  Until then it fires again every second, because an
+    exception raised while a gc callback or ``__del__`` runs (hypothesis
+    installs a gc callback) is printed and dropped instead of propagated.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+
+    def expire(signum, frame):
+        signal.alarm(1)
+        raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

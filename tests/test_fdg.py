@@ -165,9 +165,21 @@ def _identical_neighborhood_classes(g):
     return classes
 
 
-@pytest.mark.parametrize("name", UNIT_FIXTURES)
+# An edge variable with no parent at all: COR1 removes it, so COR3 must too.
+_PARENTLESS_EDGE = json.dumps({
+    "nodes": ["s", "a", "m", "t"],
+    "edges": [{"id": "e0", "tail": "a", "head": "m", "cap": "1"},
+              {"id": "e1", "tail": "s", "head": "m", "cap": "1"},
+              {"id": "e2", "tail": "m", "head": "t", "cap": "1"}],
+    "sources": [{"index": 1, "at": "s"}],
+    "sinks": [{"at": "t", "demands": [1]}]})
+
+
+@pytest.mark.parametrize("name", [*UNIT_FIXTURES, "parentless_edge"])
 def test_unit_specializations_match_capacity_rules(name):
-    g = build_fdg(load_fixture(name))
+    net = (netmodel.parse_network(_PARENTLESS_EDGE) if name == "parentless_edge"
+           else load_fixture(name))
+    g = build_fdg(net)
     for v in g.edge_vars():
         assert cor3(g, v) == cor1(g, v)
     for members in _identical_neighborhood_classes(g).values():

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from fdgtool import simplex
 
 
-def scipy_reference(n, obj, rows, nonneg):
+def scipy_reference(n, obj, rows):
     c = np.zeros(n)
     for j, v in obj.items():
         c[j] = -float(v)
@@ -25,7 +25,7 @@ def scipy_reference(n, obj, rows, nonneg):
             A_eq.append(a); b_eq.append(float(rhs))
     res = linprog(c, A_ub=np.array(A_ub) if A_ub else None, b_ub=b_ub or None,
                   A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
-                  bounds=[(0, None) if nonneg else (None, None)] * n,
+                  bounds=(0, None),
                   method="highs")
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res
 
@@ -35,7 +35,7 @@ def test_random_lps_agree_with_scipy(seed):
     rng = random.Random(seed)
     for _ in range(25):
         n = rng.randint(1, 5)
-        nonneg = rng.random() < 0.5
+        rng.random()  # an unused draw, kept so each seed generates the same LPs
         obj = {j: Fraction(rng.randint(-4, 4)) for j in range(n)}
         rows = []
         for _ in range(rng.randint(1, 7)):
@@ -43,8 +43,8 @@ def test_random_lps_agree_with_scipy(seed):
                       for j in range(n) if rng.random() < 0.8}
             rows.append((coeffs, rng.choice(["<=", ">=", "="]),
                          Fraction(rng.randint(-5, 5))))
-        got = simplex.solve(n, obj, rows, maximize=True, nonneg=nonneg)
-        want_status, ref = scipy_reference(n, obj, rows, nonneg)
+        got = simplex.solve(n, obj, rows)
+        want_status, ref = scipy_reference(n, obj, rows)
         assert got.status == want_status
         if got.status == simplex.OPTIMAL:
             assert abs(float(got.value) + ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
@@ -63,22 +63,15 @@ def test_random_lps_agree_with_scipy(seed):
 
 def test_exact_fractional_optimum():
     res = simplex.solve(1, {0: Fraction(1)},
-                        [({0: Fraction(3)}, "<=", Fraction(1))], nonneg=True)
+                        [({0: Fraction(3)}, "<=", Fraction(1))])
     assert res.status == "optimal"
     assert res.value == Fraction(1, 3)
     assert res.x[0] == Fraction(1, 3)
 
 
-def test_minimization():
-    res = simplex.solve(1, {0: Fraction(1)},
-                        [({0: Fraction(1)}, ">=", Fraction(2))],
-                        maximize=False, nonneg=True)
-    assert res.status == "optimal" and res.value == 2
-
-
 def test_infeasible_detected():
     res = simplex.solve(1, {0: Fraction(1)},
-                        [({0: Fraction(1)}, "<=", Fraction(-1))], nonneg=True)
+                        [({0: Fraction(1)}, "<=", Fraction(-1))])
     assert res.status == "infeasible"
 
 
@@ -95,6 +88,6 @@ def test_highly_degenerate_cone_terminates():
     rows = [({i: Fraction(1), j: Fraction(-1)}, "<=", Fraction(0))
             for i in range(n) for j in range(n) if i != j]
     rows.append(({i: Fraction(1) for i in range(n)}, "<=", Fraction(1)))
-    res = simplex.solve(n, {i: Fraction(1) for i in range(n)}, rows, nonneg=True)
+    res = simplex.solve(n, {i: Fraction(1) for i in range(n)}, rows)
     assert res.status == "optimal"
     assert res.value == 1
