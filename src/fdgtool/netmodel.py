@@ -324,9 +324,12 @@ class Weights:
     @classmethod
     def parse(cls, text: str) -> "Weights":
         """Parse the CLI form 'w1,w2,...' (positional by source index)."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
+        parts = [p.strip() for p in text.split(",")]
+        if not any(parts):
             raise ValueError("empty weight list")
+        if not all(parts):
+            # Skipping it would shift every later weight onto the wrong source.
+            raise ValueError(f"empty weight for source {parts.index('') + 1}")
         return cls.of({i + 1: Fraction(p) for i, p in enumerate(parts)})
 
     def get(self, index: int) -> Fraction:

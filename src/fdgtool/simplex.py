@@ -1,16 +1,22 @@
-"""Exact rational simplex on a dense tableau.
+"""Exact rational simplex on a dense tableau of integer rows.
 
 Solves  max c.x  subject to x >= 0 and rows of the form  a.x (<=|>=|=) b.
 Equalities become inequality pairs, and infeasible starts go through a
-standard phase-1 with artificial variables.  All arithmetic is exact, in
-fractions.Fraction.
+standard phase-1 with artificial variables.  All arithmetic is exact and
+fraction-free, as in exact vertex-enumeration codes (Edmonds 1967; Avis's
+lrs): each tableau row, and the objective row, is a list of Python ints
+over one positive denominator, divided through by the gcd of its entries
+and denominator whenever it changes.  ``Fraction`` appears only where the
+input is read and where the answer is built.
 
 Entering columns follow Dantzig's rule; leaving rows break ratio ties with
 the lexicographic rule over the initial identity block, which is equivalent
 to an infinitesimal perturbation of the right-hand side.  That combination
 cannot cycle and, unlike Bland's rule, does not crawl on the heavily
-degenerate cones this package produces.  Everything is deterministic:
-identical input always takes the identical pivot path.
+degenerate cones this package produces.  Each decision compares the same
+rationals a tableau of fractions would hold, by cross-multiplying integers,
+so the pivot path does not depend on how the rows are stored.  Everything
+is deterministic: identical input always takes the identical pivot path.
 
 The entry point reports one of three statuses.  For "optimal" the exact
 objective value and a primal witness are returned; for "unbounded" a
@@ -22,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 # Hard safety stop; lexicographic simplex terminates long before this.
 _MAX_PIVOTS = 2_000_000
@@ -40,99 +44,128 @@ class SimplexResult:
     value: Fraction | None
     x: list | None
     ray: list | None
+    pivots: int        # phase 1 and phase 2 together
+
+
+def _normalised(row, den):
+    """row / den with the gcd of the entries and den divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [e // g for e in row], den // g
+
+
+def _eliminate(row, den, f, p, nz):
+    """row/den minus f/den times the pivot row, whose nonzero numerators
+    are nz over the denominator p: a normalised integer row over den*p.
+    f is row's own entry in the pivot column, which this zeroes."""
+    if p != 1:
+        row = [p * e for e in row]
+        den *= p
+    for j, e in nz:
+        row[j] -= f * e
+    return _normalised(row, den)
+
+
+def _least_ratios(entries):
+    """The indices i, in order, of the (i, num, den) entries whose num/den
+    is least.  Every den is positive, so n1/d1 < n2/d2 exactly when
+    n1*d2 < n2*d1."""
+    best = []
+    for i, num, den in entries:
+        if best:
+            lhs, rhs = num * best_den, best_num * den
+        if not best or lhs < rhs:
+            best_num, best_den, best = num, den, [i]
+        elif lhs == rhs:
+            best.append(i)
+    return best
 
 
 class _Tableau:
-    """Dense simplex tableau over exact rationals.
+    """Dense simplex tableau over exact rationals, held as integer rows.
 
+    Row i stands for the rational row ``rows[i] / dens[i]`` and the
+    objective row for ``obj / obj_den``; every denominator is positive.
     Columns are laid out as [structural | slack | artificial | rhs]; the
-    objective row is stored separately in reduced-cost form (entry < 0 means
-    the column improves the objective).
+    objective row is in reduced-cost form (entry < 0 means the column
+    improves the objective).
     """
 
     def __init__(self, n_struct, rows_le):
-        self.m = len(rows_le)
         self.n_struct = n_struct
-        self.art_cols = []
-        width = n_struct + self.m
+        art_rows = [i for i, (_, b) in enumerate(rows_le) if b < 0]
+        first_art = n_struct + len(rows_le)
+        self.art_cols = list(range(first_art, first_art + len(art_rows)))
+        self.width = first_art + len(art_rows)
         self.rows = []
+        self.dens = []
         self.basis = []
-        art_rows = []
         for i, (coeffs, b) in enumerate(rows_le):
-            row = [_ZERO] * width
+            # The row's scale stays its denominator.  Multiplying it into the
+            # row instead would divide slack i's reduced cost by it and change
+            # Dantzig's choice between slack and structural columns.
+            den = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+            row = [0] * (self.width + 1)
             for j, val in coeffs.items():
-                row[j] = val
-            row[n_struct + i] = _ONE
+                row[j] = val.numerator * (den // val.denominator)
+            row[n_struct + i] = den
+            row[-1] = b.numerator * (den // b.denominator)
             if b < 0:
                 row = [-e for e in row]
-                b = -b
-                art_rows.append(i)
-            row.append(b)
             self.rows.append(row)
+            self.dens.append(den)
             self.basis.append(n_struct + i)
-        for k, i in enumerate(art_rows):
-            col = width + k
-            for r in self.rows:
-                r.insert(len(r) - 1, _ZERO)
-            self.rows[i][col] = _ONE
+        for col, i in zip(self.art_cols, art_rows):
+            self.rows[i][col] = self.dens[i]
             self.basis[i] = col
-            self.art_cols.append(col)
-        self.width = width + len(art_rows)
-        self.obj = [_ZERO] * (self.width + 1)
+        self.obj = [0] * (self.width + 1)
+        self.obj_den = 1
         self.pivots = 0
 
     def set_objective_max(self, coeffs) -> None:
         """Load reduced costs for maximizing coeffs.x given the current basis."""
-        c = [_ZERO] * self.width
+        coeffs = {j: Fraction(val) for j, val in coeffs.items() if val}
+        c_den = lcm(*(v.denominator for v in coeffs.values()))
+        c = [0] * self.width
         for j, val in coeffs.items():
-            c[j] = Fraction(val)
-        obj = [-e for e in c] + [_ZERO]
-        for i, b in enumerate(self.basis):
-            f = c[b]
-            if f:
-                row = self.rows[i]
-                for j in range(self.width + 1):
-                    if row[j]:
-                        obj[j] += f * row[j]
-        self.obj = obj
+            c[j] = val.numerator * (c_den // val.denominator)
+        basic = [(c[b], i) for i, b in enumerate(self.basis) if c[b]]
+        scale = lcm(*(self.dens[i] for _, i in basic))
+        obj = [-e * scale for e in c] + [0]
+        for f, i in basic:
+            f *= scale // self.dens[i]
+            for j, e in enumerate(self.rows[i]):
+                if e:
+                    obj[j] += f * e
+        self.obj, self.obj_den = _normalised(obj, c_den * scale)
 
     def _entering(self, forbidden=frozenset()):
+        # The candidates share the objective row's denominator, so their
+        # numerators order them.
         obj = self.obj
-        best, best_j = _ZERO, None
+        best, best_j = 0, None
         for j in range(self.width):
             if obj[j] < best and j not in forbidden:
                 best, best_j = obj[j], j
         return best_j
 
     def _leaving(self, pc):
-        best_ratio = None
-        cand = []
-        for i, row in enumerate(self.rows):
-            a = row[pc]
-            if a > 0:
-                ratio = row[-1] / a
-                if best_ratio is None or ratio < best_ratio:
-                    best_ratio, cand = ratio, [i]
-                elif ratio == best_ratio:
-                    cand.append(i)
-        if not cand:
-            return None
-        if len(cand) == 1:
-            return cand[0]
+        # Row i's ratio rhs/a is rows[i][-1] / rows[i][pc]: the row's
+        # denominator cancels.
+        rows = self.rows
+        cand = _least_ratios((i, row[-1], row[pc]) for i, row in enumerate(rows)
+                             if row[pc] > 0)
+        if len(cand) <= 1:
+            return cand[0] if cand else None
         # Lexicographic tie-break: compare rows scaled by the pivot entry
         # over the initial identity block (slacks, then artificials).  Those
         # columns hold the current basis inverse, whose rows are linearly
         # independent, so the tie always resolves.
         for c in range(self.n_struct, self.width):
-            best_val = None
-            keep = []
-            for i in cand:
-                val = self.rows[i][c] / self.rows[i][pc]
-                if best_val is None or val < best_val:
-                    best_val, keep = val, [i]
-                elif val == best_val:
-                    keep.append(i)
-            cand = keep
+            if not any(rows[i][c] for i in cand):
+                continue  # every ratio is 0: still tied
+            cand = _least_ratios((i, rows[i][c], rows[i][pc]) for i in cand)
             if len(cand) == 1:
                 return cand[0]
         return min(cand)
@@ -141,24 +174,21 @@ class _Tableau:
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
-        row = self.rows[pr]
-        inv = _ONE / row[pc]
-        if inv != 1:
-            row = [e * inv for e in row]
-            self.rows[pr] = row
+        # Dividing row pr by its pivot entry rows[pr][pc] / dens[pr] keeps
+        # the numerators and makes rows[pr][pc] the denominator, positive
+        # because the ratio test only picks positive entries.
+        row, p = _normalised(self.rows[pr], self.rows[pr][pc])
+        self.rows[pr], self.dens[pr] = row, p
         nz = [(j, e) for j, e in enumerate(row) if e]
         for i, other in enumerate(self.rows):
             if i == pr:
                 continue
             f = other[pc]
             if f:
-                for j, e in nz:
-                    other[j] -= f * e
+                self.rows[i], self.dens[i] = _eliminate(other, self.dens[i], f, p, nz)
         f = self.obj[pc]
         if f:
-            obj = self.obj
-            for j, e in nz:
-                obj[j] -= f * e
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, p, nz)
         self.basis[pr] = pc
 
     def run(self, forbidden=()):
@@ -175,17 +205,17 @@ class _Tableau:
             self._pivot(pr, pc)
 
     def solution(self):
-        x = [_ZERO] * self.width
+        x = [Fraction(0)] * self.width
         for i, b in enumerate(self.basis):
-            x[b] = self.rows[i][-1]
+            x[b] = Fraction(self.rows[i][-1], self.dens[i])
         return x
 
     def ray(self, pc):
         """Improving feasible direction when column pc has no blocking row."""
-        d = [_ZERO] * self.width
-        d[pc] = _ONE
+        d = [Fraction(0)] * self.width
+        d[pc] = Fraction(1)
         for i, b in enumerate(self.basis):
-            d[b] = -self.rows[i][pc]
+            d[b] = Fraction(-self.rows[i][pc], self.dens[i])
         return d
 
 
@@ -214,25 +244,27 @@ def solve(n_cols: int, objective: dict, rows) -> SimplexResult:
     tab = _Tableau(n_cols, rows_le)
 
     if tab.art_cols:
-        art = set(tab.art_cols)
         tab.set_objective_max({c: -1 for c in tab.art_cols})
         pc = tab.run()
         if pc is not None:
             raise RuntimeError("phase 1 cannot be unbounded")
         if tab.obj[-1] < 0:
-            return SimplexResult(status=INFEASIBLE, value=None, x=None, ray=None)
-        for i in range(tab.m):
-            if tab.basis[i] in art:
-                row = tab.rows[i]
-                pivot_col = next((j for j in range(tab.width)
-                                  if j not in art and row[j] != 0), None)
-                if pivot_col is not None:
-                    tab._pivot(i, pivot_col)
+            return SimplexResult(status=INFEASIBLE, value=None, x=None, ray=None,
+                                 pivots=tab.pivots)
+        # No artificial is left basic, so no clean-up pivot is needed.  The
+        # lexicographic rule keeps every row's (rhs, slack and artificial
+        # entries) lexicographically positive, and a row's slack entries are
+        # its multipliers of the input rows, up to sign.  So a basic
+        # artificial at level 0 has a positive slack entry, and the first
+        # such slack column over those rows would still improve phase 1.
+        if set(tab.art_cols) & set(tab.basis):
+            raise RuntimeError("internal error: artificial basic after phase 1")
 
     tab.set_objective_max(objective)
     pc = tab.run(forbidden=tab.art_cols)
     if pc is not None:
         ray = tab.ray(pc)[:n_cols]
-        return SimplexResult(status=UNBOUNDED, value=None, x=None, ray=ray)
-    return SimplexResult(status=OPTIMAL, value=tab.obj[-1],
-                         x=tab.solution()[:n_cols], ray=None)
+        return SimplexResult(status=UNBOUNDED, value=None, x=None, ray=ray,
+                             pivots=tab.pivots)
+    return SimplexResult(status=OPTIMAL, value=Fraction(tab.obj[-1], tab.obj_den),
+                         x=tab.solution()[:n_cols], ray=None, pivots=tab.pivots)

@@ -1,8 +1,9 @@
 """Shared test helpers: a per-test time limit, fixture loading, a
 random-network generator, and the independent oracles (the paper's finite
 series for A (I - F)^{-1} B, symbolic forward propagation, LP-text re-import
-into scipy, the Fraction LP layers, the rebuild-per-step reduction) used to
-cross-check the library's own computation paths."""
+into scipy, the Fraction LP layers, the Fraction simplex tableau, the
+rebuild-per-step reduction) used to cross-check the library's own
+computation paths."""
 
 import random
 import signal
@@ -16,6 +17,7 @@ from fdgtool.fdg import (COR2, LINEAR, RULES, SHANNON, _MODE_RULES, EdgeVar, Fdg
                          ReductionTrace, ReplayError, Step, UnitCapacityError,
                          _shared_neighbourhood, removable)
 from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
+from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
                  "parallel_relay", "fano", "single_edge")
@@ -625,6 +627,215 @@ def reference_linprog_inputs(problem):
     A_eq = csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_idx), n)) if eq_idx else None
     return c, dict(A_ub=A_ub, b_ub=ub_b or None, A_eq=A_eq, b_eq=eq_b or None,
                    bounds=(0, None), method="highs")
+
+
+# Reference exact simplex: the dense tableau of ``Fraction`` entries that
+# ``simplex`` used before its rows became integers, kept verbatim
+# (``_Tableau`` and ``solve`` renamed ``_FractionTableau`` and
+# ``reference_simplex_solve``; the result also carries the pivot count).
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MAX_PIVOTS = 2_000_000
+
+
+class _FractionTableau:
+    """Dense simplex tableau over exact rationals.
+
+    Columns are laid out as [structural | slack | artificial | rhs]; the
+    objective row is stored separately in reduced-cost form (entry < 0 means
+    the column improves the objective).
+    """
+
+    def __init__(self, n_struct, rows_le):
+        self.m = len(rows_le)
+        self.n_struct = n_struct
+        self.art_cols = []
+        width = n_struct + self.m
+        self.rows = []
+        self.basis = []
+        art_rows = []
+        for i, (coeffs, b) in enumerate(rows_le):
+            row = [_ZERO] * width
+            for j, val in coeffs.items():
+                row[j] = val
+            row[n_struct + i] = _ONE
+            if b < 0:
+                row = [-e for e in row]
+                b = -b
+                art_rows.append(i)
+            row.append(b)
+            self.rows.append(row)
+            self.basis.append(n_struct + i)
+        for k, i in enumerate(art_rows):
+            col = width + k
+            for r in self.rows:
+                r.insert(len(r) - 1, _ZERO)
+            self.rows[i][col] = _ONE
+            self.basis[i] = col
+            self.art_cols.append(col)
+        self.width = width + len(art_rows)
+        self.obj = [_ZERO] * (self.width + 1)
+        self.pivots = 0
+
+    def set_objective_max(self, coeffs) -> None:
+        """Load reduced costs for maximizing coeffs.x given the current basis."""
+        c = [_ZERO] * self.width
+        for j, val in coeffs.items():
+            c[j] = Fraction(val)
+        obj = [-e for e in c] + [_ZERO]
+        for i, b in enumerate(self.basis):
+            f = c[b]
+            if f:
+                row = self.rows[i]
+                for j in range(self.width + 1):
+                    if row[j]:
+                        obj[j] += f * row[j]
+        self.obj = obj
+
+    def _entering(self, forbidden=frozenset()):
+        obj = self.obj
+        best, best_j = _ZERO, None
+        for j in range(self.width):
+            if obj[j] < best and j not in forbidden:
+                best, best_j = obj[j], j
+        return best_j
+
+    def _leaving(self, pc):
+        best_ratio = None
+        cand = []
+        for i, row in enumerate(self.rows):
+            a = row[pc]
+            if a > 0:
+                ratio = row[-1] / a
+                if best_ratio is None or ratio < best_ratio:
+                    best_ratio, cand = ratio, [i]
+                elif ratio == best_ratio:
+                    cand.append(i)
+        if not cand:
+            return None
+        if len(cand) == 1:
+            return cand[0]
+        # Lexicographic tie-break: compare rows scaled by the pivot entry
+        # over the initial identity block (slacks, then artificials).  Those
+        # columns hold the current basis inverse, whose rows are linearly
+        # independent, so the tie always resolves.
+        for c in range(self.n_struct, self.width):
+            best_val = None
+            keep = []
+            for i in cand:
+                val = self.rows[i][c] / self.rows[i][pc]
+                if best_val is None or val < best_val:
+                    best_val, keep = val, [i]
+                elif val == best_val:
+                    keep.append(i)
+            cand = keep
+            if len(cand) == 1:
+                return cand[0]
+        return min(cand)
+
+    def _pivot(self, pr, pc) -> None:
+        self.pivots += 1
+        if self.pivots > _MAX_PIVOTS:
+            raise RuntimeError("pivot limit exceeded")
+        row = self.rows[pr]
+        inv = _ONE / row[pc]
+        if inv != 1:
+            row = [e * inv for e in row]
+            self.rows[pr] = row
+        nz = [(j, e) for j, e in enumerate(row) if e]
+        for i, other in enumerate(self.rows):
+            if i == pr:
+                continue
+            f = other[pc]
+            if f:
+                for j, e in nz:
+                    other[j] -= f * e
+        f = self.obj[pc]
+        if f:
+            obj = self.obj
+            for j, e in nz:
+                obj[j] -= f * e
+        self.basis[pr] = pc
+
+    def run(self, forbidden=()):
+        """Pivot to optimality.  Returns None or, when unbounded, the
+        entering column that certifies it."""
+        forbidden = frozenset(forbidden)
+        while True:
+            pc = self._entering(forbidden)
+            if pc is None:
+                return None
+            pr = self._leaving(pc)
+            if pr is None:
+                return pc
+            self._pivot(pr, pc)
+
+    def solution(self):
+        x = [_ZERO] * self.width
+        for i, b in enumerate(self.basis):
+            x[b] = self.rows[i][-1]
+        return x
+
+    def ray(self, pc):
+        """Improving feasible direction when column pc has no blocking row."""
+        d = [_ZERO] * self.width
+        d[pc] = _ONE
+        for i, b in enumerate(self.basis):
+            d[b] = -self.rows[i][pc]
+        return d
+
+
+def reference_simplex_solve(n_cols: int, objective: dict, rows) -> SimplexResult:
+    """Maximise objective.x over x >= 0 with exact rational arithmetic.
+
+    objective maps column index to coefficient; rows are (coeffs, sense, rhs)
+    triples with sense one of '<=', '>=', '='.
+    """
+    rows_le = []
+
+    def add_le(coeffs, b):
+        rows_le.append(({j: Fraction(v) for j, v in coeffs.items() if v}, Fraction(b)))
+
+    for coeffs, sense, b in rows:
+        if sense == "<=":
+            add_le(coeffs, b)
+        elif sense == ">=":
+            add_le({j: -v for j, v in coeffs.items()}, -b)
+        elif sense == "=":
+            add_le(coeffs, b)
+            add_le({j: -v for j, v in coeffs.items()}, -b)
+        else:
+            raise ValueError(f"unknown sense {sense!r}")
+
+    tab = _FractionTableau(n_cols, rows_le)
+
+    if tab.art_cols:
+        art = set(tab.art_cols)
+        tab.set_objective_max({c: -1 for c in tab.art_cols})
+        pc = tab.run()
+        if pc is not None:
+            raise RuntimeError("phase 1 cannot be unbounded")
+        if tab.obj[-1] < 0:
+            return SimplexResult(status=INFEASIBLE, value=None, x=None, ray=None,
+                                 pivots=tab.pivots)
+        for i in range(tab.m):
+            if tab.basis[i] in art:
+                row = tab.rows[i]
+                pivot_col = next((j for j in range(tab.width)
+                                  if j not in art and row[j] != 0), None)
+                if pivot_col is not None:
+                    tab._pivot(i, pivot_col)
+
+    tab.set_objective_max(objective)
+    pc = tab.run(forbidden=tab.art_cols)
+    if pc is not None:
+        ray = tab.ray(pc)[:n_cols]
+        return SimplexResult(status=UNBOUNDED, value=None, x=None, ray=ray,
+                             pivots=tab.pivots)
+    return SimplexResult(status=OPTIMAL, value=tab.obj[-1],
+                         x=tab.solution()[:n_cols], ray=None,
+                         pivots=tab.pivots)
 
 
 # Reference reduction: the loop that rebuilt the whole graph per step and

@@ -228,7 +228,7 @@ def test_lp_solve_cap_refuses_before_building_the_lp(on_disk, capsys, monkeypatc
     assert "N=21" in err and "solve cap 16" in err and "--export" in err
     assert err.count("\n") == 1
 
-@pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1", ""])
+@pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1", "", "1,,2", "1,1,"])
 def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
     code, out, err = run(capsys, "lp", "--solve", "-w", weights, on_disk("butterfly"))
     assert code == 2

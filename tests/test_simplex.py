@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from fdgtool import simplex
+import conftest as ref
+from fdgtool import lpbound, simplex
+from fdgtool.fdg import build_fdg, reduce
+from fdgtool.netmodel import Weights, load_fixture
 
 
 def scipy_reference(n, obj, rows):
@@ -67,6 +71,7 @@ def test_exact_fractional_optimum():
     assert res.status == "optimal"
     assert res.value == Fraction(1, 3)
     assert res.x[0] == Fraction(1, 3)
+    assert res.pivots == 1
 
 
 def test_infeasible_detected():
@@ -91,3 +96,73 @@ def test_highly_degenerate_cone_terminates():
     res = simplex.solve(n, {i: Fraction(1) for i in range(n)}, rows)
     assert res.status == "optimal"
     assert res.value == 1
+
+
+@st.composite
+def _lps(draw):
+    """A small LP for ``solve``.  Each row has its own denominator for its
+    coefficients and another for its right-hand side, so rows enter at
+    different scales; objective weights are fractions.  A right-hand side
+    is sometimes the row's value at a fixed point x >= 0, which makes ratio
+    ties and keeps a share of the LPs feasible.  Negative right-hand sides
+    send the solve through phase 1, and an equality drawn twice gives
+    phase 1 two artificials on the same hyperplane.  Infeasible and
+    unbounded LPs come up as well as optimal ones."""
+    n = draw(st.integers(1, 4))
+    cols = st.integers(0, n - 1)
+    objective = draw(st.dictionaries(
+        cols, st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=n))
+    point = [Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 3))) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(st.sampled_from([1, 2, 3, 5, 6]))
+        coeffs = {j: Fraction(v, den)
+                  for j, v in draw(st.dictionaries(cols, st.integers(-6, 6),
+                                                   max_size=n)).items()}
+        if draw(st.booleans()):
+            rhs = sum(v * point[j] for j, v in coeffs.items())
+        else:
+            rhs = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 4, 7])))
+        rows.append((coeffs, draw(st.sampled_from(["<=", ">=", "="])), Fraction(rhs)))
+    equalities = [row for row in rows if row[1] == "="]
+    if equalities and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(equalities)))
+    return n, objective, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lps())
+# Multiplying the last row by 2 to clear its denominator changes phase 1's
+# reduced costs, and Dantzig's rule then takes 3 pivots instead of 2.
+@example((2, {}, [({0: Fraction(1)}, "<=", Fraction(1)),
+                  ({0: Fraction(-1), 1: Fraction(1)}, "<=", Fraction(-1)),
+                  ({1: Fraction(-1)}, "<=", Fraction(-1, 2))]))
+def test_integer_rows_equal_the_fraction_reference(lp):
+    # Equal status, value, x, ray and pivot count: the same pivot path.
+    assert simplex.solve(*lp) == ref.reference_simplex_solve(*lp)
+
+
+# The exact-path solves of the benchmark's lp-exact workload, each at three
+# weightings: lp_solve makes 64 simplex calls for them without scipy.
+EXACT_SOLVES = (("parallel_relay", "shannon"), ("parallel_relay", "linear"),
+                ("two_unicast_chain", "shannon"), ("two_unicast_chain", "linear"),
+                ("two_unicast_side", "linear"), ("butterfly", "linear"))
+
+
+def test_exact_path_calls_equal_the_fraction_reference(monkeypatch):
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    calls = []
+    solve = simplex.solve
+
+    def capture(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simplex, "solve", capture)
+    for fixture, mode in EXACT_SOLVES:
+        g, _ = reduce(build_fdg(load_fixture(fixture)), mode)
+        for weights in ({1: 1, 2: 1}, {1: 2, 2: 1}, {1: Fraction(1, 3), 2: Fraction(2, 7)}):
+            lpbound.lp_solve(lpbound.build_lp(g, Weights.of(weights)))
+    assert len(calls) == 64
+    for args, got in calls:
+        assert got == ref.reference_simplex_solve(*args)
