@@ -49,10 +49,6 @@ class _UsageError(Exception):
     pass
 
 
-class _DomainError(Exception):
-    pass
-
-
 def _reduced_graph(net: netmodel.Network, mode: str) -> fdgmod.Fdg:
     graph = fdgmod.build_fdg(net)
     if mode == "none":

@@ -83,7 +83,8 @@ class Fdg:
 
     ``vars`` fixes the variable order used for every downstream artifact
     (LP columns, matrix rows).  ``parents`` maps each variable to its
-    ordered parent tuple; children are derived.
+    parent tuple; children are derived.  Both are held as the ascending
+    positions in ``vars`` of the neighbours of ``vars[i]``, at index ``i``.
     """
 
     def __init__(self, vars, parents, demand_origin=None):
@@ -91,7 +92,7 @@ class Fdg:
         self._index = {v: i for i, v in enumerate(self._vars)}
         if len(self._index) != len(self._vars):
             raise ValueError("duplicate variables")
-        par = {}
+        par = []
         for v in self._vars:
             ps = tuple(parents.get(v, ()))
             if len(set(ps)) != len(ps):
@@ -101,14 +102,13 @@ class Fdg:
             for p in ps:
                 if p not in self._index:
                     raise ValueError(f"parent {p.name} of {v.name} is not a variable")
-            par[v] = tuple(sorted(ps, key=self._index.__getitem__))
-        self._parents = par
-        children = {v: [] for v in self._vars}
-        for v in self._vars:
-            for p in self._parents[v]:
-                children[p].append(v)
-        self._children = {v: tuple(sorted(cs, key=self._index.__getitem__))
-                          for v, cs in children.items()}
+            par.append(tuple(sorted(map(self._index.__getitem__, ps))))
+        self._parents = tuple(par)
+        children = [[] for _ in par]
+        for i, ps in enumerate(par):
+            for p in ps:
+                children[p].append(i)
+        self._children = tuple(map(tuple, children))
         self._demand_origin = {k: frozenset(v) for k, v in (demand_origin or {}).items()}
         self._unit = all(v.cap == 1 for v in self._vars if isinstance(v, EdgeVar))
 
@@ -131,10 +131,10 @@ class Fdg:
         return v in self._index
 
     def up(self, v) -> tuple:
-        return self._parents[v]
+        return tuple(map(self._vars.__getitem__, self._parents[self._index[v]]))
 
     def down(self, v) -> tuple:
-        return self._children[v]
+        return tuple(map(self._vars.__getitem__, self._children[self._index[v]]))
 
     def source_vars(self) -> tuple:
         return tuple(v for v in self._vars if isinstance(v, SourceVar))
@@ -146,7 +146,7 @@ class Fdg:
         return self._unit
 
     def dependence_edge_count(self) -> int:
-        return sum(len(self._parents[v]) for v in self._vars)
+        return sum(map(len, self._parents))
 
     def var_by_name(self, name: str):
         for v in self._vars:
@@ -164,7 +164,8 @@ class Fdg:
     def to_json(self) -> str:
         doc = {
             "vars": [v.name for v in self._vars],
-            "parents": {v.name: [p.name for p in self._parents[v]] for v in self._vars},
+            "parents": {v.name: [self._vars[p].name for p in ps]
+                        for v, ps in zip(self._vars, self._parents)},
             "capacities": {v.name: str(v.cap) for v in self.edge_vars()},
             "demand_origin": {v.name: sorted(self._demand_origin.get(v, ()))
                               for v in self.source_vars()},
@@ -237,22 +238,21 @@ def build_fdg(net: Network) -> Fdg:
     return fdg
 
 
-def _shared_neighbourhood(fdg: Fdg, group: tuple):
-    """The ``(up, down)`` of ``group`` outside itself, or None unless the
-    group is non-empty, has no repeated members, holds only edge variables,
-    and all members have the same parent set and the same child set."""
-    members = set(group)
-    if not group or len(members) != len(group):
+def _shared_neighbourhood(fdg, group: tuple):
+    """The positions ``(up, down)`` of the parents and children of
+    ``group``, or None unless the group is non-empty, has no repeated
+    members, holds only edge variables, and all members have the same parent
+    set and the same child set.  No member is among them: it would be its
+    own parent."""
+    if not group or len(set(group)) != len(group):
         return None
     if not all(isinstance(v, EdgeVar) for v in group):
         return None
-    first = group[0]
-    if len(group) > 1:
-        up, down = set(fdg.up(first)), set(fdg.down(first))
-        if any(set(fdg.up(v)) != up or set(fdg.down(v)) != down for v in group[1:]):
-            return None
-    return (tuple(p for p in fdg.up(first) if p not in members),
-            tuple(c for c in fdg.down(first) if c not in members))
+    first, *rest = map(fdg.index, group)
+    up, down = fdg._parents[first], fdg._children[first]
+    if any(fdg._parents[i] != up or fdg._children[i] != down for i in rest):
+        return None
+    return up, down
 
 
 def remove_var(fdg: Fdg, v: EdgeVar) -> Fdg:
@@ -277,32 +277,28 @@ def remove_group(fdg: Fdg, group) -> Fdg:
         raise ValueError("group removal requires distinct variables with "
                          "identical parent and child sets")
     work = _WorkGraph(fdg)
-    work.remove(group, *shared)
+    work.remove(tuple(map(fdg.index, group)), *shared)
     return work.freeze()
 
 
 class _WorkGraph:
     """A mutable copy of an ``Fdg`` that removals rewire in place.
 
-    It answers ``up``, ``down`` and ``unit_capacities`` as the ``Fdg`` it
-    was copied from would after the same removals, so the rule predicates
-    read it unchanged; ``freeze`` builds that ``Fdg`` once.  It never leaves
-    this module, so every graph a caller sees stays immutable.
-
-    Variables are also known by their position in the original order, which
-    removals keep: ``parents``/``children`` hold the ascending positions of
-    each variable's neighbours, for callers that would otherwise hash every
-    variable they visit.
+    Variables keep their positions in the original order, and removed ones
+    are only marked dead, so ``vars``, ``index``, ``_parents`` and
+    ``_children`` mean what they mean on the ``Fdg``: after the same
+    removals the ``Fdg`` would hold the same neighbours, renumbered.  With
+    ``unit_capacities`` that is all the rule predicates read, so they take
+    either graph; ``freeze`` builds the ``Fdg`` once.  It never leaves this
+    module, so every graph a caller sees stays immutable.
     """
 
     def __init__(self, fdg: Fdg):
         self.vars = fdg.vars
         self._index = fdg._index
         self.is_edge = [isinstance(v, EdgeVar) for v in self.vars]
-        self._up = [fdg.up(v) for v in self.vars]
-        self._down = [fdg.down(v) for v in self.vars]
-        self.parents = [tuple(map(self.index, vs)) for vs in self._up]
-        self.children = [tuple(map(self.index, vs)) for vs in self._down]
+        self._parents = list(fdg._parents)
+        self._children = list(fdg._children)
         self._alive = [True] * len(self.vars)
         self._by_name = {v.name: i for i, v in reversed(list(enumerate(self.vars)))}
         self._demand_origin = fdg.demand_origin
@@ -311,46 +307,34 @@ class _WorkGraph:
     def index(self, v) -> int:
         return self._index[v]
 
-    def up(self, v) -> tuple:
-        return self._up[self._index[v]]
-
-    def down(self, v) -> tuple:
-        return self._down[self._index[v]]
-
     def unit_capacities(self) -> bool:
         return not self._non_unit
 
-    def edge_positions(self) -> list:
-        return [i for i, alive in enumerate(self._alive) if alive and self.is_edge[i]]
-
-    def var_by_name(self, name: str):
+    def position(self, name: str) -> int:
         i = self._by_name.get(name)
         if i is None or not self._alive[i]:
             raise KeyError(f"no variable named {name!r}")
-        return self.vars[i]
+        return i
 
-    def remove(self, group: tuple, up: tuple, down: tuple) -> None:
-        """Delete ``group``, whose members share the outside neighbourhood
+    def remove(self, members: tuple, up: tuple, down: tuple) -> None:
+        """Delete the variables at ``members``, which share the neighbours
         ``(up, down)``, connecting each of ``up`` to each other of ``down``.
         Only the parent sets in ``down`` and the child sets in ``up`` change."""
-        members = set(map(self.index, group))
-        ups, downs = list(map(self.index, up)), list(map(self.index, down))
-        var = self.vars.__getitem__
-        for a in ups:
-            kept = {c for c in self.children[a] if c not in members}
-            self.children[a] = tuple(sorted(kept.union(b for b in downs if b != a)))
-            self._down[a] = tuple(map(var, self.children[a]))
-        for b in downs:
-            kept = {p for p in self.parents[b] if p not in members}
-            self.parents[b] = tuple(sorted(kept.union(a for a in ups if a != b)))
-            self._up[b] = tuple(map(var, self.parents[b]))
+        for a in up:
+            kept = {c for c in self._children[a] if c not in members}
+            self._children[a] = tuple(sorted(kept.union(b for b in down if b != a)))
+        for b in down:
+            kept = {p for p in self._parents[b] if p not in members}
+            self._parents[b] = tuple(sorted(kept.union(a for a in up if a != b)))
         for i in members:
             self._alive[i] = False
             self._non_unit -= self.vars[i].cap != 1
 
     def freeze(self) -> Fdg:
+        var = self.vars
         alive = [i for i, a in enumerate(self._alive) if a]
-        return Fdg([self.vars[i] for i in alive], {self.vars[i]: self._up[i] for i in alive},
+        return Fdg([var[i] for i in alive],
+                   {var[i]: tuple(var[p] for p in self._parents[i]) for i in alive},
                    self._demand_origin)
 
 
@@ -373,9 +357,11 @@ def cor2(fdg: Fdg, group) -> bool:
     """Group with identical neighborhoods whose joint capacity covers its parents."""
     group = tuple(group)
     shared = _shared_neighbourhood(fdg, group)
-    if shared is None or any(isinstance(p, SourceVar) for p in shared[0]):
+    if shared is None:
         return False
-    return sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in shared[0]), Fraction(0))
+    up = [fdg.vars[p] for p in shared[0]]
+    return (not any(isinstance(p, SourceVar) for p in up)
+            and sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in up), Fraction(0)))
 
 
 def _one_link(fdg: Fdg, v, rule: str, side: int) -> bool:
@@ -386,7 +372,7 @@ def _one_link(fdg: Fdg, v, rule: str, side: int) -> bool:
     if shared is None:
         return False
     links = shared[side]
-    return len(links) == 1 and not isinstance(links[0], SourceVar)
+    return len(links) == 1 and not isinstance(fdg.vars[links[0]], SourceVar)
 
 
 def cor3(fdg: Fdg, v) -> bool:
@@ -435,6 +421,10 @@ def removable(fdg: Fdg, target, rule: str) -> bool:
     return RULES[rule](fdg, group)
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 @dataclass(frozen=True)
 class Step:
     rule: str
@@ -457,6 +447,12 @@ class Step:
         doc = json.loads(line)
         if not isinstance(doc["rule"], str):
             raise TypeError("rule is not a string")
+        for key in ("removed", "up", "down"):
+            if not _is_str_list(doc[key]):
+                raise TypeError(f"{key} is not a list of names")
+        if not isinstance(doc["added"], list) or not all(
+                _is_str_list(pair) and len(pair) == 2 for pair in doc["added"]):
+            raise TypeError("added is not a list of name pairs")
         return cls(rule=doc["rule"],
                    removed=tuple(doc["removed"]),
                    up=tuple(doc["up"]),
@@ -526,7 +522,7 @@ def _edge_var_depths(work: _WorkGraph) -> list:
     which stays acyclic under removals, by position; -1 for the others."""
     is_edge = work.is_edge
     parents = [[p for p in ps if is_edge[p]] if is_edge[v] else []
-               for v, ps in enumerate(work.parents)]
+               for v, ps in enumerate(work._parents)]
     depth = [-1] * len(parents)
     for v in topological_order(parents, "edge-variable subgraph has a cycle"):
         if is_edge[v]:
@@ -534,24 +530,26 @@ def _edge_var_depths(work: _WorkGraph) -> list:
     return depth
 
 
-def _step(work: _WorkGraph, group: tuple, rule: str) -> tuple[Step, tuple, tuple]:
-    """Remove ``group`` under ``rule`` from the working graph: the trace step
-    and the group's outside neighbourhood ``(up, down)``, the only variables
-    whose parent or child sets changed.
+def _step(work: _WorkGraph, members: tuple, rule: str) -> tuple[Step, tuple, tuple]:
+    """Remove the variables at ``members`` under ``rule`` from the working
+    graph: the trace step and the positions ``(up, down)`` of the group's
+    neighbours, the only variables whose parent or child sets changed.
 
     Raises ValueError for an unknown rule or a group the rule does not
     permit, and UnitCapacityError for a unit rule on other capacities.
     """
+    var = work.vars
+    group = tuple(var[i] for i in members)
     if not removable(work, group, rule):
         raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
     up, down = _shared_neighbourhood(work, group)
     step = Step(rule=rule,
                 removed=tuple(v.name for v in group),
-                up=tuple(p.name for p in up),
-                down=tuple(c.name for c in down),
-                added=tuple((a.name, b.name) for a in up for b in down
-                            if a != b and a not in work.up(b)))
-    work.remove(group, up, down)
+                up=tuple(var[a].name for a in up),
+                down=tuple(var[b].name for b in down),
+                added=tuple((var[a].name, var[b].name) for a in up for b in down
+                            if a != b and a not in work._parents[b]))
+    work.remove(members, up, down)
     return step, up, down
 
 
@@ -563,7 +561,7 @@ class _Candidates:
 
     For each single-variable rule, the set of edge variables it permits
     removing; the classes of edge variables with identical neighbourhoods,
-    keyed by (parent set, child set), with the keys of those of more than
+    keyed by (parents, children), with the keys of those of more than
     one member that COR2 permits removing; and each edge variable's depth.
     Variables are held by position.  After a step only the variables it
     rewired are re-tested.
@@ -577,42 +575,41 @@ class _Candidates:
         self._key = {}
         self._classes = {}
         self._cor2 = set()
-        self._retest(work.edge_positions(), set())
+        self._retest([i for i, edge in enumerate(work.is_edge) if edge], set())
 
     def first(self):
-        """The first ``(group, rule)`` that a rule permits, trying the rules
-        in order: COR2 on the classes in order of their first member, the
-        others on single variables in topological-then-index order."""
-        var = self._work.vars
+        """The first ``(members, rule)`` that a rule permits, trying the
+        rules in order: COR2 on the classes in order of their first member,
+        the others on single variables in topological-then-index order."""
         for rule in self._rules:
             if rule == COR2:
                 if self._cor2:
                     key = min(self._cor2, key=lambda k: self._classes[k][0])
-                    return tuple(var[i] for i in self._classes[key]), COR2
+                    return tuple(self._classes[key]), COR2
             elif self._singles[rule]:
                 depth = self._depth
-                return (var[min(self._singles[rule], key=lambda i: (depth[i], i))],), rule
+                return (min(self._singles[rule], key=lambda i: (depth[i], i)),), rule
         return None
 
-    def update(self, group: tuple, up: tuple, down: tuple) -> None:
-        """Account for the removal of ``group`` with neighbourhood ``(up, down)``."""
+    def update(self, members: tuple, up: tuple, down: tuple) -> None:
+        """Account for the removal of ``members`` with neighbours ``(up, down)``."""
         work = self._work
         dirty = set()
-        for i in map(work.index, group):
+        for i in members:
             for passing in self._singles.values():
                 passing.discard(i)
             key = self._key.pop(i)
             self._classes[key].remove(i)
             dirty.add(key)
             self._depth[i] = -1
-        ups = [i for i in map(work.index, up) if work.is_edge[i]]
-        downs = [i for i in map(work.index, down) if work.is_edge[i]]
+        ups = [i for i in up if work.is_edge[i]]
+        downs = [i for i in down if work.is_edge[i]]
         self._push_depths(downs)
         self._retest(ups + downs, dirty)
 
     def _push_depths(self, start: list) -> None:
         # Only the parent sets of ``start`` changed; carry changes downstream.
-        depth, parents, children = self._depth, self._work.parents, self._work.children
+        depth, parents, children = self._depth, self._work._parents, self._work._children
         is_edge = self._work.is_edge
         pending = list(start)
         while pending:
@@ -635,7 +632,7 @@ class _Candidates:
                     passing.add(i)
                 else:
                     passing.discard(i)
-            key = (frozenset(work.parents[i]), frozenset(work.children[i]))
+            key = (work._parents[i], work._children[i])
             old = self._key.get(i)
             if key == old:
                 continue
@@ -707,8 +704,8 @@ def replay(fdg: Fdg, trace: ReductionTrace) -> Fdg:
     work = _WorkGraph(fdg)
     for i, step in enumerate(trace.steps):
         try:
-            group = tuple(work.var_by_name(n) for n in step.removed)
-            derived, _, _ = _step(work, group, step.rule)
+            members = tuple(map(work.position, step.removed))
+            derived, _, _ = _step(work, members, step.rule)
         except (KeyError, ValueError) as exc:
             raise ReplayError(f"step {i}: {exc}") from None
         if derived != step:

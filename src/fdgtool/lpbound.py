@@ -55,8 +55,6 @@ TAG_ORDER = (ELEMENTAL1, ELEMENTAL2, INDEP, ENCODE, DECODE, CAPACITY)
 DEFAULT_GENERATION_CAP = 24
 DEFAULT_SOLVE_CAP = 16
 MAX_N_ENV = "FDGTOOL_MAX_N"
-# Violated rows the exact fallback adds to its working set per round.
-WORKING_SET_CHUNK = 400
 # Denominator limits tried, in order, when snapping float solutions to rationals.
 ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
 
@@ -402,9 +400,8 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
             return LpSolution(status="infeasible", value=None, witness=None,
                               source_masks=problem.source_masks, method="exact")
 
-        for i in violated[:WORKING_SET_CHUNK]:
-            working.append(i)
-            in_working.add(i)
+        working += violated
+        in_working.update(violated)
 
 
 def _float_solve(problem: LpProblem):

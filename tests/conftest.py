@@ -14,8 +14,7 @@ import pytest
 from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
 from fdgtool.fdg import (COR2, LINEAR, RULES, SHANNON, _MODE_RULES, EdgeVar, Fdg,
-                         ReductionTrace, ReplayError, Step, UnitCapacityError,
-                         _shared_neighbourhood, removable)
+                         ReductionTrace, ReplayError, Step, UnitCapacityError, removable)
 from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
 from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 
@@ -37,6 +36,10 @@ FORGED_STEPS = {
     "repeated-removed": (_BUTTERFLY, {**_FIRST_STEP, "removed": ["U:e_d", "U:e_d"]}),
     "unit-rule-on-capacity-2": (_BUTTERFLY.replace('"cap": "1"', '"cap": "2"'),
                                 {**_FIRST_STEP, "rule": "COR5a"}),
+    # e_d and e_e share the parent e_c, but their children are Y1 and Y2
+    "same-parents-other-children": (_BUTTERFLY, {"rule": "COR2", "removed": ["U:e_d", "U:e_e"],
+                                                 "up": ["U:e_c"], "down": ["Y1"],
+                                                 "added": [["U:e_c", "Y1"]]}),
 }
 
 
@@ -841,7 +844,26 @@ def reference_simplex_solve(n_cols: int, objective: dict, rows) -> SimplexResult
 # Reference reduction: the loop that rebuilt the whole graph per step and
 # searched every variable against every rule per step, kept verbatim from
 # ``fdg`` (``reduce`` and ``replay`` renamed ``reference_reduce`` and
-# ``reference_replay``).
+# ``reference_replay``), with ``fdg``'s ``_shared_neighbourhood`` from when
+# it compared sets of variables.
+
+def _shared_neighbourhood(fdg: Fdg, group: tuple):
+    """The ``(up, down)`` of ``group`` outside itself, or None unless the
+    group is non-empty, has no repeated members, holds only edge variables,
+    and all members have the same parent set and the same child set."""
+    members = set(group)
+    if not group or len(members) != len(group):
+        return None
+    if not all(isinstance(v, EdgeVar) for v in group):
+        return None
+    first = group[0]
+    if len(group) > 1:
+        up, down = set(fdg.up(first)), set(fdg.down(first))
+        if any(set(fdg.up(v)) != up or set(fdg.down(v)) != down for v in group[1:]):
+            return None
+    return (tuple(p for p in fdg.up(first) if p not in members),
+            tuple(c for c in fdg.down(first) if c not in members))
+
 
 def remove_group(fdg: Fdg, group) -> Fdg:
     group = tuple(group)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fdgtool import cli, lpbound
-from fdgtool.netmodel import fixture_text
+from fdgtool import cli, fdg, lpbound
+from fdgtool.netmodel import fixture_text, load_fixture
 
 from conftest import FORGED_STEPS
 
@@ -123,7 +126,9 @@ def test_unwritable_output_is_a_usage_error(on_disk, tmp_path, capsys, argv):
     (lambda line: "{not json", "line 1"),
     (lambda line: "[]", "line 1"),
     (lambda line: json.dumps({**json.loads(line), "rule": ["COR1"]}), "rule is not a string"),
-], ids=["no-removed", "not-json", "not-an-object", "rule-not-a-string"])
+    (lambda line: json.dumps({"rule": "COR1", "removed": [["x"]], "up": [], "down": [],
+                              "added": []}), "removed is not a list of names"),
+], ids=["no-removed", "not-json", "not-an-object", "rule-not-a-string", "removed-not-names"])
 def test_replay_malformed_trace_is_a_usage_error(on_disk, tmp_path, capsys, edit, detail):
     trace_file = tmp_path / "trace.jsonl"
     net = on_disk("butterfly")
@@ -136,6 +141,44 @@ def test_replay_malformed_trace_is_a_usage_error(on_disk, tmp_path, capsys, edit
     assert code == 2
     assert out == ""
     assert detail in err and err.count("\n") == 1
+
+
+_BUTTERFLY_GRAPH = fdg.build_fdg(load_fixture("butterfly"))
+_BUTTERFLY_TRACE = fdg.reduce(_BUTTERFLY_GRAPH, "linear")[1].to_jsonl().splitlines()
+_NAMES = st.sampled_from([v.name for v in _BUTTERFLY_GRAPH.vars])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+_DELETE = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.integers(0, len(_BUTTERFLY_TRACE) - 1),
+       key=st.sampled_from(["rule", "removed", "up", "down", "added"]),
+       value=st.just(_DELETE) | _JSON_VALUES)
+def test_replay_of_an_edited_trace_fails_in_one_line(tmp_path_factory, line, key, value):
+    doc = json.loads(_BUTTERFLY_TRACE[line])
+    if value is _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+    lines = list(_BUTTERFLY_TRACE)
+    lines[line] = json.dumps(doc)
+    workdir = tmp_path_factory.getbasetemp()
+    trace_file, net = workdir / "edited.jsonl", workdir / "butterfly.json"
+    trace_file.write_text("\n".join(lines) + "\n")
+    net.write_text(fixture_text("butterfly"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["replay", "--trace", str(trace_file), str(net)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_lp_stats_reduced_butterfly(on_disk, capsys):

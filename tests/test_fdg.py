@@ -11,7 +11,8 @@ from fdgtool import fdg as F
 from fdgtool import netmodel
 from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
                          UnitCapacityError, build_fdg, cor1, cor2, cor3, cor4,
-                         cor5a, cor5b, reduce, remove_var, removable, replay)
+                         cor5a, cor5b, reduce, remove_group, remove_var, removable,
+                         replay)
 from fdgtool.netmodel import in_edges, load_fixture
 
 from conftest import (FORGED_STEPS, UNIT_FIXTURES, random_network, reference_reduce,
@@ -129,6 +130,14 @@ def test_remove_var_refuses_sources():
     g = build_fdg(load_fixture("single_edge"))
     with pytest.raises(ValueError, match="source variable"):
         remove_var(g, g.var_by_name("Y1"))
+
+
+def test_remove_group_refuses_members_with_other_children():
+    g = build_fdg(load_fixture("butterfly"))
+    group = (g.var_by_name("U:e_d"), g.var_by_name("U:e_e"))
+    assert g.up(group[0]) == g.up(group[1]) and g.down(group[0]) != g.down(group[1])
+    with pytest.raises(ValueError, match="identical parent and child sets"):
+        remove_group(g, group)
 
 
 def test_rule_predicates_on_butterfly():
