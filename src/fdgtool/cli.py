@@ -28,13 +28,18 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _read_network(path: str) -> netmodel.Network:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
-    return netmodel.parse_network(text)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text: {exc}") from None
+
+
+def _read_network(path: str) -> netmodel.Network:
+    return netmodel.parse_network(_read(path))
 
 
 def _write(path: str, text: str) -> None:
@@ -223,11 +228,9 @@ def cmd_transfer(args) -> int:
 def cmd_replay(args) -> int:
     net = _read_network(args.network)
     graph = fdgmod.build_fdg(net)
+    text = _read(args.trace)
     try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            trace = fdgmod.ReductionTrace.from_jsonl(handle.read())
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.trace}: {exc}") from None
+        trace = fdgmod.ReductionTrace.from_jsonl(text)
     except fdgmod.TraceFormatError as exc:
         raise _UsageError(f"bad trace {args.trace}: {exc}") from None
     try:

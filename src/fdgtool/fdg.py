@@ -482,6 +482,8 @@ class ReductionTrace:
                 raise TraceFormatError(f"line {number}: missing key {exc}") from None
             except (ValueError, TypeError) as exc:
                 raise TraceFormatError(f"line {number}: {exc}") from None
+            except RecursionError:
+                raise TraceFormatError(f"line {number}: JSON nested too deeply") from None
         steps = tuple(steps)
         # A step deletes each member's edges to and from its neighbourhood
         # (members share no edge) and adds the ``added`` pairs.
@@ -542,7 +544,9 @@ def _step(work: _WorkGraph, members: tuple, rule: str) -> tuple[Step, tuple, tup
     group = tuple(var[i] for i in members)
     if not removable(work, group, rule):
         raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
-    up, down = _shared_neighbourhood(work, group)
+    # Every rule permits only a group whose members share one parent set and
+    # one child set, so the first member's neighbours are the group's.
+    up, down = work._parents[members[0]], work._children[members[0]]
     step = Step(rule=rule,
                 removed=tuple(v.name for v in group),
                 up=tuple(var[a].name for a in up),
@@ -553,18 +557,20 @@ def _step(work: _WorkGraph, members: tuple, rule: str) -> tuple[Step, tuple, tup
     return step, up, down
 
 
-_MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5A, COR5B)}
+# On a unit graph COR5a (exactly one parent, not a source) implies COR1 (no
+# source parent, at most one parent), which is tried first, so COR5a could
+# never pick a step; ``replay`` still accepts COR5a steps.
+_MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5B)}
 
 
 class _Candidates:
-    """The removals ``reduce`` can pick from, kept current step by step.
+    """The removals ``reduce`` can pick from.
 
     For each single-variable rule, the set of edge variables it permits
-    removing; the classes of edge variables with identical neighbourhoods,
-    keyed by (parents, children), with the keys of those of more than
-    one member that COR2 permits removing; and each edge variable's depth.
-    Variables are held by position.  After a step only the variables it
-    rewired are re-tested.
+    removing, and each edge variable's depth, both held by position and
+    kept current step by step: after a step only the variables it rewired
+    are re-tested.  COR2's classes are formed only when ``first`` reaches
+    COR2.
     """
 
     def __init__(self, work: _WorkGraph, rules: tuple):
@@ -572,10 +578,7 @@ class _Candidates:
         self._rules = rules
         self._singles = {rule: set() for rule in rules if rule != COR2}
         self._depth = _edge_var_depths(work)
-        self._key = {}
-        self._classes = {}
-        self._cor2 = set()
-        self._retest([i for i, edge in enumerate(work.is_edge) if edge], set())
+        self._retest([i for i, edge in enumerate(work.is_edge) if edge])
 
     def first(self):
         """The first ``(members, rule)`` that a rule permits, trying the
@@ -583,29 +586,38 @@ class _Candidates:
         the others on single variables in topological-then-index order."""
         for rule in self._rules:
             if rule == COR2:
-                if self._cor2:
-                    key = min(self._cor2, key=lambda k: self._classes[k][0])
-                    return tuple(self._classes[key]), COR2
+                if (members := self._cor2_class()) is not None:
+                    return members, COR2
             elif self._singles[rule]:
                 depth = self._depth
                 return (min(self._singles[rule], key=lambda i: (depth[i], i)),), rule
         return None
 
+    def _cor2_class(self):
+        """The first class of live edge variables with identical
+        neighbourhoods, in order of first member, that has more than one
+        member and that COR2 permits removing, or None."""
+        work = self._work
+        classes = {}
+        for i, alive in enumerate(work._alive):
+            if alive and work.is_edge[i]:
+                classes.setdefault((work._parents[i], work._children[i]), []).append(i)
+        for members in classes.values():
+            if len(members) > 1 and RULES[COR2](work, tuple(work.vars[i] for i in members)):
+                return tuple(members)
+        return None
+
     def update(self, members: tuple, up: tuple, down: tuple) -> None:
         """Account for the removal of ``members`` with neighbours ``(up, down)``."""
         work = self._work
-        dirty = set()
         for i in members:
             for passing in self._singles.values():
                 passing.discard(i)
-            key = self._key.pop(i)
-            self._classes[key].remove(i)
-            dirty.add(key)
             self._depth[i] = -1
         ups = [i for i in up if work.is_edge[i]]
         downs = [i for i in down if work.is_edge[i]]
         self._push_depths(downs)
-        self._retest(ups + downs, dirty)
+        self._retest(ups + downs)
 
     def _push_depths(self, start: list) -> None:
         # Only the parent sets of ``start`` changed; carry changes downstream.
@@ -619,11 +631,8 @@ class _Candidates:
                 depth[v] = d
                 pending += [c for c in children[v] if is_edge[c]]
 
-    def _retest(self, positions, dirty: set) -> None:
-        """Re-test the single rules on ``positions``, move them to the
-        classes of their current neighbourhoods, and re-test COR2 on every
-        class that gained or lost a member (``dirty`` holds those changed
-        already)."""
+    def _retest(self, positions) -> None:
+        """Re-test the single-variable rules on ``positions``."""
         work = self._work
         for i in positions:
             group = (work.vars[i],)
@@ -632,27 +641,6 @@ class _Candidates:
                     passing.add(i)
                 else:
                     passing.discard(i)
-            key = (work._parents[i], work._children[i])
-            old = self._key.get(i)
-            if key == old:
-                continue
-            if old is not None:
-                self._classes[old].remove(i)
-                dirty.add(old)
-            self._key[i] = key
-            self._classes.setdefault(key, []).append(i)
-            dirty.add(key)
-        for key in dirty:
-            members = self._classes[key]
-            if not members:
-                del self._classes[key]
-                self._cor2.discard(key)
-                continue
-            members.sort()
-            if len(members) > 1 and RULES[COR2](work, tuple(work.vars[i] for i in members)):
-                self._cor2.add(key)
-            else:
-                self._cor2.discard(key)
 
 
 def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
@@ -661,16 +649,18 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
     The application order is fixed for determinism: the single-variable
     capacity rule on the first removable variable in topological-then-index
     order; failing that, the group rule on the first maximal class with
-    identical neighborhoods; in linear mode the two linear rules follow.
+    identical neighborhoods; in linear mode COR5b follows.  COR5a is not
+    tried: on a unit graph it implies COR1, so it could never pick a step.
     No claim of order independence is made, so the order is part of the
     contract.
 
-    The steps run on one private working graph, and after each step only
-    the removed group's neighbourhood is rewired and re-tested against the
-    rules, and only the depths it shortens are updated.  Picking the next
-    removal still scans every variable that passes a rule, so a step is
-    also linear in the number of candidates.  The reduced ``Fdg`` is built
-    once, at the end.
+    The steps run on one private working graph.  After each step only the
+    removed group's neighbourhood is rewired and re-tested against the
+    single-variable rules, and only the depths it shortens are updated.
+    Picking the next removal still scans every variable that passes a rule,
+    and a step that reaches COR2 groups every live edge variable by its
+    neighbourhood, so a step is also linear in the number of candidates.
+    The reduced ``Fdg`` is built once, at the end.
     """
     if mode not in _MODE_RULES:
         raise ValueError(f"unknown mode {mode!r}")

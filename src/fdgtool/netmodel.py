@@ -113,6 +113,8 @@ def parse_network(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise NetworkFormatError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level JSON value must be an object")
     _check_keys(doc, {"nodes", "edges", "sources", "sinks"}, "network document")

@@ -13,7 +13,7 @@ import pytest
 
 from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
-from fdgtool.fdg import (COR2, LINEAR, RULES, SHANNON, _MODE_RULES, EdgeVar, Fdg,
+from fdgtool.fdg import (COR1, COR2, COR5A, COR5B, LINEAR, RULES, SHANNON, EdgeVar, Fdg,
                          ReductionTrace, ReplayError, Step, UnitCapacityError, removable)
 from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
 from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
@@ -845,7 +845,11 @@ def reference_simplex_solve(n_cols: int, objective: dict, rows) -> SimplexResult
 # searched every variable against every rule per step, kept verbatim from
 # ``fdg`` (``reduce`` and ``replay`` renamed ``reference_reduce`` and
 # ``reference_replay``), with ``fdg``'s ``_shared_neighbourhood`` from when
-# it compared sets of variables.
+# it compared sets of variables and with its ``_MODE_RULES``, which still
+# tries COR5a in linear mode.
+
+_MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5A, COR5B)}
+
 
 def _shared_neighbourhood(fdg: Fdg, group: tuple):
     """The ``(up, down)`` of ``group`` outside itself, or None unless the

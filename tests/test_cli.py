@@ -3,10 +3,10 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdgtool import cli, fdg, lpbound
-from fdgtool.netmodel import fixture_text, load_fixture
+from fdgtool.netmodel import FIXTURE_NAMES, fixture_text, load_fixture
 
 from conftest import FORGED_STEPS
 
@@ -179,6 +179,80 @@ def test_replay_of_an_edited_trace_fails_in_one_line(tmp_path_factory, line, key
         assert code in (1, 2)
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+_NOT_UTF8 = b"\xff\xfe{"
+_DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
+
+
+@pytest.mark.parametrize("content, detail", [
+    (_NOT_UTF8, "not UTF-8 text"),
+    (_DEEPLY_NESTED, "nested too deeply"),
+], ids=["not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("role", ["network", "trace"])
+def test_unreadable_input_is_a_usage_error(on_disk, tmp_path, capsys, content, detail, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if role == "network":
+        code, out, err = run(capsys, "validate", str(bad))
+    else:
+        code, out, err = run(capsys, "replay", "--trace", str(bad), on_disk("butterfly"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and detail in err and err.count("\n") == 1
+    if role == "trace" or content == _NOT_UTF8:
+        assert str(bad) in err
+
+
+def _fields(doc, path=()):
+    """The path of every value inside a JSON document, as keys and indices."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield path + (key,)
+            yield from _fields(value, path + (key,))
+
+
+_FIXTURE_DOCS = {name: json.loads(fixture_text(name)) for name in FIXTURE_NAMES}
+_NETWORK_NAMES = st.sampled_from(sorted(
+    {n for doc in _FIXTURE_DOCS.values() for n in doc["nodes"]}
+    | {e["id"] for doc in _FIXTURE_DOCS.values() for e in doc["edges"]}))
+_NETWORK_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=6) | _NETWORK_NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _edited_network(draw):
+    """A fixture document with one field replaced by a JSON value or deleted."""
+    doc = json.loads(fixture_text(draw(st.sampled_from(FIXTURE_NAMES))))
+    *outer, last = draw(st.sampled_from(list(_fields(doc))))
+    where = doc
+    for key in outer:
+        where = where[key]
+    value = draw(st.just(_DELETE) | _NETWORK_VALUES)
+    if value is _DELETE:
+        del where[last]
+    else:
+        where[last] = value
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=_edited_network() | st.binary(max_size=64))
+@example(content=_NOT_UTF8)
+@example(content=_DEEPLY_NESTED)
+def test_an_edited_network_fails_in_one_line(tmp_path_factory, content):
+    net = tmp_path_factory.getbasetemp() / "edited.json"
+    net.write_bytes(content)
+    for argv in (["validate"], ["reduce", "--mode", "shannon"], ["lp", "--stats"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + [str(net)])
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1
 
 
 def test_lp_stats_reduced_butterfly(on_disk, capsys):

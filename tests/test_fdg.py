@@ -282,6 +282,22 @@ def test_replay_of_reduce_is_the_reduction(seed, mode):
     assert replay(g, read_back) == reduced
 
 
+def test_deeply_nested_trace_line_is_a_format_error():
+    with pytest.raises(F.TraceFormatError, match="line 2: JSON nested too deeply"):
+        ReductionTrace.from_jsonl("\n" + "[" * 200000 + "]" * 200000 + "\n")
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cor5a_implies_cor1_so_reduce_never_records_it(seed):
+    g = build_fdg(random_network(random.Random(seed), max_edges=20))
+    for v in g.edge_vars():
+        assert not cor5a(g, v) or cor1(g, v)
+    _, trace = reduce(g, "linear")
+    assert all(step.rule != F.COR5A for step in trace.steps)
+
+
 def _mutate(data, cur, step):
     """A copy of ``step`` that is wrong for the graph ``cur`` it applies to."""
     first = cur.var_by_name(step.removed[0])

@@ -35,6 +35,11 @@ def test_malformed_json_rejected():
         parse_network("{not json")
 
 
+def test_deeply_nested_json_rejected():
+    with pytest.raises(NetworkFormatError, match="nested too deeply"):
+        parse_network("[" * 200000 + "]" * 200000)
+
+
 def test_unknown_key_rejected_unless_comment():
     with pytest.raises(NetworkFormatError, match="unknown key"):
         parse_network(doc(bogus=1))
