@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .fdg import EdgeVar, Fdg, topological_order
+from .fdg import EdgeVar, Fdg
+from .netmodel import topological_sort
 
 DEFAULT_FIELD_CAP = 7
 DEFAULT_INDET_CAP = 16
@@ -266,8 +267,9 @@ def transfer_matrix(ts: TransferSystem):
     n = ts.adjacency_dim
     parents = [[p for p in range(n) if ts.F[p][v]] for v in range(n)]
     feeds = [[p for p in range(n) if ts.B[p][t]] for t in range(len(ts.slots))]
-    order = topological_order(parents, "edge adjacency has a cycle; "
-                                       "(I - F)^{-1} is not a polynomial matrix")
+    order = topological_sort(range(n), [(p, v) for v in range(n) for p in parents[v]],
+                             "edge adjacency has a cycle; "
+                             "(I - F)^{-1} is not a polynomial matrix")
     rows = []
     for a_row in ts.A:
         x = list(a_row)
@@ -361,10 +363,10 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     check passes.  ``entry_evals`` counts entry evaluations, the failing
     one included; a check stops at its first failure.
     """
+    if p > field_cap:  # first: trial division of a huge p would not return
+        raise ValueError(f"field size {p} exceeds the cap {field_cap}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > field_cap:
-        raise ValueError(f"field size {p} exceeds the cap {field_cap}")
 
     names = set()
     for row in M:

@@ -8,7 +8,8 @@ reproducible; ``--format text`` prints the human tables instead.
 
 Exit codes are a stable scripting contract: 0 success, 1 domain-level
 negative result (invalid network, exhausted search, failed replay), 2 usage
-or I/O error.
+or I/O error.  A library warning, such as a demanded source that no sink
+can decode, is printed to stderr as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import algebra, fdg as fdgmod, lpbound, netmodel
 
@@ -304,20 +306,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except netmodel.NetworkFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (netmodel.InvalidNetworkError, fdgmod.UnitCapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NEGATIVE
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
+        except netmodel.NetworkFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
+        except (netmodel.InvalidNetworkError, fdgmod.UnitCapacityError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return NEGATIVE
 
 
 if __name__ == "__main__":

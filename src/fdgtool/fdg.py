@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import Network, validate
+from .netmodel import Network, topological_sort, validate
 
 COR1 = "COR1"
 COR2 = "COR2"
@@ -196,8 +196,8 @@ def build_fdg(net: Network) -> Fdg:
     Variable order is sources (file order) followed by edge variables in
     edge-list order, so the graph order is the edge count plus the source
     count.  A demanded source that no sink in-edge can decode ends up with
-    no parents; that is permitted but reported as a warning because the
-    variable then lies on no cycle.
+    no parents; that is permitted but reported, in one warning for all such
+    sources, because the variable then lies on no cycle.
     """
     violations = validate(net)
     if violations:
@@ -206,32 +206,31 @@ def build_fdg(net: Network) -> Fdg:
     svars = {s.index: SourceVar(s.index) for s in net.sources}
     evars = {e.id: EdgeVar(e.id, e.cap) for e in net.edges}
     order = [svars[s.index] for s in net.sources] + [evars[e.id] for e in net.edges]
-
-    parents = {}
-    for e in net.edges:
-        hosted = net.sources_at(e.tail)
-        if hosted:
-            parents[evars[e.id]] = tuple(svars[s.index] for s in hosted)
-        else:
-            parents[evars[e.id]] = tuple(
-                evars[f.id] for f in net.edges if f.head == e.tail)
-
-    origin = {}
+    hosted, into = {}, {}
     for s in net.sources:
-        ps = []
-        sinks = set()
-        for t in net.sinks:
-            if s.index in t.demands:
-                sinks.add(t.at)
-                for e in net.edges:
-                    if e.head == t.at and evars[e.id] not in ps:
-                        ps.append(evars[e.id])
-        parents[svars[s.index]] = tuple(ps)
+        hosted.setdefault(s.at, []).append(svars[s.index])
+    for e in net.edges:
+        into.setdefault(e.head, []).append(evars[e.id])
+
+    parents = {evars[e.id]: tuple(hosted.get(e.tail) or into.get(e.tail, ()))
+               for e in net.edges}
+
+    origin, undecodable = {}, []
+    for s in net.sources:
+        sinks = [t.at for t in net.sinks if s.index in t.demands]
+        # Sinks sit at distinct nodes, so no edge feeds two of them.
+        ps = tuple(v for at in sinks for v in into.get(at, ()))
+        parents[svars[s.index]] = ps
         origin[svars[s.index]] = frozenset(sinks)
         if not ps:
-            warnings.warn(
-                f"source {s.index} has no decodable sink in-edges; "
-                f"its variable lies on no cycle", stacklevel=2)
+            undecodable.append(str(s.index))
+    if undecodable:
+        listed = ", ".join(undecodable)
+        warnings.warn(
+            f"source {listed} has no decodable sink in-edges; its variable lies on no cycle"
+            if len(undecodable) == 1 else
+            f"sources {listed} have no decodable sink in-edges; their variables lie on "
+            f"no cycle", stacklevel=2)
 
     fdg = Fdg(order, parents, origin)
     assert fdg.order == len(net.edges) + len(net.sources)
@@ -493,32 +492,6 @@ class ReductionTrace:
                    delta_e=de if delta_e is None else delta_e)
 
 
-def topological_order(parents, cycle_message: str) -> list:
-    """Positions ``0 .. len(parents) - 1`` ordered with each after its
-    ``parents``, by one iterative depth-first search.  Raises ValueError with
-    ``cycle_message`` when the parent lists have a cycle."""
-    order, state = [], [0] * len(parents)  # 0 unseen, 1 on the path, 2 placed
-    for root in range(len(parents)):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(parents[root]))]
-        while stack:
-            v, pending = stack[-1]
-            for p in pending:
-                if state[p] == 1:
-                    raise ValueError(cycle_message)
-                if not state[p]:
-                    state[p] = 1
-                    stack.append((p, iter(parents[p])))
-                    break
-            else:
-                stack.pop()
-                state[v] = 2
-                order.append(v)
-    return order
-
-
 def _edge_var_depths(work: _WorkGraph) -> list:
     """Longest-path depth of each edge variable in the edge-variable subgraph,
     which stays acyclic under removals, by position; -1 for the others."""
@@ -526,7 +499,9 @@ def _edge_var_depths(work: _WorkGraph) -> list:
     parents = [[p for p in ps if is_edge[p]] if is_edge[v] else []
                for v, ps in enumerate(work._parents)]
     depth = [-1] * len(parents)
-    for v in topological_order(parents, "edge-variable subgraph has a cycle"):
+    arcs = [(p, v) for v, ps in enumerate(parents) for p in ps]
+    for v in topological_sort(range(len(parents)), arcs,
+                              "edge-variable subgraph has a cycle"):
         if is_edge[v]:
             depth[v] = 1 + max(map(depth.__getitem__, parents[v]), default=-1)
     return depth

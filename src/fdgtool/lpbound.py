@@ -341,8 +341,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     """
     check_solve_cap(problem.n_vars, solve_cap() if max_n is None else max_n)
 
-    solved = _float_solve(problem)
-    certified = _certified_from_float(problem, solved)
+    certified = _certified_from_float(problem, _float_solve(problem))
     if certified is not None:
         return certified
 
@@ -351,16 +350,6 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
             if row.tag != ELEMENTAL2 or len(row.coeffs) == 3]
     working = list(seed)
     in_working = set(working)
-    # Warm start: the rows with nonzero float dual.  By weak duality the dual
-    # support alone can certify the optimum, and unlike tightness it stays
-    # small at degenerate optima where thousands of rows are tight by
-    # accident.  It only steers which rows the exact simplex sees first.
-    if solved is not None and solved[0].success:
-        res, ub_idx, _ = solved
-        for r, i in enumerate(ub_idx):
-            if abs(res.ineqlin.marginals[r]) > 1e-9 and i not in in_working:
-                working.append(i)
-                in_working.add(i)
     objective = {mask - 1: c for mask, c in problem.objective}
     aux = _bounding_helpers(problem)
 

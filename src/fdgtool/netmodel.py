@@ -15,6 +15,7 @@ preserved because it fixes the variable ordering used by every other module.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -214,6 +215,11 @@ def validate(net: Network) -> list[str]:
         if e.cap < 0:
             violations.append(f"edge {e.id!r}: negative capacity {e.cap}")
 
+    incoming, outgoing = {}, {}
+    for e in net.edges:
+        incoming.setdefault(e.head, []).append(e.id)
+        outgoing.setdefault(e.tail, []).append(e.id)
+
     indices = [s.index for s in net.sources]
     if net.sources and sorted(indices) != list(range(1, len(indices) + 1)):
         violations.append(
@@ -224,11 +230,10 @@ def validate(net: Network) -> list[str]:
             violations.append(f"source {s.index}: unknown node {s.at!r}")
             continue
         source_nodes.add(s.at)
-        incoming = [e.id for e in net.edges if e.head == s.at]
-        if incoming:
+        if s.at in incoming:
             violations.append(
                 f"In(S) nonempty: source {s.index} at node {s.at!r} "
-                f"has incoming edges {incoming}")
+                f"has incoming edges {incoming[s.at]}")
 
     known_indices = set(indices)
     sink_nodes = set()
@@ -241,48 +246,53 @@ def validate(net: Network) -> list[str]:
         sink_nodes.add(t.at)
         if t.at in source_nodes:
             violations.append(f"node {t.at!r} hosts both a source and a sink")
-        outgoing = [e.id for e in net.edges if e.tail == t.at]
-        if outgoing:
+        if t.at in outgoing:
             violations.append(
-                f"Out(T) nonempty: sink node {t.at!r} has outgoing edges {outgoing}")
+                f"Out(T) nonempty: sink node {t.at!r} has outgoing edges {outgoing[t.at]}")
         if not t.demands:
             violations.append(f"sink {t.at!r}: empty demand set")
         for d in t.demands:
             if d not in known_indices:
                 violations.append(f"sink {t.at!r}: unknown source {d}")
 
-    if not _has_topological_order(net):
-        violations.append("cycle detected")
+    try:
+        topological_order(net)
+    except ValueError as exc:
+        violations.append(str(exc))
     return violations
 
 
-def _has_topological_order(net: Network) -> bool:
-    try:
-        topological_order(net)
-    except ValueError:
-        return False
-    return True
+def topological_sort(nodes, arcs, cycle_message: str = "cycle detected") -> list:
+    """Kahn's order of ``nodes`` under the ``(tail, head)`` pairs ``arcs``,
+    whose ends must be among ``nodes``: a FIFO queue seeded with the nodes
+    of in-degree 0 in list order, each arc read once.  Raises ValueError
+    with ``cycle_message`` when some node is left unplaced, as on a cycle."""
+    succ = {n: [] for n in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for tail, head in arcs:
+        succ[tail].append(head)
+        indeg[head] += 1
+    ready = deque(n for n in nodes if not indeg[n])
+    order = []
+    while ready:
+        n = ready.popleft()
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if not indeg[m]:
+                ready.append(m)
+    if len(order) != len(nodes):
+        raise ValueError(cycle_message)
+    return order
 
 
 def topological_order(net: Network) -> list[str]:
-    """Kahn topological order of the nodes, stable in node-list order."""
-    indeg = {n: 0 for n in net.nodes}
-    for e in net.edges:
-        if e.head in indeg and e.tail in indeg:
-            indeg[e.head] += 1
-    ready = [n for n in net.nodes if indeg[n] == 0]
-    order = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for e in net.edges:
-            if e.tail == n and e.head in indeg:
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    ready.append(e.head)
-    if len(order) != len(net.nodes):
-        raise ValueError("cycle detected")
-    return order
+    """Kahn topological order of the nodes, stable in node-list order.
+
+    Edges with an endpoint outside ``net.nodes`` are left out."""
+    known = set(net.nodes)
+    return topological_sort(net.nodes, [(e.tail, e.head) for e in net.edges
+                                        if e.tail in known and e.head in known])
 
 
 def in_edges(net: Network, x: str) -> list[str]:

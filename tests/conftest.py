@@ -1,10 +1,11 @@
 """Shared test helpers: a per-test time limit, fixture loading, a
-random-network generator, and the independent oracles (the paper's finite
-series for A (I - F)^{-1} B, symbolic forward propagation, LP-text re-import
-into scipy, the Fraction LP layers, the Fraction simplex tableau, the
-rebuild-per-step reduction) used to cross-check the library's own
-computation paths."""
+random-network generator, and the independent oracles (the quadratic network
+checks, the paper's finite series for A (I - F)^{-1} B, symbolic forward
+propagation, LP-text re-import into scipy, the Fraction LP layers, the
+Fraction simplex tableau, the rebuild-per-step reduction) used to
+cross-check the library's own computation paths."""
 
+import json
 import random
 import signal
 from fractions import Fraction
@@ -193,6 +194,126 @@ def relay_grid(layers: int, width: int) -> netmodel.Network:
                            sinks=tuple(sinks))
     assert netmodel.validate(net) == []
     return net
+
+
+def head_first_path_text(n: int) -> str:
+    """A single path of ``n`` unit edges, listed from the sink back to the source."""
+    return json.dumps({
+        "nodes": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}", "cap": "1"}
+                  for i in reversed(range(n))],
+        "sources": [{"index": 1, "at": "v0"}],
+        "sinks": [{"at": f"v{n}", "demands": [1]}],
+    })
+
+
+# Reference network checks: validate and its O(V*E) Kahn order as they were
+# before each node's in- and out-edges were listed once.
+
+def reference_validate(net: netmodel.Network) -> list[str]:
+    """Return all invariant violations, in a deterministic order.
+
+    An empty list means the network is valid.  Violations are data, not
+    exceptions: callers that need a hard failure use parse_network or raise
+    InvalidNetworkError themselves.
+    """
+    violations = []
+    node_set = set()
+    for n in net.nodes:
+        if n in node_set:
+            violations.append(f"duplicate node id {n!r}")
+        node_set.add(n)
+
+    if not net.sources:
+        violations.append("network has no sources")
+    if not net.sinks:
+        violations.append("network has no sinks")
+
+    edge_ids = set()
+    for e in net.edges:
+        if e.id in edge_ids:
+            violations.append(f"duplicate edge id {e.id!r}")
+        edge_ids.add(e.id)
+        if e.id in node_set:
+            violations.append(f"edge id {e.id!r} collides with a node id")
+        if e.tail not in node_set:
+            violations.append(f"edge {e.id!r}: unknown tail node {e.tail!r}")
+        if e.head not in node_set:
+            violations.append(f"edge {e.id!r}: unknown head node {e.head!r}")
+        if e.tail == e.head:
+            violations.append(f"edge {e.id!r}: self-loop at node {e.tail!r}")
+        if e.cap < 0:
+            violations.append(f"edge {e.id!r}: negative capacity {e.cap}")
+
+    indices = [s.index for s in net.sources]
+    if net.sources and sorted(indices) != list(range(1, len(indices) + 1)):
+        violations.append(
+            f"source indices must be exactly 1..{len(indices)}, got {sorted(indices)}")
+    source_nodes = set()
+    for s in net.sources:
+        if s.at not in node_set:
+            violations.append(f"source {s.index}: unknown node {s.at!r}")
+            continue
+        source_nodes.add(s.at)
+        incoming = [e.id for e in net.edges if e.head == s.at]
+        if incoming:
+            violations.append(
+                f"In(S) nonempty: source {s.index} at node {s.at!r} "
+                f"has incoming edges {incoming}")
+
+    known_indices = set(indices)
+    sink_nodes = set()
+    for t in net.sinks:
+        if t.at not in node_set:
+            violations.append(f"sink at unknown node {t.at!r}")
+            continue
+        if t.at in sink_nodes:
+            violations.append(f"duplicate sink node {t.at!r}")
+        sink_nodes.add(t.at)
+        if t.at in source_nodes:
+            violations.append(f"node {t.at!r} hosts both a source and a sink")
+        outgoing = [e.id for e in net.edges if e.tail == t.at]
+        if outgoing:
+            violations.append(
+                f"Out(T) nonempty: sink node {t.at!r} has outgoing edges {outgoing}")
+        if not t.demands:
+            violations.append(f"sink {t.at!r}: empty demand set")
+        for d in t.demands:
+            if d not in known_indices:
+                violations.append(f"sink {t.at!r}: unknown source {d}")
+
+    if not _reference_has_topological_order(net):
+        violations.append("cycle detected")
+    return violations
+
+
+def _reference_has_topological_order(net: netmodel.Network) -> bool:
+    try:
+        reference_topological_order(net)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_topological_order(net: netmodel.Network) -> list[str]:
+    """Kahn topological order of the nodes, stable in node-list order."""
+    indeg = {n: 0 for n in net.nodes}
+    for e in net.edges:
+        if e.head in indeg and e.tail in indeg:
+            indeg[e.head] += 1
+    ready = [n for n in net.nodes if indeg[n] == 0]
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for e in net.edges:
+            if e.tail == n and e.head in indeg:
+                indeg[e.head] -= 1
+                if indeg[e.head] == 0:
+                    ready.append(e.head)
+    if len(order) != len(net.nodes):
+        raise ValueError("cycle detected")
+    return order
 
 
 # Reference transfer matrix: (I - F)^{-1} as the finite nilpotent series,

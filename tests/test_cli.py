@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import sys
+import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from fdgtool import cli, fdg, lpbound
 from fdgtool.netmodel import FIXTURE_NAMES, fixture_text, load_fixture
 
-from conftest import FORGED_STEPS
+from conftest import FORGED_STEPS, head_first_path_text
 
 
 @pytest.fixture
@@ -183,6 +186,10 @@ def test_replay_of_an_edited_trace_fails_in_one_line(tmp_path_factory, line, key
 
 _NOT_UTF8 = b"\xff\xfe{"
 _DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
+# two_unicast_chain with e5 moved from t1 to t2: sink t1 has no in-edges left
+# to decode source 1 from, which build_fdg reports as a warning.
+_UNDECODABLE_SOURCE = fixture_text("two_unicast_chain").replace(
+    '"id": "e5", "tail": "d", "head": "t1"', '"id": "e5", "tail": "d", "head": "t2"').encode()
 
 
 @pytest.mark.parametrize("content, detail", [
@@ -240,19 +247,49 @@ def _edited_network(draw):
     return json.dumps(doc).encode()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@contextlib.contextmanager
+def _warnings_on_stderr():
+    """Print every warning to stderr the way Python does outside pytest,
+    which records warnings instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        yield
+
+
 @settings(max_examples=200, deadline=None)
 @given(content=_edited_network() | st.binary(max_size=64))
 @example(content=_NOT_UTF8)
 @example(content=_DEEPLY_NESTED)
+@example(content=_UNDECODABLE_SOURCE)
 def test_an_edited_network_fails_in_one_line(tmp_path_factory, content):
     net = tmp_path_factory.getbasetemp() / "edited.json"
     net.write_bytes(content)
     for argv in (["validate"], ["reduce", "--mode", "shannon"], ["lp", "--stats"]):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                _warnings_on_stderr():
             code = cli.main(argv + [str(net)])
         assert code in (0, 1, 2)
-        assert err.getvalue().count("\n") <= 1
+        lines = err.getvalue().split("\n")
+        assert lines.pop() == ""
+        kinds = [line.partition(" ")[0] for line in lines]
+        assert kinds.count("warning:") <= 1 and kinds.count("error:") <= 1
+        assert len(kinds) == kinds.count("warning:") + kinds.count("error:")
+
+
+def test_an_undecodable_source_is_one_warning_line(tmp_path, capsys):
+    net = tmp_path / "undecodable.json"
+    net.write_bytes(_UNDECODABLE_SOURCE)
+    with _warnings_on_stderr():
+        code, out, err = run(capsys, "lp", "--stats", str(net))
+    assert code == 0 and json.loads(out)["n_vars"] == 10
+    assert err == ("warning: source 1 has no decodable sink in-edges; "
+                   "its variable lies on no cycle\n")
 
 
 def test_lp_stats_reduced_butterfly(on_disk, capsys):
@@ -295,15 +332,8 @@ def test_lp_stats_keeps_the_generation_refusals(tmp_path, capsys):
 
 
 def _head_first_path(tmp_path, n):
-    """A single path of ``n`` unit edges, listed from the sink back to the source."""
     path = tmp_path / f"path{n}.json"
-    path.write_text(json.dumps({
-        "nodes": [f"v{i}" for i in range(n + 1)],
-        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}", "cap": "1"}
-                  for i in reversed(range(n))],
-        "sources": [{"index": 1, "at": "v0"}],
-        "sinks": [{"at": f"v{n}", "demands": [1]}],
-    }))
+    path.write_text(head_first_path_text(n))
     return str(path)
 
 
@@ -405,6 +435,16 @@ def test_transfer_search_found_and_exhausted(on_disk, capsys):
     code, out, _ = run(capsys, "transfer", "--search", "3", on_disk("fano"))
     assert code == 1
     assert json.loads(out)["status"] == "exhausted"
+
+
+def test_transfer_search_refuses_a_huge_field_at_once(on_disk, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "transfer", "--search", "1000000000000000003",
+                         on_disk("single_edge"))
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert err == "error: field size 1000000000000000003 exceeds the cap 7\n"
+    assert elapsed < 1, f"took {elapsed:.2f} s"
 
 
 def test_transfer_pin_parsing(on_disk, capsys):

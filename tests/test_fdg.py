@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
                          replay)
 from fdgtool.netmodel import in_edges, load_fixture
 
-from conftest import (FORGED_STEPS, UNIT_FIXTURES, random_network, reference_reduce,
-                      reference_replay, relay_grid)
+from conftest import (FORGED_STEPS, UNIT_FIXTURES, head_first_path_text, random_network,
+                      reference_reduce, reference_replay, relay_grid)
 
 
 def test_orders_match_edge_plus_source_count():
@@ -34,9 +35,11 @@ def test_single_edge_two_cycle():
     assert g.up(y) == (u,)
 
 
-@pytest.mark.parametrize("name", netmodel.FIXTURE_NAMES)
-def test_parent_sets_mirror_network_structure(name):
-    net = load_fixture(name)
+@pytest.mark.parametrize("net", [
+    *(pytest.param(load_fixture(name), id=name) for name in netmodel.FIXTURE_NAMES),
+    *(pytest.param(random_network(random.Random(seed), max_edges=12), id=f"random{seed}")
+      for seed in range(40))])
+def test_parent_sets_mirror_network_structure(net, recwarn):
     g = build_fdg(net)
     for e in net.edges:
         v = g.var_by_name(f"U:{e.id}")
@@ -99,6 +102,20 @@ def test_unreached_demand_warns():
     net = netmodel.parse_network(text)
     with pytest.warns(UserWarning, match="source 2"):
         build_fdg(net)
+
+
+def test_undecodable_sources_share_one_warning():
+    net = netmodel.parse_network(json.dumps({
+        "nodes": ["s1", "s2", "m", "t"],
+        "edges": [{"id": "e1", "tail": "s1", "head": "m", "cap": "1"},
+                  {"id": "e2", "tail": "s2", "head": "m", "cap": "1"}],
+        "sources": [{"index": 1, "at": "s1"}, {"index": 2, "at": "s2"}],
+        "sinks": [{"at": "t", "demands": [1, 2]}],
+    }))
+    with pytest.warns(UserWarning) as record:
+        build_fdg(net)
+    assert [str(w.message) for w in record] == [
+        "sources 1, 2 have no decodable sink in-edges; their variables lie on no cycle"]
 
 
 def test_remove_var_rewires_butterfly_decoder():
@@ -430,6 +447,15 @@ def test_replay_sees_unit_capacities_once_the_others_are_removed():
         '"added": [["U:e1", "U:e4"]]}\n')
     assert replay(g, trace) == reference_replay(g, trace)
     assert replay(g, trace).unit_capacities()
+
+
+def test_a_16000_edge_path_parses_and_builds_in_linear_time():
+    text = head_first_path_text(16000)
+    start = time.perf_counter()
+    g = build_fdg(netmodel.parse_network(text))
+    elapsed = time.perf_counter() - start
+    assert g.order == 16001
+    assert elapsed < 2, f"parse_network + build_fdg took {elapsed:.2f} s"
 
 
 def test_cyclic_edge_variables_are_refused():

@@ -461,6 +461,28 @@ def test_negative_float_multipliers_never_certify():
     assert lpbound._certified_from_float(problem, (res, [0, 1], [])) is None
 
 
+def _first_capacity_set(name, cap):
+    doc = json.loads(netmodel.fixture_text(name))
+    doc["edges"][0]["cap"] = cap
+    return build_fdg(parse_network(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("name, cap, weights, value", [
+    # At 10^4 the witness rounds to 0, which no dual certifies.
+    ("single_edge", "1/123457", {1: 1}, Fraction(1, 123457)),
+    # The witness rounds at 10^4, the dual only at 10^8.
+    ("two_unicast_chain", "1/9973", {1: Fraction(1, 3), 2: Fraction(2, 7)},
+     Fraction(59839, 209433)),
+])
+def test_rounding_limits_certify(name, cap, weights, value, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the exact simplex ran: the certificate failed")
+    monkeypatch.setattr(lpbound.simplex, "solve", solve)
+    sol = lp_solve(build_lp(_first_capacity_set(name, cap), Weights.of(weights)))
+    assert sol.status == "optimal" and sol.method == "certificate"
+    assert sol.value == value
+
+
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
 def test_benchmark_solves_answer_by_certificate(fixture, mode, monkeypatch):
     def solve(*args, **kwargs):

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdgtool import netmodel
 from fdgtool.netmodel import (InvalidNetworkError, NetworkFormatError, Weights,
                               in_edges, load_fixture, out_edges, parse_network,
                               serialize_network, topological_order, validate)
+
+from conftest import random_network, reference_topological_order, reference_validate
 
 
 def doc(**overrides):
@@ -157,3 +162,51 @@ def test_weights_parse_and_validate(butterfly):
         Weights.of({1: -1})
     with pytest.raises(ValueError, match="unknown source"):
         Weights.parse("1,1,1").check_against(butterfly)
+
+
+def _order_or_error(order, net):
+    try:
+        return order(net)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _same_as_reference(net):
+    assert validate(net) == reference_validate(net)
+    assert (_order_or_error(topological_order, net)
+            == _order_or_error(reference_topological_order, net))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_checks_equal_the_reference_on_random_networks(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_edges=12)
+    _same_as_reference(net)
+    nodes = list(net.nodes)
+    rng.shuffle(nodes)
+    _same_as_reference(dataclasses.replace(net, nodes=tuple(nodes)))
+
+
+@st.composite
+def _malformed_network(draw):
+    """Few node names, so duplicate ids, self-loops and cycles are common;
+    ``x`` is never a node, so it makes unknown endpoints."""
+    nodes = draw(st.lists(st.sampled_from("abcde"), max_size=7))
+    ends = st.sampled_from([*nodes, "x"])
+    indices = st.integers(0, 3)
+    edges = draw(st.lists(st.builds(
+        netmodel.Edge, st.sampled_from(["e1", "e2", "e3", "a"]), ends, ends,
+        st.integers(-1, 2).map(Fraction)), max_size=10))
+    sources = draw(st.lists(st.builds(netmodel.Source, indices, ends), max_size=3))
+    sinks = draw(st.lists(st.builds(
+        netmodel.Sink, ends, st.frozensets(indices).map(lambda d: tuple(sorted(d)))),
+        max_size=3))
+    return netmodel.Network(nodes=tuple(nodes), edges=tuple(edges),
+                            sources=tuple(sources), sinks=tuple(sinks))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(net=_malformed_network())
+def test_checks_equal_the_reference_on_malformed_networks(net):
+    _same_as_reference(net)
