@@ -18,20 +18,24 @@ lexicographically smallest.
 
 Polynomials are sparse with exact integer coefficients; reduction modulo p
 happens only at evaluation time, so one symbolic matrix serves every field.
-The search compiles each entry once per call for its field: indeterminates
-become integer positions in the search order, and an entry becomes a flat
-table of (coefficient mod p, positions) terms.  The order is cut into
-blocks at the depths where some entry becomes checkable; each block's value
-combinations are enumerated in one loop and checked only against the
-entries due at its end.  The node and evaluation counters are defined by
-the plain depth-first search that assigns one indeterminate per node.
+The search compiles once per call for its field: indeterminates become
+integer positions in the search order, and an entry becomes its monomials
+in the free positions with coefficients mod p, pinned values multiplied in.
+The order is cut into blocks at the depths where some entry becomes
+checkable.  The whole search is then generated as one Python function of
+nested loops, one per free position.  The part of an entry fixed before its
+block is evaluated once on entering the block, the rest right after each
+loop that binds one of its positions, and the entries due at a block's end
+are tested right after its last loop.  The node and evaluation counters are
+defined by the plain depth-first search that assigns one indeterminate per
+node.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .fdg import EdgeVar, Fdg
 from .netmodel import topological_sort
@@ -305,37 +309,134 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _term_table(entry: Poly, position: dict, p: int) -> list:
-    """``entry`` over GF(p) as (coefficient mod p, positions) per monomial.
+# CPython refuses to compile a function with more statically nested loops.
+_MAX_NESTED_LOOPS = 20
+# A longer chain "a + b + ..." nests too deeply for CPython's compiler.
+_MAX_CHAINED_TERMS = 256
 
-    A position repeats once per power; monomials whose coefficient vanishes
-    mod p are dropped.
+
+def _entry_terms(entry: Poly, position: dict, fixed: dict, p: int) -> dict:
+    """``entry`` over GF(p) with the pinned values ``fixed`` multiplied in.
+
+    Maps each monomial in the free positions, a sorted tuple in which a
+    position repeats once per power, to its coefficient mod p; monomials
+    whose coefficient vanishes mod p are dropped.
     """
-    return [(c % p, tuple(position[name] for name, e in mono for _ in range(e)))
-            for mono, c in entry.terms.items() if c % p]
+    terms = {}
+    for mono, c in entry.terms.items():
+        c, free = operator.index(c), []
+        for name, e in mono:
+            i = position[name]
+            if i in fixed:
+                c *= fixed[i] ** e
+            else:
+                free += [i] * e
+        key = tuple(sorted(free))
+        terms[key] = (terms.get(key, 0) + c) % p
+    return {mono: c for mono, c in terms.items() if c}
 
 
-def _compile_check(due: list, p: int, lo: int):
-    """One function checking the (term table, target) pairs ``due`` in order.
+def _search_source(blocks, free: list, p: int) -> str:
+    """Source of ``search()``, the whole search as nested loops.
 
-    ``check(v, c)`` reads position i from ``c[i - lo]`` when i >= lo and from
-    ``v[i]`` otherwise.  It returns the 1-based index of the first entry
-    whose value mod p misses its target, or 0 when all match.  The source
-    text is built from integers only.
+    ``blocks`` holds (lo, hi, entries, nodes_in, evals_in) per block, where
+    ``entries`` are the (terms, target) pairs due at ``hi``.  Free position
+    i is the loop variable ``c{i}``.  Entering a block adds ``nodes_in`` and
+    ``evals_in``, its counts as if exhausted.  Each entry is carried into
+    the block as its coefficients in the block's unbound positions: one
+    local per coefficient, computed at block entry from earlier positions
+    and updated right after each loop that binds one of its positions.
+    After the block's last loop the entries are tested in order; reaching
+    entry k > 1 adds one evaluation, a failure continues the innermost loop,
+    and a pass adds one node and enters the next block.  ``search()``
+    returns (free values of the hit or None, nodes, evals).  Past
+    ``_MAX_NESTED_LOOPS`` loops the rest of the search moves into a nested
+    function, called once per combination that reaches it.  The text is
+    built from integers only.
     """
-    lines = ["def check(v, c):"]
-    for k, (table, target) in enumerate(due, 1):
-        terms = []
-        for c, positions in table:
-            factors = [f"c[{i - lo}]" if i >= lo else f"v[{i}]" for i in positions]
-            if c != 1 or not factors:
-                factors.insert(0, str(c))
-            terms.append("*".join(factors))
-        lines.append(f"    if ({' + '.join(terms) or '0'}) % {p} != {target}: return {k}")
-    lines.append("    return 0")
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["check"]
+    parts = []   # [lines, indent, loops] per function, outermost first
+    held = {}    # expression -> the local holding its value mod p
+
+    def emit(line):
+        lines, indent, _ = parts[-1]
+        lines.append("    " * indent + line)
+
+    def leave(value):
+        return f"return {value}, nodes, evals" if len(parts) == 1 else f"return {value}"
+
+    def total(terms):
+        if len(terms) > _MAX_CHAINED_TERMS:
+            return f"sum(({', '.join(terms)},))"
+        return " + ".join(terms) or "0"
+
+    def atom(terms):
+        # A literal or a loop variable stands for itself; a sum or product
+        # becomes a local.
+        if len(terms) == 1 and "*" not in terms[0]:
+            return terms[0]
+        expr = total(terms)
+        if expr not in held:
+            held[expr] = f"k{len(held)}"
+            emit(f"{held[expr]} = ({expr}) % {p}")
+        return held[expr]
+
+    def collect(rep, i):
+        # Bind position i in {monomial: coefficient}: group by the rest.
+        out = {}
+        for mono, a in rep.items():
+            factors = [] if a == "1" else [a]
+            factors += [f"c{i}"] * mono.count(i)
+            rest = tuple(j for j in mono if j != i)
+            out.setdefault(rest, []).append("*".join(factors) or "1")
+        return out
+
+    parts.append([["def search():", "    nodes = evals = 0"], 1, 0])
+    for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
+        if b:
+            nodes_in += 1  # the previous block's passing combination
+        if nodes_in:
+            emit(f"nodes += {nodes_in}")
+        if evals_in:
+            emit(f"evals += {evals_in}")
+        loops = [i for i in free if lo <= i < hi]
+        coefficients = []  # per entry: {monomial in the block: local or literal}
+        for terms, _ in entries:
+            split = {}
+            for mono, c in terms.items():
+                outer = [f"c{i}" for i in mono if i < lo]
+                inner = tuple(i for i in mono if i >= lo)
+                split.setdefault(inner, []).append(
+                    "*".join(outer if c == 1 and outer else [str(c)] + outer))
+            coefficients.append({inner: atom(t) for inner, t in split.items()})
+        for i in loops:
+            if parts[-1][2] == _MAX_NESTED_LOOPS:
+                name = f"part{len(parts)}"
+                emit(f"hit = {name}()")
+                emit(f"if hit is not None: {leave('hit')}")
+                parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0])
+            emit(f"for c{i} in range({p}):")
+            parts[-1][1] += 1
+            parts[-1][2] += 1
+            if i != loops[-1]:
+                coefficients = [{rest: atom(t) for rest, t in collect(rep, i).items()}
+                                for rep in coefficients]
+        fail = "continue" if parts[-1][2] else leave("None")
+        for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
+            if k:
+                emit("evals += 1")
+            terms = collect(rep, loops[-1] if loops else None).get((), [])
+            value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
+                     else f"({total(terms)}) % {p}")
+            emit(f"if {value} != {target}: {fail}")
+    emit("nodes += 1")
+    emit(leave("(" + "".join(f"c{i}, " for i in free) + ")"))
+
+    text = []
+    for lines, _, _ in reversed(parts):
+        lines.append("    " + leave("None"))
+        text = lines[:2] + ["    " + line for line in text] + lines[2:]
+        parts.pop()
+    return "\n".join(text) + "\n"
 
 
 def solvability_search(M, demand, p: int, *, order=None, pinned=None,
@@ -347,23 +448,31 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     sorted names appearing in M) and returns the first assignment making M
     match the demand pattern entrywise, or exhaustion.  An entry is checked
     as soon as the last indeterminate it mentions is assigned, which prunes
-    whole subtrees.  ``pinned`` fixes chosen indeterminates to constants.
+    whole subtrees.  ``pinned`` fixes chosen indeterminates to integers.
 
     The depths at which some entry becomes checkable cut ``order`` into
-    blocks.  Each block's value combinations are enumerated with
-    ``itertools.product`` (a pinned position has one choice) and checked
-    against the entries due at the block's end, compiled for this field;
-    a combination that passes recurses into the next block.
+    blocks.  The whole search is compiled for this field into one function
+    of nested loops, one ``for`` per free position; a pinned value is a
+    constant.  Each entry's part that depends only on positions fixed
+    before its block is computed once on entering the block, and the rest
+    is updated right after each loop that binds one of its positions.  A
+    block's entries are tested in order at its end; a combination that
+    passes runs straight into the next block's loops.
 
     The counters are those of a depth-first search that assigns one
     indeterminate per node and checks each entry at its depth.
     ``evaluations_tried`` counts the nodes it visits: the root when the
     constant entries hold, every node inside a block on the way to a
-    combination tried (counted arithmetically), and every block end whose
-    check passes.  ``entry_evals`` counts entry evaluations, the failing
-    one included; a check stops at its first failure.
+    combination tried, and every block end whose check passes.
+    ``entry_evals`` counts entry evaluations, the failing one included; a
+    check stops at its first failure.  Nodes inside a block and first-entry
+    evaluations are counted arithmetically: a block adds its exhausted
+    counts on entry, and a hit corrects them along its path.
     """
-    if p > field_cap:  # first: trial division of a huge p would not return
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"field size {p!r} is not an integer")
+    p = operator.index(p)  # a plain int: p is written into the generated source
+    if p > field_cap:  # before trial division: a huge p would not return
         raise ValueError(f"field size {p} exceeds the cap {field_cap}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -376,81 +485,82 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
         order = tuple(sorted(names))
     else:
         order = tuple(order)
-        missing = names - set(order)
+        seen = set()
+        for name in order:
+            if name in seen:
+                raise ValueError(f"order lists {name!r} more than once")
+            seen.add(name)
+        missing = names - seen
         if missing:
             raise ValueError(f"order is missing indeterminates: {sorted(missing)}")
+    position = {name: k for k, name in enumerate(order)}
     pinned = dict(pinned or {})
     for name, value in pinned.items():
-        if name not in order:
+        if name not in position:
             raise ValueError(f"pinned name {name!r} is not an indeterminate")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"pinned value {value!r} for {name!r} is not an integer")
         if not 0 <= value < p:
             raise ValueError(f"pinned value {value} is outside GF({p})")
-    free = [n for n in order if n not in pinned]
+        pinned[name] = operator.index(value)
+    n = len(order)
+    fixed = {position[name]: value for name, value in pinned.items()}
+    free = [i for i in range(n) if i not in fixed]
     if len(free) > indet_cap:
         raise ValueError(
             f"{len(free)} free indeterminates exceed the exhaustive-search "
             f"cap {indet_cap}; pin some values")
 
-    n = len(order)
-    position = {name: k for k, name in enumerate(order)}
     due = [[] for _ in range(n + 1)]
     for i, row in enumerate(M):
         for j, entry in enumerate(row):
+            target = demand[i][j]
+            if not isinstance(target, int):
+                raise ValueError(f"demand entry {target!r} is not an integer")
             depth = max((position[x] + 1 for x in entry.indeterminates()), default=0)
-            due[depth].append((_term_table(entry, position, p), demand[i][j] % p))
+            due[depth].append((_entry_terms(entry, position, fixed, p),
+                               operator.index(target) % p))
 
-    choices = [(pinned[name],) if name in pinned else range(p) for name in order]
-
-    def inner_nodes(lo, combo) -> int:
-        # Nodes strictly inside the block up to and including ``combo``: at
-        # each inner depth, the mixed-radix index of combo's prefix plus one.
-        total = index = 0
-        for options, value in zip(choices[lo:], combo[:-1]):
-            index = index * len(options) + options.index(value)
-            total += index + 1
-        return total
+    def counts(lo, hi, values) -> tuple[int, int]:
+        # Nodes strictly inside block lo..hi-1 up to and including the
+        # combination ``values[lo:hi]``, and the combinations tried up to it:
+        # at each depth, the mixed-radix index of the prefix (a pinned
+        # position has radix 1) plus one.
+        inner = index = 0
+        for i in range(lo, hi):
+            if i > lo:
+                inner += index + 1
+            if i not in fixed:
+                index = index * p + values[i]
+        return inner, index + 1
 
     # Block b covers positions lo..hi-1; the first block is the empty one at
     # the root, whose single (empty) combination checks the constant entries.
-    # An exhausted block has passed through every inner node, as many as up
-    # to its last combination.
     ends = sorted({0, n}.union(d for d in range(1, n) if due[d]))
-    blocks = [(lo, hi, _compile_check(due[hi], p, lo), len(due[hi]),
-               inner_nodes(lo, tuple(options[-1] for options in choices[lo:hi])))
-              for lo, hi in zip([0] + ends, ends)]
-
-    values = [0] * n
-    nodes = entry_evals = 0
-
-    def search(b) -> bool:
-        nonlocal nodes, entry_evals
-        lo, hi, check, cost, all_inner = blocks[b]
-        last = b + 1 == len(blocks)
-        passed = evals = 0
-        for combo in product(*choices[lo:hi]):
-            failed = check(values, combo)
-            if failed:
-                evals += failed
-                continue
-            values[lo:hi] = combo
-            evals += cost
-            passed += 1
-            if last or search(b + 1):
-                nodes += passed + inner_nodes(lo, combo)
-                entry_evals += evals
-                return True
-        nodes += passed + all_inner
-        entry_evals += evals
-        return False
-
-    if search(0):
-        assignment = dict(pinned)
-        for name in order:
-            if name not in pinned:
-                assignment[name] = values[position[name]]
-        return SearchResult(status="found", field=p, assignment=assignment,
+    spans = list(zip([0] + ends, ends))
+    last = [p - 1] * n
+    exhausted = [counts(lo, hi, last) for lo, hi in spans]
+    blocks = [(lo, hi, due[hi], inner, tried if due[hi] else 0)
+              for (lo, hi), (inner, tried) in zip(spans, exhausted)]
+    namespace = {}
+    exec(_search_source(blocks, free, p), namespace)
+    hit, nodes, entry_evals = namespace["search"]()
+    if hit is None:
+        return SearchResult(status="exhausted", field=p, assignment=None,
                             evaluations_tried=nodes, entry_evals=entry_evals)
-    return SearchResult(status="exhausted", field=p, assignment=None,
+
+    values = [0] * n  # pinned positions are not read
+    for i, value in zip(free, hit):
+        values[i] = value
+    for (lo, hi), (inner_all, tried_all) in zip(spans, exhausted):
+        inner, tried = counts(lo, hi, values)
+        nodes += inner - inner_all
+        if due[hi]:
+            entry_evals += tried - tried_all
+    assignment = dict(pinned)
+    for i in free:
+        assignment[order[i]] = values[i]
+    return SearchResult(status="found", field=p, assignment=assignment,
                         evaluations_tried=nodes, entry_evals=entry_evals)
 
 

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdgtool import cli, fdg, lpbound
+from fdgtool import algebra, cli, fdg, lpbound
 from fdgtool.netmodel import FIXTURE_NAMES, fixture_text, load_fixture
 
 from conftest import FORGED_STEPS, head_first_path_text
@@ -463,6 +463,50 @@ def test_transfer_pin_given_twice_is_a_usage_error(on_disk, capsys):
     assert code == 2
     assert out == ""
     assert "eps[Y1->e1]" in err and err.count("\n") == 1
+
+
+# Reduced fixtures on which any search over GF(P <= 7) ends within 0.05 s.
+_QUICK_SEARCHES = {
+    (fixture, mode): algebra.build_transfer_system(
+        fdg.reduce(fdg.build_fdg(load_fixture(fixture)), mode)[0]).indeterminates
+    for fixture, mode in [("butterfly", "linear"), ("two_unicast_side", "shannon"),
+                          ("parallel_relay", "shannon")]}
+
+
+@st.composite
+def _search_arguments(draw):
+    fixture, mode = draw(st.sampled_from(sorted(_QUICK_SEARCHES)))
+    names = st.sampled_from(_QUICK_SEARCHES[fixture, mode])
+    valid = st.lists(st.tuples(names, st.integers(0, 6).map(str)), max_size=3,
+                     unique_by=lambda pin: pin[0])
+    value = st.integers(-2, 9).map(str) | st.text(max_size=4)
+    pin = st.tuples(names | st.text(max_size=8), value).map("=".join) | st.text(max_size=12)
+    pins = ",".join(draw(valid.map(lambda pins: ["=".join(p) for p in pins])
+                         | st.lists(pin, max_size=3)))
+    field = draw(st.sampled_from((2, 3, 5, 7)) | st.integers(-3, 12) | st.integers())
+    return fixture, ["transfer", f"--search={field}", "--reduce", mode, f"--pin={pins}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_arguments())
+@example(("butterfly", ["transfer", "--search=7", "--reduce", "linear",
+                        "--pin= eps[Y1->e_c] = 3 ,eps[Y2->e_g]=0"]))
+@example(("butterfly", ["transfer", "--search=7", "--reduce", "linear",
+                        "--pin=eps[Y1->e_c]=7"]))
+def test_fuzzed_search_arguments_fail_in_one_line(tmp_path_factory, case):
+    fixture, argv = case
+    net = tmp_path_factory.getbasetemp() / f"{fixture}.json"
+    net.write_text(fixture_text(fixture))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + [str(net)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["status"] == ("found", "exhausted")[code]
 
 
 def test_transfer_requires_unit_capacities(tmp_path, capsys):

@@ -117,23 +117,36 @@ def brute_force_first_hit(M, demand, p, order, pinned):
     return None
 
 
-NAMES = ("x0", "x1", "x2", "x3")
+def assert_same_search(got, ref):
+    """Same status, counters and assignment, keys in the same order."""
+    assert (got.status, got.evaluations_tried, got.entry_evals) == \
+        (ref.status, ref.evaluations_tried, ref.entry_evals)
+    if ref.assignment is None:
+        assert got.assignment is None
+    else:
+        assert list(got.assignment.items()) == list(ref.assignment.items())
+
+
+NAMES = tuple(f"x{i}" for i in range(8))
+# Free positions are pinned until a case has at most this many leaves, which
+# keeps the reference and the brute force quick.
+MAX_LEAVES = 2401
 
 
 @st.composite
 def search_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    used = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=4))
+    used = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=len(NAMES)))
     monomial = st.lists(st.tuples(st.sampled_from(used), st.integers(1, 3)),
                         max_size=3) if used else st.just([])
     term = st.tuples(st.integers(-7, 7), monomial)
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     M = []
     for _ in range(rows):
         row = []
         for _ in range(cols):
             entry = Poly.zero()
-            for c, factors in draw(st.lists(term, max_size=3)):
+            for c, factors in draw(st.lists(term, max_size=4)):
                 mono = Poly.const(c)
                 for name, e in factors:
                     for _ in range(e):
@@ -147,6 +160,16 @@ def search_cases(draw):
         # An indeterminate that no entry mentions is still enumerated.
         order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(unused)))
     pinned_names = draw(st.lists(st.sampled_from(order), unique=True)) if order else []
+    ends = sorted({0, len(order)}.union(
+        max((order.index(x) + 1 for x in entry.indeterminates()), default=0)
+        for row in M for entry in row))
+    if len(ends) > 1 and draw(st.booleans()):
+        # Pin every position of one block, which then has no loop of its own.
+        k = draw(st.integers(0, len(ends) - 2))
+        pinned_names += [n for n in order[ends[k]:ends[k + 1]] if n not in pinned_names]
+    free = [n for n in order if n not in pinned_names]
+    while p ** len(free) > MAX_LEAVES:
+        pinned_names.append(free.pop(draw(st.integers(0, len(free) - 1))))
     pinned = {n: draw(st.integers(0, p - 1)) for n in pinned_names}
     if draw(st.booleans()):
         planted = {n: draw(st.integers(0, p - 1)) for n in order}
@@ -163,13 +186,7 @@ def search_cases(draw):
 def test_search_matches_reference_and_brute_force(case):
     M, demand, p, order, pinned = case
     got = solvability_search(M, demand, p, order=order, pinned=pinned)
-    ref = reference_search(M, demand, p, order=order, pinned=pinned)
-    assert (got.status, got.evaluations_tried, got.entry_evals) == \
-        (ref.status, ref.evaluations_tried, ref.entry_evals)
-    if ref.assignment is None:
-        assert got.assignment is None
-    else:
-        assert list(got.assignment.items()) == list(ref.assignment.items())
+    assert_same_search(got, reference_search(M, demand, p, order=order, pinned=pinned))
     brute = brute_force_first_hit(M, demand, p, order, pinned)
     assert (got.status == "found") == (brute is not None)
     if brute is not None:
@@ -186,6 +203,11 @@ FANO_PINS = {"eps[Y1->e1]": 1, "eps[Y1->e2]": 1, "eps[Y2->e2]": 1}
     ("butterfly", "none", 5, {}, ("found", 154219, 648984)),
     ("two_unicast_side", "none", 5, {}, ("exhausted", 184056, 906145)),
     ("two_unicast_chain", "none", 3, {}, ("exhausted", 32644, 77497)),
+    ("butterfly", "none", 3, {}, ("found", 6087, 13324)),
+    ("butterfly", "shannon", 5, {}, ("found", 6550, 27834)),
+    ("butterfly", "linear", 7, {}, ("found", 630, 3903)),
+    ("two_unicast_chain", "none", 2, {}, ("exhausted", 1053, 1161)),
+    ("parallel_relay", "none", 3, {}, ("exhausted", 11281, 28035)),
 ])
 def test_fixture_search_counts(fixture, mode, p, pins, expected):
     graph = build_fdg(load_fixture(fixture))
@@ -195,3 +217,74 @@ def test_fixture_search_counts(fixture, mode, p, pins, expected):
     got = solvability_search(transfer_matrix(ts), ts.demand, p,
                              order=ts.indeterminates, pinned=pins)
     assert (got.status, got.evaluations_tried, got.entry_evals) == expected
+
+
+def forced_chain(n):
+    """One entry x_i = 1 per indeterminate: the search must take x_i = 1."""
+    names = tuple(f"y{i:02d}" for i in range(n))
+    return [tuple(Poly.var(y) for y in names)], ((1,) * n,), names
+
+
+@pytest.mark.parametrize("n", [21, 45])
+def test_search_past_the_nesting_limit_hits(n):
+    M, demand, order = forced_chain(n)
+    got = solvability_search(M, demand, 2, order=order, indet_cap=n)
+    assert_same_search(got, reference_search(M, demand, 2, order=order, indet_cap=n))
+    assert got.assignment == dict.fromkeys(order, 1)
+
+
+@pytest.mark.parametrize("extra, demand_of_extra", [
+    (lambda y: Poly.var(y[0]) + Poly.var(y[1]), 1),   # fails in the second block
+    (lambda y: Poly.const(2) * Poly.var(y[-1]), 1),   # vanishes mod 2 in the last block
+], ids=["early-block", "last-block"])
+def test_search_past_the_nesting_limit_exhausts(extra, demand_of_extra):
+    M, demand, order = forced_chain(24)
+    M.append((extra(order),))
+    demand += ((demand_of_extra,),)
+    got = solvability_search(M, demand, 2, order=order, indet_cap=24)
+    assert got.status == "exhausted"
+    assert_same_search(got, reference_search(M, demand, 2, order=order, indet_cap=24))
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.integers(15, 22))
+def test_search_past_the_nesting_limit_matches_reference(case, k):
+    """A forced prefix of k positions, then a random case: the loop where the
+    search moves into a nested function falls anywhere in the case's blocks."""
+    M, demand, p, order, pinned = case
+    prefix_M, prefix_demand, prefix = forced_chain(k)
+    M, demand, order = prefix_M + list(M), prefix_demand + demand, prefix + order
+    cap = len(order)
+    got = solvability_search(M, demand, p, order=order, pinned=pinned, indet_cap=cap)
+    assert_same_search(got, reference_search(M, demand, p, order=order, pinned=pinned,
+                                             indet_cap=cap))
+
+
+def test_search_compiles_an_entry_with_thousands_of_terms():
+    # x13 * (1 + x0) ... (1 + x12): 8192 terms that share x13 and read only
+    # positions of earlier blocks, after one forced entry per x0..x12.
+    M, demand, order = forced_chain(13)
+    entry = Poly.var("z")
+    for y in order:
+        entry = entry * (Poly.const(1) + Poly.var(y))
+    M[0] += (entry,)
+    demand = (demand[0] + (1,),)
+    order += ("z",)
+    got = solvability_search(M, demand, 3, order=order)
+    assert_same_search(got, reference_search(M, demand, 3, order=order))
+    assert got.assignment["z"] == 2
+
+
+def test_search_refuses_bad_pins_fields_demands_and_repeated_names():
+    M, demand = [(Poly.var("x") * Poly.var("y"),)], ((1,),)
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(ValueError, match="pinned value"):
+            solvability_search(M, demand, 3, pinned={"x": bad})
+    with pytest.raises(ValueError, match="more than once"):
+        solvability_search(M, demand, 3, order=("x", "x", "y"))
+    for bad in (3.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            solvability_search(M, demand, bad)
+    with pytest.raises(ValueError, match="demand"):
+        solvability_search(M, ((1.0,),), 3)
+    assert solvability_search(M, demand, 3, pinned={"x": 2}).assignment == {"x": 2, "y": 2}
