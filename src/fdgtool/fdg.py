@@ -27,6 +27,7 @@ function, which refuses any removal its rule does not permit.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,7 +69,7 @@ class SourceVar:
 @dataclass(frozen=True)
 class EdgeVar:
     edge_id: str
-    cap: Fraction = field(hash=False)  # compared but not hashed: Fraction hashing is slow
+    cap: Fraction = field(hash=False)  # not hashed (slow); the rules read Fdg._caps
 
     @property
     def name(self) -> str:
@@ -85,6 +86,8 @@ class Fdg:
     (LP columns, matrix rows).  ``parents`` maps each variable to its
     parent tuple; children are derived.  Both are held as the ascending
     positions in ``vars`` of the neighbours of ``vars[i]``, at index ``i``.
+    So are ``_is_edge``, ``_names`` and ``_caps``, each capacity as an integer
+    over ``_den``, the edge capacities' least common denominator (0 for a source).
     """
 
     def __init__(self, vars, parents, demand_origin=None):
@@ -110,7 +113,12 @@ class Fdg:
                 children[p].append(i)
         self._children = tuple(map(tuple, children))
         self._demand_origin = {k: frozenset(v) for k, v in (demand_origin or {}).items()}
-        self._unit = all(v.cap == 1 for v in self._vars if isinstance(v, EdgeVar))
+        self._is_edge = is_edge = tuple([isinstance(v, EdgeVar) for v in self._vars])
+        self._names = tuple([v.name for v in self._vars])
+        ratios = [v.cap.as_integer_ratio() if e else (0, 1) for v, e in zip(self._vars, is_edge)]
+        self._den = den = math.lcm(*[q for _, q in ratios])
+        self._caps = tuple([p * (den // q) for p, q in ratios])
+        self._unit = all(c == den for c, e in zip(self._caps, is_edge) if e)
 
     @property
     def vars(self) -> tuple:
@@ -149,10 +157,10 @@ class Fdg:
         return sum(map(len, self._parents))
 
     def var_by_name(self, name: str):
-        for v in self._vars:
-            if v.name == name:
-                return v
-        raise KeyError(f"no variable named {name!r}")
+        try:
+            return self._vars[self._names.index(name)]
+        except ValueError:
+            raise KeyError(f"no variable named {name!r}") from None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Fdg) and self._vars == other._vars
@@ -237,19 +245,19 @@ def build_fdg(net: Network) -> Fdg:
     return fdg
 
 
-def _shared_neighbourhood(fdg, group: tuple):
-    """The positions ``(up, down)`` of the parents and children of
-    ``group``, or None unless the group is non-empty, has no repeated
-    members, holds only edge variables, and all members have the same parent
-    set and the same child set.  No member is among them: it would be its
-    own parent."""
-    if not group or len(set(group)) != len(group):
+def _shared_neighbourhood(g, members: tuple):
+    """The positions ``(up, down)`` of the parents and children of the
+    variables at ``members`` in ``g``, or None unless ``members`` is
+    non-empty, has no repeats, holds only edge variables, and all have the
+    same parents and children.  No member is among them: no self-loops."""
+    if not members or len(set(members)) != len(members):
         return None
-    if not all(isinstance(v, EdgeVar) for v in group):
+    is_edge = g._is_edge
+    if not all(is_edge[i] for i in members):
         return None
-    first, *rest = map(fdg.index, group)
-    up, down = fdg._parents[first], fdg._children[first]
-    if any(fdg._parents[i] != up or fdg._children[i] != down for i in rest):
+    first, *rest = members
+    up, down = g._parents[first], g._children[first]
+    if any(g._parents[i] != up or g._children[i] != down for i in rest):
         return None
     return up, down
 
@@ -271,12 +279,13 @@ def remove_group(fdg: Fdg, group) -> Fdg:
             raise ValueError(f"{v.name} is a source variable; only edge variables are removable")
         if v not in fdg:
             raise ValueError(f"{v.name} is not in the graph")
-    shared = _shared_neighbourhood(fdg, group)
+    members = tuple(map(fdg.index, group))
+    shared = _shared_neighbourhood(fdg, members)
     if shared is None:
         raise ValueError("group removal requires distinct variables with "
                          "identical parent and child sets")
     work = _WorkGraph(fdg)
-    work.remove(tuple(map(fdg.index, group)), *shared)
+    work.remove(members, *shared)
     return work.freeze()
 
 
@@ -284,27 +293,23 @@ class _WorkGraph:
     """A mutable copy of an ``Fdg`` that removals rewire in place.
 
     Variables keep their positions in the original order, and removed ones
-    are only marked dead, so ``vars``, ``index``, ``_parents`` and
-    ``_children`` mean what they mean on the ``Fdg``: after the same
-    removals the ``Fdg`` would hold the same neighbours, renumbered.  With
-    ``unit_capacities`` that is all the rule predicates read, so they take
-    either graph; ``freeze`` builds the ``Fdg`` once.  It never leaves this
-    module, so every graph a caller sees stays immutable.
+    are only marked dead, so ``_parents`` and ``_children`` mean what they
+    mean on the ``Fdg``, which shares its other per-position data with it.
+    With ``unit_capacities`` that is all the rule predicates read, so they
+    take either graph; ``freeze`` builds the ``Fdg`` once.  It never leaves
+    this module, so every graph a caller sees stays immutable.
     """
 
     def __init__(self, fdg: Fdg):
         self.vars = fdg.vars
-        self._index = fdg._index
-        self.is_edge = [isinstance(v, EdgeVar) for v in self.vars]
+        self._is_edge, self._names = fdg._is_edge, fdg._names
+        self._caps, self._den = fdg._caps, fdg._den
         self._parents = list(fdg._parents)
         self._children = list(fdg._children)
         self._alive = [True] * len(self.vars)
-        self._by_name = {v.name: i for i, v in reversed(list(enumerate(self.vars)))}
+        self._by_name = {n: i for i, n in reversed(list(enumerate(self._names)))}
         self._demand_origin = fdg.demand_origin
-        self._non_unit = sum(1 for v in fdg.edge_vars() if v.cap != 1)
-
-    def index(self, v) -> int:
-        return self._index[v]
+        self._non_unit = sum(c != self._den for c, e in zip(self._caps, self._is_edge) if e)
 
     def unit_capacities(self) -> bool:
         return not self._non_unit
@@ -327,7 +332,7 @@ class _WorkGraph:
             self._parents[b] = tuple(sorted(kept.union(a for a in up if a != b)))
         for i in members:
             self._alive[i] = False
-            self._non_unit -= self.vars[i].cap != 1
+            self._non_unit -= self._caps[i] != self._den
 
     def freeze(self) -> Fdg:
         var = self.vars
@@ -337,78 +342,79 @@ class _WorkGraph:
                    self._demand_origin)
 
 
-def _require_unit(fdg: Fdg, rule: str) -> None:
-    if not fdg.unit_capacities():
-        raise UnitCapacityError(
-            f"{rule} applies to unit-capacity graphs only; "
-            f"use the capacity rules COR1/COR2 instead")
+# Each rule: single variables only?  unit capacities only?  For COR5a/COR5b, the
+# side of the shared neighbourhood (0 up, 1 down) that must be one edge variable.
+_RULE_KINDS = {COR1: (True, False, None), COR2: (False, False, None),
+               COR3: (True, True, None), COR4: (False, True, None),
+               COR5A: (True, True, 0), COR5B: (True, True, 1)}
+
+
+def _permits(g, group: tuple, rule: str, index=None) -> bool:
+    """Whether ``rule`` permits removing ``group`` from ``g``, an ``Fdg`` or
+    a working graph: positions, or variables that ``index`` maps to positions
+    once they are known to be distinct edge variables.  Raises ValueError for
+    an unknown rule, UnitCapacityError for a unit rule on other capacities."""
+    if rule not in _RULE_KINDS:
+        raise ValueError(f"unknown rule {rule!r}")
+    single, unit, side = _RULE_KINDS[rule]
+    if single and len(group) != 1:
+        return False
+    if unit and not g.unit_capacities():
+        raise UnitCapacityError(f"{rule} applies to unit-capacity graphs only; "
+                                f"use the capacity rules COR1/COR2 instead")
+    if index is not None:
+        if len(set(group)) != len(group) or not all(isinstance(v, EdgeVar) for v in group):
+            return False
+        group = tuple(map(index, group))
+    shared = _shared_neighbourhood(g, group)
+    if shared is None:
+        return False
+    is_edge, cap, up = g._is_edge, g._caps, shared[0]
+    if side is not None:
+        return len(shared[side]) == 1 and is_edge[shared[side][0]]
+    # COR1-COR4: no source parent, and the group's capacity covers the parents'.
+    return all(is_edge[p] for p in up) and sum(cap[i] for i in group) >= sum(cap[p] for p in up)
+
+
+# Each rule as a predicate over a tuple of variables.
+RULES = {rule: lambda fdg, group, rule=rule: _permits(fdg, tuple(group), rule, fdg.index)
+         for rule in _RULE_KINDS}
 
 
 def cor1(fdg: Fdg, v) -> bool:
-    """Single variable: no source parent, capacity covers the parents' sum.
-
-    This is ``cor2`` of the one-member group, as no variable is its own parent.
-    """
-    return cor2(fdg, (v,))
+    """Single variable: no source parent, capacity covers the parents' sum."""
+    return RULES[COR1](fdg, (v,))
 
 
 def cor2(fdg: Fdg, group) -> bool:
     """Group with identical neighborhoods whose joint capacity covers its parents."""
-    group = tuple(group)
-    shared = _shared_neighbourhood(fdg, group)
-    if shared is None:
-        return False
-    up = [fdg.vars[p] for p in shared[0]]
-    return (not any(isinstance(p, SourceVar) for p in up)
-            and sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in up), Fraction(0)))
-
-
-def _one_link(fdg: Fdg, v, rule: str, side: int) -> bool:
-    """Unit-capacity single variable with exactly one parent (``side`` 0) or
-    one child (``side`` 1), which is not a source."""
-    _require_unit(fdg, rule)
-    shared = _shared_neighbourhood(fdg, (v,))
-    if shared is None:
-        return False
-    links = shared[side]
-    return len(links) == 1 and not isinstance(fdg.vars[links[0]], SourceVar)
+    return RULES[COR2](fdg, group)
 
 
 def cor3(fdg: Fdg, v) -> bool:
     """Unit-capacity single variable: no source parent, at most one parent.
 
-    With unit capacities the capacity sum of ``cor1`` is this count.
+    This is ``cor1``: every capacity equals the denominator, so its sums count.
     """
-    _require_unit(fdg, COR3)
-    return cor1(fdg, v)
+    return RULES[COR3](fdg, (v,))
 
 
 def cor4(fdg: Fdg, group) -> bool:
     """Unit-capacity group: identical neighborhoods, no more parents than members.
 
-    With unit capacities the capacity sums of ``cor2`` are these counts.
+    This is ``cor2``: every capacity equals the denominator, so its sums count.
     """
-    _require_unit(fdg, COR4)
-    return cor2(fdg, group)
+    return RULES[COR4](fdg, group)
 
 
 def cor5a(fdg: Fdg, v) -> bool:
     """Linear-coding rule: one parent and it is not a source."""
-    return _one_link(fdg, v, COR5A, 0)
+    return RULES[COR5A](fdg, (v,))
 
 
 def cor5b(fdg: Fdg, v) -> bool:
     """Linear-coding rule: one child and it is not a source."""
-    return _one_link(fdg, v, COR5B, 1)
-
-
-def _single(rule):
-    return lambda fdg, group: len(group) == 1 and rule(fdg, group[0])
-
-
-# Each rule as a predicate over a tuple of variables.
-RULES = {COR1: _single(cor1), COR2: cor2, COR3: _single(cor3), COR4: cor4,
-         COR5A: _single(cor5a), COR5B: _single(cor5b)}
+    return RULES[COR5B](fdg, (v,))
 
 
 def removable(fdg: Fdg, target, rule: str) -> bool:
@@ -495,7 +501,7 @@ class ReductionTrace:
 def _edge_var_depths(work: _WorkGraph) -> list:
     """Longest-path depth of each edge variable in the edge-variable subgraph,
     which stays acyclic under removals, by position; -1 for the others."""
-    is_edge = work.is_edge
+    is_edge = work._is_edge
     parents = [[p for p in ps if is_edge[p]] if is_edge[v] else []
                for v, ps in enumerate(work._parents)]
     depth = [-1] * len(parents)
@@ -515,18 +521,17 @@ def _step(work: _WorkGraph, members: tuple, rule: str) -> tuple[Step, tuple, tup
     Raises ValueError for an unknown rule or a group the rule does not
     permit, and UnitCapacityError for a unit rule on other capacities.
     """
-    var = work.vars
-    group = tuple(var[i] for i in members)
-    if not removable(work, group, rule):
-        raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
+    name = work._names
+    if not _permits(work, members, rule):
+        raise ValueError(f"{rule} does not permit removing {[name[i] for i in members]}")
     # Every rule permits only a group whose members share one parent set and
     # one child set, so the first member's neighbours are the group's.
     up, down = work._parents[members[0]], work._children[members[0]]
     step = Step(rule=rule,
-                removed=tuple(v.name for v in group),
-                up=tuple(var[a].name for a in up),
-                down=tuple(var[b].name for b in down),
-                added=tuple((var[a].name, var[b].name) for a in up for b in down
+                removed=tuple(name[i] for i in members),
+                up=tuple(name[a] for a in up),
+                down=tuple(name[b] for b in down),
+                added=tuple((name[a], name[b]) for a in up for b in down
                             if a != b and a not in work._parents[b]))
     work.remove(members, up, down)
     return step, up, down
@@ -553,7 +558,7 @@ class _Candidates:
         self._rules = rules
         self._singles = {rule: set() for rule in rules if rule != COR2}
         self._depth = _edge_var_depths(work)
-        self._retest([i for i, edge in enumerate(work.is_edge) if edge])
+        self._retest([i for i, edge in enumerate(work._is_edge) if edge])
 
     def first(self):
         """The first ``(members, rule)`` that a rule permits, trying the
@@ -575,10 +580,10 @@ class _Candidates:
         work = self._work
         classes = {}
         for i, alive in enumerate(work._alive):
-            if alive and work.is_edge[i]:
+            if alive and work._is_edge[i]:
                 classes.setdefault((work._parents[i], work._children[i]), []).append(i)
         for members in classes.values():
-            if len(members) > 1 and RULES[COR2](work, tuple(work.vars[i] for i in members)):
+            if len(members) > 1 and _permits(work, tuple(members), COR2):
                 return tuple(members)
         return None
 
@@ -589,15 +594,15 @@ class _Candidates:
             for passing in self._singles.values():
                 passing.discard(i)
             self._depth[i] = -1
-        ups = [i for i in up if work.is_edge[i]]
-        downs = [i for i in down if work.is_edge[i]]
+        ups = [i for i in up if work._is_edge[i]]
+        downs = [i for i in down if work._is_edge[i]]
         self._push_depths(downs)
         self._retest(ups + downs)
 
     def _push_depths(self, start: list) -> None:
         # Only the parent sets of ``start`` changed; carry changes downstream.
         depth, parents, children = self._depth, self._work._parents, self._work._children
-        is_edge = self._work.is_edge
+        is_edge = self._work._is_edge
         pending = list(start)
         while pending:
             v = pending.pop()
@@ -610,12 +615,8 @@ class _Candidates:
         """Re-test the single-variable rules on ``positions``."""
         work = self._work
         for i in positions:
-            group = (work.vars[i],)
             for rule, passing in self._singles.items():
-                if RULES[rule](work, group):
-                    passing.add(i)
-                else:
-                    passing.discard(i)
+                (passing.add if _permits(work, (i,), rule) else passing.discard)(i)
 
 
 def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
@@ -629,13 +630,12 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
     No claim of order independence is made, so the order is part of the
     contract.
 
-    The steps run on one private working graph.  After each step only the
-    removed group's neighbourhood is rewired and re-tested against the
-    single-variable rules, and only the depths it shortens are updated.
-    Picking the next removal still scans every variable that passes a rule,
-    and a step that reaches COR2 groups every live edge variable by its
-    neighbourhood, so a step is also linear in the number of candidates.
-    The reduced ``Fdg`` is built once, at the end.
+    The steps run on one private working graph, where the rules read
+    positions and integer capacities.  A step rewires and re-tests only the
+    removed group's neighbourhood and updates only the depths it shortens.
+    Picking the next removal still scans every passing variable, and a step
+    that reaches COR2 groups every live edge variable, so a step is also
+    linear in the number of candidates.  The ``Fdg`` is built once, at the end.
     """
     if mode not in _MODE_RULES:
         raise ValueError(f"unknown mode {mode!r}")

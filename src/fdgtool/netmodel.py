@@ -15,6 +15,8 @@ preserved because it fixes the variable ordering used by every other module.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,12 +78,26 @@ class Network:
         return all(e.cap == 1 for e in self.edges)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first a decimal exponent larger than the
+    digit limit Python puts on integer strings: ``Fraction`` would build
+    that power of ten, and ``1e10000000`` alone takes about 12 s."""
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent.group(1))) > limit:
+        raise ValueError(f"exponent {exponent.group(1)} gives more than {limit} digits")
+    return Fraction(text)
+
+
 def _parse_cap(text) -> Fraction:
     if not isinstance(text, str):
         raise NetworkFormatError(
             f"capacity must be a string (decimal or p/q), got {text!r}")
     try:
-        cap = Fraction(text)
+        cap = parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise NetworkFormatError(f"bad capacity {text!r}: {exc}") from None
     return cap
@@ -342,7 +358,7 @@ class Weights:
         if not all(parts):
             # Skipping it would shift every later weight onto the wrong source.
             raise ValueError(f"empty weight for source {parts.index('') + 1}")
-        return cls.of({i + 1: Fraction(p) for i, p in enumerate(parts)})
+        return cls.of({i + 1: parse_fraction(p) for i, p in enumerate(parts)})
 
     def get(self, index: int) -> Fraction:
         for k, v in self.w:

@@ -14,8 +14,8 @@ import pytest
 
 from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
-from fdgtool.fdg import (COR1, COR2, COR5A, COR5B, LINEAR, RULES, SHANNON, EdgeVar, Fdg,
-                         ReductionTrace, ReplayError, Step, UnitCapacityError, removable)
+from fdgtool.fdg import (COR1, COR2, COR3, COR4, COR5A, COR5B, LINEAR, SHANNON, EdgeVar, Fdg,
+                         ReductionTrace, ReplayError, Step, UnitCapacityError)
 from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
 from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 
@@ -967,7 +967,8 @@ def reference_simplex_solve(n_cols: int, objective: dict, rows) -> SimplexResult
 # ``fdg`` (``reduce`` and ``replay`` renamed ``reference_reduce`` and
 # ``reference_replay``), with ``fdg``'s ``_shared_neighbourhood`` from when
 # it compared sets of variables and with its ``_MODE_RULES``, which still
-# tries COR5a in linear mode.
+# tries COR5a in linear mode.  It tests the rules with its own
+# ``reference_removable``, not with ``fdg``'s predicates.
 
 _MODE_RULES = {SHANNON: (COR1, COR2), LINEAR: (COR1, COR2, COR5A, COR5B)}
 
@@ -988,6 +989,30 @@ def _shared_neighbourhood(fdg: Fdg, group: tuple):
             return None
     return (tuple(p for p in fdg.up(first) if p not in members),
             tuple(c for c in fdg.down(first) if c not in members))
+
+
+def reference_removable(fdg: Fdg, group: tuple, rule: str) -> bool:
+    """Whether ``rule`` permits removing the variables ``group``, written from
+    the rule definitions: the members are distinct edge variables with the
+    same parent set and the same child set; COR1/COR2 (COR3/COR4 on unit
+    capacities) ask for no source parent and a joint capacity that covers
+    the parents' capacities, summed as ``Fraction``s; COR5a/COR5b (unit
+    capacities) ask for exactly one parent or one child, not a source."""
+    if rule not in (COR1, COR2, COR3, COR4, COR5A, COR5B):
+        raise ValueError(f"unknown rule {rule!r}")
+    if rule not in (COR2, COR4) and len(group) != 1:
+        return False
+    if rule not in (COR1, COR2) and not all(v.cap == 1 for v in fdg.edge_vars()):
+        raise UnitCapacityError(f"{rule} applies to unit-capacity graphs only")
+    shared = _shared_neighbourhood(fdg, group)
+    if shared is None:
+        return False
+    up, down = shared
+    if rule in (COR5A, COR5B):
+        links = up if rule == COR5A else down
+        return len(links) == 1 and isinstance(links[0], EdgeVar)
+    return (all(isinstance(p, EdgeVar) for p in up)
+            and sum((v.cap for v in group), Fraction(0)) >= sum((p.cap for p in up), Fraction(0)))
 
 
 def remove_group(fdg: Fdg, group) -> Fdg:
@@ -1041,7 +1066,7 @@ def _step(fdg: Fdg, group: tuple, rule: str) -> tuple[Fdg, Step]:
     Raises ValueError for an unknown rule or a group the rule does not
     permit, and UnitCapacityError for a unit rule on other capacities.
     """
-    if not removable(fdg, group, rule):
+    if not reference_removable(fdg, group, rule):
         raise ValueError(f"{rule} does not permit removing {[v.name for v in group]}")
     up, down = _shared_neighbourhood(fdg, group)
     step = Step(rule=rule,
@@ -1071,7 +1096,7 @@ def _first_removal(fdg: Fdg, rules):
     singles = [(v,) for v in sorted(fdg.edge_vars(), key=lambda v: (depth[v], fdg.index(v)))]
     for rule in rules:
         for group in _cor2_classes(fdg) if rule == COR2 else singles:
-            if RULES[rule](fdg, group):
+            if reference_removable(fdg, group, rule):
                 return group, rule
     return None
 

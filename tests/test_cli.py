@@ -509,6 +509,37 @@ def test_fuzzed_search_arguments_fail_in_one_line(tmp_path_factory, case):
         assert json.loads(out.getvalue())["status"] == ("found", "exhausted")[code]
 
 
+@st.composite
+def _weight_lists(draw):
+    number = (st.integers(-3, 10 ** 6).map(str)
+              | st.fractions(max_denominator=10 ** 6).map(str)
+              | st.decimals().map(str)
+              | st.builds("{}e{}".format, st.integers(0, 99), st.integers()))
+    token = number | st.text(max_size=6)
+    return draw(st.lists(token, max_size=4).map(",".join) | st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_lists())
+@example("1,1")
+@example("1e99999999,1")
+@example("-1,2")
+def test_fuzzed_weights_fail_in_one_line(tmp_path_factory, weights):
+    net = tmp_path_factory.getbasetemp() / "butterfly.json"
+    net.write_text(fixture_text("butterfly"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # "-w=" keeps argparse from reading a list that starts with "-" as an option
+        code = cli.main(["lp", "--stats", f"-w={weights}", str(net)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["n_vars"] == 9
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: bad weights")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
 def test_transfer_requires_unit_capacities(tmp_path, capsys):
     doc = fixture_text("single_edge").replace('"cap": "1"', '"cap": "2"')
     path = tmp_path / "big.json"

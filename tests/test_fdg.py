@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -17,7 +18,7 @@ from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
 from fdgtool.netmodel import in_edges, load_fixture
 
 from conftest import (FORGED_STEPS, UNIT_FIXTURES, head_first_path_text, random_network,
-                      reference_reduce, reference_replay, relay_grid)
+                      reference_reduce, reference_removable, reference_replay, relay_grid)
 
 
 def test_orders_match_edge_plus_source_count():
@@ -397,7 +398,17 @@ def test_irreducible_graph_has_empty_trace():
     assert trace.delta_v == 0 and trace.delta_e == 0
 
 
-_CAPACITIES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(3, 2))
+# Coprime denominators and zero, so that a capacity scaled to the wrong
+# common denominator changes a comparison.
+_CAPACITIES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(3, 2),
+               Fraction(1, 3), Fraction(1, 6), Fraction(2, 7), Fraction(1, 123456789),
+               Fraction(0))
+
+
+def _with_capacities(net, rng):
+    """``net`` with each edge capacity drawn from ``_CAPACITIES``."""
+    return dataclasses.replace(net, edges=tuple(
+        dataclasses.replace(e, cap=rng.choice(_CAPACITIES)) for e in net.edges))
 
 
 @pytest.mark.filterwarnings("ignore:source")
@@ -407,8 +418,7 @@ def test_reduce_equals_the_rebuild_per_step_reference(seed, unit, mode):
     rng = random.Random(seed)
     net = random_network(rng, max_edges=30)
     if not unit:
-        net = dataclasses.replace(net, edges=tuple(
-            dataclasses.replace(e, cap=rng.choice(_CAPACITIES)) for e in net.edges))
+        net = _with_capacities(net, rng)
     g = build_fdg(net)
     if mode == "linear" and not g.unit_capacities():
         for run in (reduce, reference_reduce):
@@ -424,6 +434,180 @@ def test_reduce_equals_the_rebuild_per_step_reference(seed, unit, mode):
     assert (trace.delta_v, trace.delta_e) == (want_trace.delta_v, want_trace.delta_e)
     assert replay(g, trace) == want
     assert reference_replay(g, trace) == want
+
+
+def _outcome(predicate, *args):
+    try:
+        return predicate(*args)
+    except UnitCapacityError:
+        return UnitCapacityError
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_rules_agree_with_their_definitions(seed, unit):
+    rng = random.Random(seed)
+    net = random_network(rng, max_edges=20)
+    g = build_fdg(net if unit else _with_capacities(net, rng))
+    groups = [(v,) for v in g.edge_vars()]
+    groups += [tuple(c) for c in _identical_neighborhood_classes(g).values() if len(c) > 1]
+    for group in groups:
+        for rule in F.RULES:
+            want = _outcome(reference_removable, g, group, rule)
+            assert _outcome(removable, g, group, rule) == want, (rule, group)
+            assert _outcome(F.RULES[rule], g, group) == want, (rule, group)
+
+
+def _cor2_boundary(raised: bool):
+    """e5 and e6 (1/3 and 1/6) share the parents e3 and e4, whose capacities
+    sum to 1/2, or to 1/2 + 1/123456789 when ``raised``; nothing else is
+    removable."""
+    e3 = "1/4" if not raised else str(Fraction(1, 4) + Fraction(1, 123456789))
+    return build_fdg(netmodel.parse_network(json.dumps({
+        "nodes": ["s", "x", "y", "a", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "x", "cap": "1"},
+                  {"id": "e2", "tail": "s", "head": "y", "cap": "1"},
+                  {"id": "e3", "tail": "x", "head": "a", "cap": e3},
+                  {"id": "e4", "tail": "y", "head": "a", "cap": "1/4"},
+                  {"id": "e5", "tail": "a", "head": "t", "cap": "1/3"},
+                  {"id": "e6", "tail": "a", "head": "t", "cap": "1/6"}],
+        "sources": [{"index": 1, "at": "s"}],
+        "sinks": [{"at": "t", "demands": [1]}]})))
+
+
+def test_cor2_at_the_exact_capacity_boundary():
+    g = _cor2_boundary(raised=False)
+    reduced, trace = reduce(g, "shannon")
+    assert [(s.rule, s.removed) for s in trace.steps] == [("COR2", ("U:e5", "U:e6"))]
+    assert replay(g, trace) == reduced
+    raised = _cor2_boundary(raised=True)
+    unchanged, none = reduce(raised, "shannon")
+    assert none.steps == () and unchanged == raised
+    with pytest.raises(F.ReplayError, match="step 0: COR2 does not permit"):
+        replay(raised, trace)
+
+
+# SHA-256 of ``trace.to_jsonl()`` and ``reduced.to_json()``, recorded with
+# the reduction that summed capacities as Fractions.  Keys: the relay grid,
+# or a ``random_network(max_edges=30)`` seed with unit capacities or with
+# ``_with_capacities`` drawn from the same generator; then the mode.
+_GOLDEN = {
+    ("relay_grid", "shannon"): (
+        "35bc3ee5f59bf93124fcf6400d2781aed93eaba6a1f40ba6979fa085c162ee8d",
+        "caaee4049d50d9e9299ad70eda5bee075eafed7e2daf2e0b26672dcbd655fcd7"),
+    ("relay_grid", "linear"): (
+        "35bc3ee5f59bf93124fcf6400d2781aed93eaba6a1f40ba6979fa085c162ee8d",
+        "caaee4049d50d9e9299ad70eda5bee075eafed7e2daf2e0b26672dcbd655fcd7"),
+    (3, "unit", "shannon"): (
+        "67bc8d8f4d5e5d48555a2bf901f1e7328170204bfaa3c9f775e51ed9905c91e7",
+        "8c190ce978f38d38a7e06e91bfaa11c548a8de7ecd3ccc177dfc922b124862fb"),
+    (3, "unit", "linear"): (
+        "67bc8d8f4d5e5d48555a2bf901f1e7328170204bfaa3c9f775e51ed9905c91e7",
+        "8c190ce978f38d38a7e06e91bfaa11c548a8de7ecd3ccc177dfc922b124862fb"),
+    (3, "capacities", "shannon"): (
+        "801f91bf7e0a6c41464053f071bba2486baf08d4f828126da79082f392140a20",
+        "8545801fb08b0834ab10344bb8204d713820366e085c6d7917de4c2b5822fea8"),
+    (6, "unit", "shannon"): (
+        "5c69a5c19699d3cfdc97398e9b8c589045d1c0223346e7445544a1dc7edcd8b2",
+        "516398d234a7358c04f576bd0d6ad8f55f02ff23b2220068180123412d6b552d"),
+    (6, "unit", "linear"): (
+        "5c69a5c19699d3cfdc97398e9b8c589045d1c0223346e7445544a1dc7edcd8b2",
+        "516398d234a7358c04f576bd0d6ad8f55f02ff23b2220068180123412d6b552d"),
+    (6, "capacities", "shannon"): (
+        "6489558d6c4edbb6ee03bbafb8062164e97b29a310463c9dd1ec382ffa766d0b",
+        "97b3dca1de96047a26124f79343729c43dfe949d6f6c6571903109191f36782b"),
+    (9, "unit", "shannon"): (
+        "66662ca65d0f8b9d282f3aa86e21a95c82d848203822c08fb031aa7a8e615b1f",
+        "5df59e4480c6a21253b03c9af9dc1cd17c391e1932128d3978fff9bd6d087dd4"),
+    (9, "unit", "linear"): (
+        "9a3a4aa39ae31a53e6951deb2ef22d55ba5b57059db887b7ff622040d5a86d3d",
+        "e6b045e7c26dfb6880bd31546d02a6e80ec905203ee9d9f3a678015d589d7d2e"),
+    (9, "capacities", "shannon"): (
+        "d505c346b2c6004b79a098152dda27ca7461442cb6bd35e2297fccc7411fc666",
+        "9cbf09a1eba0cc796881433874c4a3d6932f87a8508eae7b54b7780c2efadd29"),
+    (10, "unit", "shannon"): (
+        "f255e385e37cb314be2844f73d79f0e150e51b3a16dfc69f9bf7b1a66bc04528",
+        "5c3d316866eb1e07ba9b8c221d68d5b0b68af097eaecfa9265d083e18c974009"),
+    (10, "unit", "linear"): (
+        "f255e385e37cb314be2844f73d79f0e150e51b3a16dfc69f9bf7b1a66bc04528",
+        "5c3d316866eb1e07ba9b8c221d68d5b0b68af097eaecfa9265d083e18c974009"),
+    (10, "capacities", "shannon"): (
+        "b7f3e51240c70179fce26e75e232424e442e918442e210f229ba9d1ebf9371ba",
+        "18509a6ab67cc8e7e7fdfe8465cfc307c8f2d47717c2097a0e6f30d4699409eb"),
+    (11, "unit", "shannon"): (
+        "fb5f118411776f44f4668c26f61c98f668a441d61ca5080f74c154ad39f58106",
+        "1538232280bcc9299610399698c5255a8dbf310532e576f96530e9d984cbe86c"),
+    (11, "unit", "linear"): (
+        "fb5f118411776f44f4668c26f61c98f668a441d61ca5080f74c154ad39f58106",
+        "1538232280bcc9299610399698c5255a8dbf310532e576f96530e9d984cbe86c"),
+    (11, "capacities", "shannon"): (
+        "a8727f38b1d20db3b5947beefce05c4ed0c8def87be183b1b374524b64f4fafb",
+        "0f815cc81b423752c0edbe9a10691020550a94b2c3c78467ab06ee04f3f67f92"),
+    (16, "unit", "shannon"): (
+        "696711b54839a88346bb9ae74b49480f02ce395cc27f687ed8ce905d69757ce6",
+        "fdb0029b5199936344cec6c72f6c1cbb06806461d81d5d550e99d88d19e67a63"),
+    (16, "unit", "linear"): (
+        "696711b54839a88346bb9ae74b49480f02ce395cc27f687ed8ce905d69757ce6",
+        "fdb0029b5199936344cec6c72f6c1cbb06806461d81d5d550e99d88d19e67a63"),
+    (16, "capacities", "shannon"): (
+        "5aa987a60b833a4682696a14077d9b337abb4ecab7dec9734bc5ddb531928e60",
+        "542cc94ca9f16b96e0d668a64217ba9c1d8a6b071ae88760cf28ab92c19d6fa0"),
+    (21, "unit", "shannon"): (
+        "f741900b3a5c35424212f58d151f97b904f8b913f53a3c21a6a1b5b7a8886180",
+        "6f732db3e2b72355cf43ba58967265250d1d3807d97a0a2588b7cbbbfadb7af8"),
+    (21, "unit", "linear"): (
+        "f741900b3a5c35424212f58d151f97b904f8b913f53a3c21a6a1b5b7a8886180",
+        "6f732db3e2b72355cf43ba58967265250d1d3807d97a0a2588b7cbbbfadb7af8"),
+    (21, "capacities", "shannon"): (
+        "47cf62a3c2ca89c1dfacf1c75b06c1ef044f91074caa6b2ceca7c9d43aa00926",
+        "b42e9fbe2fa75f3a0dff39a0e4799ba594b40c872e3cb6939deeb1bfeec8bf05"),
+    (26, "unit", "shannon"): (
+        "c2ab3aba16933fefe6e691d8349bf3f7c5866add3a3b03714a6edc7018005758",
+        "efdbd33f557f47136e598ce96cf61169627335cfa4c60c620a329d98a16aa747"),
+    (26, "unit", "linear"): (
+        "2364e886001d547d56e0dbb3ee3c70ace5ccd46efac35778321708f8db064d78",
+        "4b0a662a31ac3e0e62d0ac17a9e48082b28f5479ad8c9738e757fa0317de18d2"),
+    (26, "capacities", "shannon"): (
+        "1b830e1ce54bfd16f9632d2dc51e89f8a6d66b066e1fc8b6f47cb02d9058c552",
+        "cc68a91320fcbec63ce206b7c64cbf962d4d72415fd5d8da8c0c43efb3690b10"),
+    (28, "unit", "shannon"): (
+        "d7736e5f9c332da92c67088c8060d833cc881c654891cf503c0e403fbbe66daf",
+        "2cf348b92e556023ce91abf8b2d243b45bc1f923d052ce29aca44f3a270f9cf2"),
+    (28, "unit", "linear"): (
+        "3efe87c5f2f88efdb8457827cdf9e8c8edf8521f1e55eaf7051933d85c2ae9b4",
+        "22cc287a5d5cbb916e161259c14039e06c8011d4845670ceab9d6b7995d1df03"),
+    (28, "capacities", "shannon"): (
+        "ae911511d95e966775da61c651fbc52085c7b430cd49c203ed7c010d2b0d4bc1",
+        "4c4292bbeec14374642e678aa3180d0900768fca422735e0b489065fbba9e00c"),
+    (29, "unit", "shannon"): (
+        "092326c8c744fa0be43dede2e21616c86c964a5dddc1b0e4cc101d6dc88e1d40",
+        "08b214ce3fd361ac74f838c645d92d3cb1f7fb04265977689caa12ab9d09b75a"),
+    (29, "unit", "linear"): (
+        "092326c8c744fa0be43dede2e21616c86c964a5dddc1b0e4cc101d6dc88e1d40",
+        "08b214ce3fd361ac74f838c645d92d3cb1f7fb04265977689caa12ab9d09b75a"),
+    (29, "capacities", "shannon"): (
+        "092326c8c744fa0be43dede2e21616c86c964a5dddc1b0e4cc101d6dc88e1d40",
+        "0e36a8bcc9e27552f797520ba056763ec551e15c3a5640f131dee6563c7c4099"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@pytest.mark.parametrize("key", _GOLDEN, ids=lambda key: "-".join(map(str, key)))
+def test_reduction_matches_recorded_digests(key):
+    *network, mode = key
+    if network == ["relay_grid"]:
+        net = relay_grid(5, 6)
+    else:
+        seed, caps = network
+        rng = random.Random(seed)
+        net = random_network(rng, max_edges=30)
+        if caps == "capacities":
+            net = _with_capacities(net, rng)
+    reduced, trace = reduce(build_fdg(net), mode)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (trace.to_jsonl(), reduced.to_json()))
+    assert digests == _GOLDEN[key]
 
 
 def test_replay_sees_unit_capacities_once_the_others_are_removed():

@@ -68,6 +68,18 @@ def test_rational_and_decimal_capacities():
     assert net.edges[1].cap == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text", ["1e99999999", "2E-4301", "1.5e+9_999_999", "1e" + "9" * 5000])
+def test_a_huge_decimal_exponent_is_refused_at_once(text):
+    # Fraction would build the power of ten first: 1e10000000 alone takes about 12 s.
+    bad = json.loads(doc())
+    bad["edges"][0]["cap"] = text
+    with pytest.raises(NetworkFormatError, match="bad capacity"):
+        parse_network(json.dumps(bad))
+    with pytest.raises(ValueError, match="digits"):
+        Weights.parse(f"1,{text}")
+    assert netmodel.parse_fraction("1e4300") == 10 ** 4300
+
+
 def test_zero_edges_with_source_equal_sink_rejected():
     bad = json.dumps({
         "nodes": ["x"],
