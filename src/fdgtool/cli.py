@@ -310,9 +310,28 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _weights_joined(argv: list) -> list:
+    """``argv`` with each ``-w W`` before any ``--`` written as ``-w=W``,
+    and likewise for ``--weights`` and its abbreviations (``--weig W``):
+    argparse would read a separate ``W`` that starts with ``-`` as an option."""
+    out, i = [], 0
+    while i < len(argv) and argv[i] != "--":
+        flag = argv[i] == "-w" or len(argv[i]) > 2 and "--weights".startswith(argv[i])
+        if flag and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out + argv[i:]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_weights_joined(sys.argv[1:] if argv is None else list(argv)))
+    for key, value in vars(args).items():
+        if value == []:  # argparse drops an option value that is exactly "--"
+            setattr(args, key, "--")
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:

@@ -84,41 +84,48 @@ class Fdg:
 
     ``vars`` fixes the variable order used for every downstream artifact
     (LP columns, matrix rows).  ``parents`` maps each variable to its
-    parent tuple; children are derived.  Both are held as the ascending
-    positions in ``vars`` of the neighbours of ``vars[i]``, at index ``i``.
-    So are ``_is_edge``, ``_names`` and ``_caps``, each capacity as an integer
-    over ``_den``, the edge capacities' least common denominator (0 for a source).
+    parent tuple, checked here; children are derived.  Both are held as the
+    ascending positions in ``vars`` of the neighbours of ``vars[i]``, at index
+    ``i``, and so are ``_is_edge``, ``_names`` and ``_caps``, each capacity as an
+    integer over ``_den``, the edge capacities' least common denominator (0 for a source).
     """
 
     def __init__(self, vars, parents, demand_origin=None):
-        self._vars = tuple(vars)
-        self._index = {v: i for i, v in enumerate(self._vars)}
-        if len(self._index) != len(self._vars):
+        vars = tuple(vars)
+        index = {v: i for i, v in enumerate(vars)}
+        if len(index) != len(vars):
             raise ValueError("duplicate variables")
         par = []
-        for v in self._vars:
+        for v in vars:
             ps = tuple(parents.get(v, ()))
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parents for {v.name}")
             if v in ps:
                 raise ValueError(f"self-loop at {v.name}")
             for p in ps:
-                if p not in self._index:
+                if p not in index:
                     raise ValueError(f"parent {p.name} of {v.name} is not a variable")
-            par.append(tuple(sorted(map(self._index.__getitem__, ps))))
-        self._parents = tuple(par)
-        children = [[] for _ in par]
-        for i, ps in enumerate(par):
+            par.append(tuple(sorted(map(index.__getitem__, ps))))
+        self._assemble(vars, par, demand_origin)
+
+    def _assemble(self, vars: tuple, parents: list, demand_origin) -> "Fdg":
+        """Fill in ``self`` from ascending, distinct, loop-free parent positions, unchecked."""
+        self._vars = vars
+        self._index = {v: i for i, v in enumerate(vars)}
+        self._parents = tuple(parents)
+        children = [[] for _ in parents]
+        for i, ps in enumerate(parents):
             for p in ps:
                 children[p].append(i)
         self._children = tuple(map(tuple, children))
         self._demand_origin = {k: frozenset(v) for k, v in (demand_origin or {}).items()}
-        self._is_edge = is_edge = tuple([isinstance(v, EdgeVar) for v in self._vars])
-        self._names = tuple([v.name for v in self._vars])
-        ratios = [v.cap.as_integer_ratio() if e else (0, 1) for v, e in zip(self._vars, is_edge)]
+        self._is_edge = is_edge = tuple([isinstance(v, EdgeVar) for v in vars])
+        self._names = tuple([v.name for v in vars])
+        ratios = [v.cap.as_integer_ratio() if e else (0, 1) for v, e in zip(vars, is_edge)]
         self._den = den = math.lcm(*[q for _, q in ratios])
         self._caps = tuple([p * (den // q) for p, q in ratios])
         self._unit = all(c == den for c, e in zip(self._caps, is_edge) if e)
+        return self
 
     @property
     def vars(self) -> tuple:
@@ -211,27 +218,22 @@ def build_fdg(net: Network) -> Fdg:
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
 
-    svars = {s.index: SourceVar(s.index) for s in net.sources}
-    evars = {e.id: EdgeVar(e.id, e.cap) for e in net.edges}
-    order = [svars[s.index] for s in net.sources] + [evars[e.id] for e in net.edges]
-    hosted, into = {}, {}
-    for s in net.sources:
-        hosted.setdefault(s.at, []).append(svars[s.index])
-    for e in net.edges:
-        into.setdefault(e.head, []).append(evars[e.id])
-
-    parents = {evars[e.id]: tuple(hosted.get(e.tail) or into.get(e.tail, ()))
-               for e in net.edges}
-
-    origin, undecodable = {}, []
-    for s in net.sources:
+    # No check is needed: ``validate`` refuses duplicate ids, duplicate sink
+    # nodes and self-loop edges, and a source where an edge ends or a sink
+    # sits, so a node ``feeds`` its sources or else its in-edges, and the
+    # parent positions below are distinct, ascending and never a self-loop.
+    order = tuple([SourceVar(s.index) for s in net.sources]
+                  + [EdgeVar(e.id, e.cap) for e in net.edges])
+    feeds = {}
+    for i, at in enumerate([s.at for s in net.sources] + [e.head for e in net.edges]):
+        feeds.setdefault(at, []).append(i)
+    parents, origin = [], {}
+    for s, v in zip(net.sources, order):
         sinks = [t.at for t in net.sinks if s.index in t.demands]
-        # Sinks sit at distinct nodes, so no edge feeds two of them.
-        ps = tuple(v for at in sinks for v in into.get(at, ()))
-        parents[svars[s.index]] = ps
-        origin[svars[s.index]] = frozenset(sinks)
-        if not ps:
-            undecodable.append(str(s.index))
+        parents.append(tuple(sorted(i for at in sinks for i in feeds.get(at, ()))))
+        origin[v] = frozenset(sinks)
+    undecodable = [str(s.index) for s, ps in zip(net.sources, parents) if not ps]
+    parents += [tuple(feeds.get(e.tail, ())) for e in net.edges]
     if undecodable:
         listed = ", ".join(undecodable)
         warnings.warn(
@@ -239,10 +241,7 @@ def build_fdg(net: Network) -> Fdg:
             if len(undecodable) == 1 else
             f"sources {listed} have no decodable sink in-edges; their variables lie on "
             f"no cycle", stacklevel=2)
-
-    fdg = Fdg(order, parents, origin)
-    assert fdg.order == len(net.edges) + len(net.sources)
-    return fdg
+    return Fdg.__new__(Fdg)._assemble(order, parents, origin)
 
 
 def _shared_neighbourhood(g, members: tuple):
@@ -296,8 +295,9 @@ class _WorkGraph:
     are only marked dead, so ``_parents`` and ``_children`` mean what they
     mean on the ``Fdg``, which shares its other per-position data with it.
     With ``unit_capacities`` that is all the rule predicates read, so they
-    take either graph; ``freeze`` builds the ``Fdg`` once.  It never leaves
-    this module, so every graph a caller sees stays immutable.
+    take either graph; ``freeze`` renumbers the live ones in order, so parent
+    tuples stay ascending, and assembles the ``Fdg`` once, unchecked.  It
+    never leaves this module, so every graph a caller sees stays immutable.
     """
 
     def __init__(self, fdg: Fdg):
@@ -335,11 +335,11 @@ class _WorkGraph:
             self._non_unit -= self._caps[i] != self._den
 
     def freeze(self) -> Fdg:
-        var = self.vars
         alive = [i for i, a in enumerate(self._alive) if a]
-        return Fdg([var[i] for i in alive],
-                   {var[i]: tuple(var[p] for p in self._parents[i]) for i in alive},
-                   self._demand_origin)
+        renumber = {i: k for k, i in enumerate(alive)}
+        parents = [tuple(map(renumber.__getitem__, self._parents[i])) for i in alive]
+        return Fdg.__new__(Fdg)._assemble(tuple(map(self.vars.__getitem__, alive)),
+                                          parents, self._demand_origin)
 
 
 # Each rule: single variables only?  unit capacities only?  For COR5a/COR5b, the

@@ -123,6 +123,26 @@ def test_unwritable_output_is_a_usage_error(on_disk, tmp_path, capsys, argv):
     assert err.startswith(f"error: cannot write {missing}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["reduce", "--trace-out=--"], 0, ""),
+    (["lp", "--export=--"], 0, ""),
+    (["replay", "--trace=--"], 2, "error: cannot read --: "),
+    (["transfer", "--search=2", "--pin=--"], 2, "error: bad pin '--'"),
+    (["lp", "--stats", "-w=--"], 2, "error: bad weights '--'"),
+], ids=["trace-out", "export", "trace", "pin", "weights"])
+def test_an_option_value_of_two_dashes_is_that_value(on_disk, tmp_path, monkeypatch, capsys,
+                                                      argv, code, err):
+    # argparse drops a value that is exactly "--" and passes [] instead.
+    net = on_disk("butterfly")
+    monkeypatch.chdir(tmp_path)
+    got, _, stderr = run(capsys, *argv, net)
+    assert got == code
+    if code == 0:
+        assert stderr == "" and (tmp_path / "--").stat().st_size > 0
+    else:
+        assert stderr.startswith(err) and stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit, detail", [
     (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
                               if k != "removed"}), "missing key 'removed'"),
@@ -524,20 +544,28 @@ def _weight_lists(draw):
 @example("1,1")
 @example("1e99999999,1")
 @example("-1,2")
+@example("-h")
+@example("--")
 def test_fuzzed_weights_fail_in_one_line(tmp_path_factory, weights):
     net = tmp_path_factory.getbasetemp() / "butterfly.json"
     net.write_text(fixture_text("butterfly"))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        # "-w=" keeps argparse from reading a list that starts with "-" as an option
-        code = cli.main(["lp", "--stats", f"-w={weights}", str(net)])
+    runs = []
+    for form in ([f"-w={weights}"], ["-w", weights], ["--weights", weights],
+                 ["--weig", weights]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["lp", "--stats", *form, str(net)])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    # A value that starts with "-" is still the value when passed separately.
+    assert runs[1:] == runs[:1] * 3
+    code, out, err = runs[0]
     if code == 0:
-        assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["n_vars"] == 9
+        assert err == ""
+        assert json.loads(out)["n_vars"] == 9
     else:
-        assert code == 2 and out.getvalue() == ""
-        assert err.getvalue().startswith("error: bad weights")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad weights")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_transfer_requires_unit_capacities(tmp_path, capsys):

@@ -654,13 +654,14 @@ def test_reduce_and_replay_build_one_graph(monkeypatch, mode):
     g = build_fdg(relay_grid(5, 6))
     assert len(g.edge_vars()) >= 100
     built = []
-    init = Fdg.__init__
+    assemble = Fdg._assemble
 
-    def counting_init(self, *args, **kwargs):
+    def counting_assemble(self, *args, **kwargs):
         built.append(self)
-        init(self, *args, **kwargs)
+        return assemble(self, *args, **kwargs)
 
-    monkeypatch.setattr(Fdg, "__init__", counting_init)
+    # Every construction, checked or not, goes through the assembly step.
+    monkeypatch.setattr(Fdg, "_assemble", counting_assemble)
     reduced, trace = reduce(g, mode)
     assert len(trace.steps) >= 50
     assert built == [reduced]
@@ -669,3 +670,47 @@ def test_reduce_and_replay_build_one_graph(monkeypatch, mode):
     assert len(built) == 1
     assert reduced == reference_reduce(g, mode)[0]
 
+
+_ASSEMBLED_FIELDS = ("_vars", "_index", "_parents", "_children", "_is_edge", "_names",
+                     "_den", "_caps", "_unit", "_demand_origin")
+
+
+def _assert_assembled_equals_checked(g):
+    checked = Fdg(g.vars, {v: g.up(v) for v in g.vars}, g.demand_origin)
+    for name in _ASSEMBLED_FIELDS:
+        assert getattr(g, name) == getattr(checked, name), name
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_assembled_graphs_equal_the_checked_constructor(seed, unit):
+    # build_fdg and the reductions assemble their graphs from positions
+    # without the constructor's checks; rebuilding through it changes nothing.
+    rng = random.Random(seed)
+    net = random_network(rng, max_edges=30)
+    if not unit:
+        net = _with_capacities(net, rng)
+    g = build_fdg(net)
+    graphs = [g]
+    for mode in ("shannon", "linear") if g.unit_capacities() else ("shannon",):
+        reduced, trace = reduce(g, mode)
+        graphs += [reduced, replay(g, trace)]
+    for group in _identical_neighborhood_classes(g).values():
+        graphs += [remove_group(g, group[:1]), remove_group(g, group)]
+    for graph in graphs:
+        _assert_assembled_equals_checked(graph)
+
+
+_A, _B = EdgeVar("a", Fraction(1)), EdgeVar("b", Fraction(1))
+
+
+@pytest.mark.parametrize("vars_, parents, message", [
+    ((_A, _B, _A), {}, "duplicate variables"),
+    ((_A, _B), {_B: (_A, _A)}, "duplicate parents for U:b"),
+    ((_A, _B), {_B: (_A, _B)}, "self-loop at U:b"),
+    ((_A, _B), {_B: (SourceVar(1),)}, "parent Y1 of U:b is not a variable"),
+], ids=["duplicate-variables", "duplicate-parents", "self-loop", "unknown-parent"])
+def test_constructor_refuses_malformed_graphs(vars_, parents, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Fdg(vars_, parents)

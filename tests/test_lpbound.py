@@ -461,6 +461,24 @@ def test_negative_float_multipliers_never_certify():
     assert lpbound._certified_from_float(problem, (res, [0, 1], [])) is None
 
 
+def test_a_witness_that_rounds_only_at_the_first_limit_certifies():
+    # HiGHS's value for 11521/3000 in a column of the reduced LP of a
+    # 9-edge network (nodes s1 s2 m1 m2 t1 t2, capacities 3/2, 1/2, 2/7,
+    # 1/3, 5/11, 2, 7/1000, 2, 5/11) under -w 2/7,2/7.  It rounds back to
+    # 11521/3000 at 10^4; at 10^8 it rounds to a point that is feasible
+    # but not optimal, so no dual certifies it.
+    from types import SimpleNamespace
+    cap = Fraction(11521, 3000)
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
+                        objective=((1, Fraction(1)),),
+                        rows=(Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", cap),))
+    res = SimpleNamespace(success=True, x=np.array([3.840333333331596]),
+                          ineqlin=SimpleNamespace(marginals=np.array([-1.0])))
+    sol = lpbound._certified_from_float(problem, (res, [0], []))
+    assert sol is not None and sol.method == "certificate"
+    assert sol.value == cap
+
+
 def _first_capacity_set(name, cap):
     doc = json.loads(netmodel.fixture_text(name))
     doc["edges"][0]["cap"] = cap
