@@ -26,9 +26,10 @@ checkable.  The whole search is then generated as one Python function of
 nested loops, one per free position.  The part of an entry fixed before its
 block is evaluated once on entering the block, the rest right after each
 loop that binds one of its positions, and the entries due at a block's end
-are tested right after its last loop.  The node and evaluation counters are
-defined by the plain depth-first search that assigns one indeterminate per
-node.
+are tested right after its last loop, whose values are solved from the
+first of them when it is affine in that loop's position.  The node and
+evaluation counters are defined by the plain depth-first search that assigns
+one indeterminate per node.
 """
 
 from __future__ import annotations
@@ -348,7 +349,14 @@ def _search_source(blocks, free: list, p: int) -> str:
     and updated right after each loop that binds one of its positions.
     After the block's last loop the entries are tested in order; reaching
     entry k > 1 adds one evaluation, a failure continues the innermost loop,
-    and a pass adds one node and enters the next block.  ``search()``
+    and a pass adds one node and enters the next block.  When the first
+    entry is affine in the block's last position i, a*c{i} + b with a
+    literal or runtime a, that loop is solved: it runs over the values that
+    pass the entry (the root ((t - b) * a^-1) mod p for a != 0, all p
+    values for a == 0 and b == t, none otherwise), with a^-1 read from a
+    literal table of inverses mod p, and the entry is not tested.  The
+    values it skips fail the first entry, which is counted on entry, so
+    the counters and the first hit stay those of the full loop.  ``search()``
     returns (free values of the hit or None, nodes, evals).  Past
     ``_MAX_NESTED_LOOPS`` loops the rest of the search moves into a nested
     function, called once per combination that reaches it.  The text is
@@ -390,6 +398,19 @@ def _search_source(blocks, free: list, p: int) -> str:
             out.setdefault(rest, []).append("*".join(factors) or "1")
         return out
 
+    inverse = tuple(pow(a, -1, p) if a else 0 for a in range(p))
+
+    def roots(rep, i, target):
+        # The values of c{i} passing an entry a*c{i} + b, or None when the
+        # entry is not affine in c{i}.
+        if (i,) not in rep or not rep.keys() <= {(), (i,)}:
+            return None
+        a, b = rep[(i,)], rep.get((), "0")
+        if a.isdigit():  # a literal, nonzero mod p
+            return f"((({target} - {b}) * {inverse[int(a)]}) % {p},)"
+        return (f"((({target} - {b}) * {inverse}[{a}]) % {p},) if {a} "
+                f"else range({p}) if {b} == {target} else ()")
+
     parts.append([["def search():", "    nodes = evals = 0"], 1, 0])
     for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
         if b:
@@ -408,13 +429,16 @@ def _search_source(blocks, free: list, p: int) -> str:
                 split.setdefault(inner, []).append(
                     "*".join(outer if c == 1 and outer else [str(c)] + outer))
             coefficients.append({inner: atom(t) for inner, t in split.items()})
+        solved = None  # the values of the block's last loop, when solved
         for i in loops:
             if parts[-1][2] == _MAX_NESTED_LOOPS:
                 name = f"part{len(parts)}"
                 emit(f"hit = {name}()")
                 emit(f"if hit is not None: {leave('hit')}")
                 parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0])
-            emit(f"for c{i} in range({p}):")
+            if i == loops[-1] and entries:
+                solved = roots(coefficients[0], i, entries[0][1])
+            emit(f"for c{i} in {solved or f'range({p})'}:")
             parts[-1][1] += 1
             parts[-1][2] += 1
             if i != loops[-1]:
@@ -424,6 +448,8 @@ def _search_source(blocks, free: list, p: int) -> str:
         for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
             if k:
                 emit("evals += 1")
+            elif solved:
+                continue  # the loop runs only over the values that pass
             terms = collect(rep, loops[-1] if loops else None).get((), [])
             value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
                      else f"({total(terms)}) % {p}")
@@ -457,7 +483,10 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     before its block is computed once on entering the block, and the rest
     is updated right after each loop that binds one of its positions.  A
     block's entries are tested in order at its end; a combination that
-    passes runs straight into the next block's loops.
+    passes runs straight into the next block's loops.  A transfer-matrix
+    entry is multilinear, so a block's first entry is usually affine in the
+    block's last indeterminate: that loop then runs only over the values
+    that pass the entry, at most one when its coefficient is nonzero.
 
     The counters are those of a depth-first search that assigns one
     indeterminate per node and checks each entry at its depth.

@@ -403,10 +403,10 @@ def _float_solve(problem: LpProblem):
     also when scipy is missing or a number does not fit a float: this solve
     only suggests a certificate, and the exact path answers without it.
     """
-    try:
-        import numpy as np
+    try:  # scipy first: a run without scipy then never loads numpy
         from scipy.optimize import linprog
         from scipy.sparse import csr_matrix
+        import numpy as np
     except ImportError:  # pragma: no cover - exercised only without scipy
         return None
 

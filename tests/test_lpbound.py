@@ -1,7 +1,12 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,32 @@ def test_exact_fallback_without_float_presolve(monkeypatch):
     g2 = build_fdg(load_fixture("single_edge"))
     sol2 = lp_solve(build_lp(g2, Weights.of({1: 1})))
     assert sol2.value == 1
+
+
+def test_a_solve_without_scipy_never_loads_numpy():
+    # A fresh interpreter with scipy made unimportable, as in an install
+    # without the test extras: the exact path answers, and numpy stays out.
+    code = textwrap.dedent("""
+        import importlib.abc, sys
+
+        class BlockScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(name)
+
+        sys.meta_path.insert(0, BlockScipy())
+        from fdgtool.fdg import build_fdg
+        from fdgtool.lpbound import build_lp, lp_solve
+        from fdgtool.netmodel import Weights, load_fixture
+        sol = lp_solve(build_lp(build_fdg(load_fixture("single_edge")), Weights.of({1: 1})))
+        print(sol.status, sol.value, "numpy" in sys.modules)
+    """)
+    src = str(Path(lpbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout == "optimal 1 False\n"
 
 
 def test_certificate_and_fallback_agree(monkeypatch):

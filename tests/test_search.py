@@ -8,11 +8,13 @@ same order) and the same two counters, ``evaluations_tried`` and
 ``entry_evals``.
 """
 
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fdgtool import algebra
 from fdgtool.algebra import (DEFAULT_FIELD_CAP, DEFAULT_INDET_CAP, Poly,
                              SearchResult, _is_prime, build_transfer_system,
                              solvability_search, transfer_matrix)
@@ -134,11 +136,19 @@ MAX_LEAVES = 2401
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, multilinear=False):
+    """(M, demand, p, order, pinned); with ``multilinear`` each name appears
+    at most once per monomial, as in a transfer-matrix entry."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     used = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=len(NAMES)))
-    monomial = st.lists(st.tuples(st.sampled_from(used), st.integers(1, 3)),
-                        max_size=3) if used else st.just([])
+    if not used:
+        monomial = st.just([])
+    elif multilinear:
+        monomial = st.lists(st.tuples(st.sampled_from(used), st.just(1)),
+                            max_size=3, unique_by=lambda factor: factor[0])
+    else:
+        monomial = st.lists(st.tuples(st.sampled_from(used), st.integers(1, 3)),
+                            max_size=3)
     term = st.tuples(st.integers(-7, 7), monomial)
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     M = []
@@ -181,16 +191,38 @@ def search_cases(draw):
     return M, demand, p, tuple(order), pinned
 
 
-@settings(max_examples=300, deadline=None)
-@given(search_cases())
-def test_search_matches_reference_and_brute_force(case):
-    M, demand, p, order, pinned = case
+def x(k):
+    return Poly.var(f"x{k}")
+
+
+def check_against_reference_and_brute_force(M, demand, p, order, pinned):
     got = solvability_search(M, demand, p, order=order, pinned=pinned)
     assert_same_search(got, reference_search(M, demand, p, order=order, pinned=pinned))
     brute = brute_force_first_hit(M, demand, p, order, pinned)
     assert (got.status == "found") == (brute is not None)
     if brute is not None:
         assert got.assignment == brute
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+# The first entry is not affine in the block's last position: its loop stays.
+@example(([(x(2) + x(2) * x(2),)], ((1,),), 5, ("x2",), {}))
+def test_search_matches_reference_and_brute_force(case):
+    check_against_reference_and_brute_force(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases(multilinear=True))
+# The block's last loop is solved from its first entry a*x + b: with a
+# literal a; with a runtime a that vanishes where b equals the target, and
+# where it does not; with runtime a and b.
+@example(([(x(0),)], ((1,),), 3, ("x0",), {}))
+@example(([(x(0) * x(1) + Poly.const(1),)], ((1,),), 3, ("x0", "x1"), {}))
+@example(([(x(0) * x(1) + Poly.const(1),)], ((0,),), 3, ("x0", "x1"), {}))
+@example(([(x(0) * x(2) + x(1), x(2))], ((1, 2),), 5, ("x0", "x1", "x2"), {}))
+def test_multilinear_search_matches_reference_and_brute_force(case):
+    check_against_reference_and_brute_force(*case)
 
 
 FANO_PINS = {"eps[Y1->e1]": 1, "eps[Y1->e2]": 1, "eps[Y2->e2]": 1}
@@ -217,6 +249,89 @@ def test_fixture_search_counts(fixture, mode, p, pins, expected):
     got = solvability_search(transfer_matrix(ts), ts.demand, p,
                              order=ts.indeterminates, pinned=pins)
     assert (got.status, got.evaluations_tried, got.entry_evals) == expected
+
+
+# (fixture, mode, p, status, evaluations_tried, entry_evals, hit): every
+# fixture x mode x field whose search fits the indeterminate cap and takes
+# well under 0.1 s; the hit lists the values in ``ts.indeterminates`` order.
+FIXTURE_SEARCHES = [
+    ("butterfly", "none", 2, "found", 586, 660, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("butterfly", "none", 3, "found", 6087, 13324, (1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2)),
+    ("butterfly", "none", 5, "found", 154219, 648984, (1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 4)),
+    ("butterfly", "shannon", 2, "found", 166, 204, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("butterfly", "shannon", 3, "found", 752, 1696, (1, 1, 1, 1, 1, 1, 1, 2, 1, 2)),
+    ("butterfly", "shannon", 5, "found", 6550, 27834, (1, 1, 1, 1, 1, 1, 1, 4, 1, 4)),
+    ("butterfly", "shannon", 7, "found", 29476, 183404, (1, 1, 1, 1, 1, 1, 1, 6, 1, 6)),
+    ("butterfly", "linear", 2, "found", 50, 68, (1, 1, 1, 1, 1, 1, 1, 1)),
+    ("butterfly", "linear", 3, "found", 98, 223, (1, 1, 1, 1, 1, 2, 1, 2)),
+    ("butterfly", "linear", 5, "found", 284, 1199, (1, 1, 1, 1, 1, 4, 1, 4)),
+    ("butterfly", "linear", 7, "found", 630, 3903, (1, 1, 1, 1, 1, 6, 1, 6)),
+    ("fano", "linear", 2, "found", 2270, 2913, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("fano", "linear", 3, "exhausted", 102733, 257371, None),
+    ("parallel_relay", "none", 2, "exhausted", 547, 668, None),
+    ("parallel_relay", "none", 3, "exhausted", 11281, 28035, None),
+    ("parallel_relay", "shannon", 2, "exhausted", 34, 45, None),
+    ("parallel_relay", "shannon", 3, "exhausted", 141, 359, None),
+    ("parallel_relay", "shannon", 5, "exhausted", 925, 4389, None),
+    ("parallel_relay", "shannon", 7, "exhausted", 3269, 22315, None),
+    ("parallel_relay", "linear", 2, "exhausted", 8, 13, None),
+    ("parallel_relay", "linear", 3, "exhausted", 15, 41, None),
+    ("parallel_relay", "linear", 5, "exhausted", 35, 169, None),
+    ("parallel_relay", "linear", 7, "exhausted", 63, 433, None),
+    ("single_edge", "none", 2, "found", 4, 4, (1, 1)),
+    ("single_edge", "none", 3, "found", 4, 5, (1, 1)),
+    ("single_edge", "none", 5, "found", 4, 7, (1, 1)),
+    ("single_edge", "none", 7, "found", 4, 9, (1, 1)),
+    ("single_edge", "shannon", 2, "found", 4, 4, (1, 1)),
+    ("single_edge", "shannon", 3, "found", 4, 5, (1, 1)),
+    ("single_edge", "shannon", 5, "found", 4, 7, (1, 1)),
+    ("single_edge", "shannon", 7, "found", 4, 9, (1, 1)),
+    ("single_edge", "linear", 2, "found", 4, 4, (1, 1)),
+    ("single_edge", "linear", 3, "found", 4, 5, (1, 1)),
+    ("single_edge", "linear", 5, "found", 4, 7, (1, 1)),
+    ("single_edge", "linear", 7, "found", 4, 9, (1, 1)),
+    ("two_unicast_chain", "none", 2, "exhausted", 1053, 1161, None),
+    ("two_unicast_chain", "none", 3, "exhausted", 32644, 77497, None),
+    ("two_unicast_chain", "shannon", 2, "exhausted", 34, 45, None),
+    ("two_unicast_chain", "shannon", 3, "exhausted", 141, 359, None),
+    ("two_unicast_chain", "shannon", 5, "exhausted", 925, 4389, None),
+    ("two_unicast_chain", "shannon", 7, "exhausted", 3269, 22315, None),
+    ("two_unicast_chain", "linear", 2, "exhausted", 8, 13, None),
+    ("two_unicast_chain", "linear", 3, "exhausted", 15, 41, None),
+    ("two_unicast_chain", "linear", 5, "exhausted", 35, 169, None),
+    ("two_unicast_chain", "linear", 7, "exhausted", 63, 433, None),
+    ("two_unicast_side", "none", 2, "exhausted", 291, 358, None),
+    ("two_unicast_side", "none", 3, "exhausted", 4720, 12201, None),
+    ("two_unicast_side", "none", 5, "exhausted", 184056, 906145, None),
+    ("two_unicast_side", "shannon", 2, "exhausted", 81, 110, None),
+    ("two_unicast_side", "shannon", 3, "exhausted", 604, 1581, None),
+    ("two_unicast_side", "shannon", 5, "exhausted", 8226, 39545, None),
+    ("two_unicast_side", "shannon", 7, "exhausted", 45816, 314965, None),
+    ("two_unicast_side", "linear", 2, "exhausted", 23, 36, None),
+    ("two_unicast_side", "linear", 3, "exhausted", 76, 207, None),
+    ("two_unicast_side", "linear", 5, "exhausted", 356, 1725, None),
+    ("two_unicast_side", "linear", 7, "exhausted", 988, 6811, None),
+]
+
+
+@functools.cache
+def fixture_system(fixture, mode):
+    graph = build_fdg(load_fixture(fixture))
+    if mode != "none":
+        graph = reduce(graph, mode)[0]
+    ts = build_transfer_system(graph)
+    return ts, transfer_matrix(ts)
+
+
+@pytest.mark.parametrize("fixture, mode, p, status, nodes, evals, hit", FIXTURE_SEARCHES)
+def test_fixture_search_hits(fixture, mode, p, status, nodes, evals, hit):
+    ts, M = fixture_system(fixture, mode)
+    got = solvability_search(M, ts.demand, p, order=ts.indeterminates)
+    assert (got.status, got.evaluations_tried, got.entry_evals) == (status, nodes, evals)
+    if hit is None:
+        assert got.assignment is None
+    else:
+        assert list(got.assignment.items()) == list(zip(ts.indeterminates, hit))
 
 
 def forced_chain(n):
@@ -246,9 +361,7 @@ def test_search_past_the_nesting_limit_exhausts(extra, demand_of_extra):
     assert_same_search(got, reference_search(M, demand, 2, order=order, indet_cap=24))
 
 
-@settings(max_examples=100, deadline=None)
-@given(search_cases(), st.integers(15, 22))
-def test_search_past_the_nesting_limit_matches_reference(case, k):
+def check_past_the_nesting_limit(case, k):
     """A forced prefix of k positions, then a random case: the loop where the
     search moves into a nested function falls anywhere in the case's blocks."""
     M, demand, p, order, pinned = case
@@ -258,6 +371,41 @@ def test_search_past_the_nesting_limit_matches_reference(case, k):
     got = solvability_search(M, demand, p, order=order, pinned=pinned, indet_cap=cap)
     assert_same_search(got, reference_search(M, demand, p, order=order, pinned=pinned,
                                              indet_cap=cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.integers(15, 22))
+def test_search_past_the_nesting_limit_matches_reference(case, k):
+    check_past_the_nesting_limit(case, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(multilinear=True), st.integers(15, 22))
+def test_multilinear_search_past_the_nesting_limit_matches_reference(case, k):
+    check_past_the_nesting_limit(case, k)
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_search_moves_into_a_nested_function_at_a_solved_loop(target, monkeypatch):
+    # 19 forced loops, then the block x0, x1 with entry x0*x1 + 1: the 21st
+    # loop, where the search moves into a nested function, is x1's, solved
+    # with the runtime coefficient c19 (x0's loop variable).
+    M, demand, order = forced_chain(19)
+    M.append((x(0) * x(1) + Poly.const(1),))
+    demand += ((target,),)
+    order += ("x0", "x1")
+    source, sources = algebra._search_source, []
+
+    def compile_search(*args):
+        sources.append(source(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(algebra, "_search_source", compile_search)
+    got = solvability_search(M, demand, 3, order=order, indet_cap=21)
+    assert_same_search(got, reference_search(M, demand, 3, order=order, indet_cap=21))
+    lines = sources[0].splitlines()
+    header = lines[lines.index("    def part1():") + 2].strip()
+    assert header.startswith("for c20 in (") and " if c19 else " in header
 
 
 def test_search_compiles_an_entry_with_thousands_of_terms():
