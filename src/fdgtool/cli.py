@@ -15,6 +15,7 @@ can decode, is printed to stderr as one ``warning:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -150,12 +151,13 @@ def cmd_lp(args) -> int:
         else:
             print(solution.status)
         return NEGATIVE
-    rates = {f"Y{k}": str(solution.rate(k)) for k, _ in problem.source_masks}
+    rates = {f"Y{k}": netmodel.fraction_text(solution.rate(k))
+             for k, _ in problem.source_masks}
+    value = netmodel.fraction_text(solution.value)
     if args.format == "json":
-        _print_json({"status": "optimal", "value": str(solution.value),
-                     "rates": rates})
+        _print_json({"status": "optimal", "value": value, "rates": rates})
     else:
-        print(f"optimal {solution.value}")
+        print(f"optimal {value}")
         for name, rate in sorted(rates.items()):
             print(f"  {name} = {rate}")
     return OK
@@ -247,6 +249,7 @@ def cmd_replay(args) -> int:
     return OK
 
 
+@functools.cache  # once per process: each main() call parses into a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdgtool",

@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import Network, topological_sort, validate
+from .netmodel import Network, fraction_text, topological_sort, validate
 
 COR1 = "COR1"
 COR2 = "COR2"
@@ -181,7 +181,7 @@ class Fdg:
             "vars": [v.name for v in self._vars],
             "parents": {v.name: [self._vars[p].name for p in ps]
                         for v, ps in zip(self._vars, self._parents)},
-            "capacities": {v.name: str(v.cap) for v in self.edge_vars()},
+            "capacities": {v.name: fraction_text(v.cap) for v in self.edge_vars()},
             "demand_origin": {v.name: sorted(self._demand_origin.get(v, ()))
                               for v in self.source_vars()},
         }

@@ -24,11 +24,11 @@ simplex is driven through lazy row generation (the full elemental family is
 enormous, but optima are supported on few of them), and every returned
 witness is re-checked against every row of the full problem afterwards.
 
-The exact checks run in Python integers, not in ``Fraction`` arithmetic: a
-point (witness or ray) is scaled once to the common denominator of its
-values and each row by the lcm of its own denominators, so a row and its
-right-hand side are compared as integers.  The elemental rows, nearly all
-of the rows, have coefficients +-1 by construction, so their scale is 1.
+Every stage reads the rows in one integer form (``_IntRows``), built once
+per problem: each row times its scale, the lcm of its own denominators.  The
+exact checks scale a point (witness or ray) once to the common denominator
+of its values and compare it with those rows in integers.  The elemental
+rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
 """
 
 from __future__ import annotations
@@ -36,12 +36,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import simplex
 from .fdg import Fdg
-from .netmodel import Weights
+from .netmodel import Weights, fraction_text
 
 ELEMENTAL1 = "ELEMENTAL1"
 ELEMENTAL2 = "ELEMENTAL2"
@@ -71,6 +73,33 @@ class Row(NamedTuple):
     rhs: Fraction
 
 
+class _IntRows:
+    """Rows times their scales, flat as in a CSR matrix (no object per row
+    for the garbage collector to track).  ``self[i]`` gives row i as
+    (masks, coeffs, rhs, scale, sense), sliced at ``starts[i:i + 2]``."""
+
+    def __init__(self, rows):
+        terms = [row.coeffs for row in rows]
+        self.starts = starts = [0, *accumulate(map(len, terms))]
+        self.masks = [mask for coeffs in terms for mask, _ in coeffs]
+        values = [c for coeffs in terms for _, c in coeffs]
+        dens = [c.denominator for c in values]
+        self.scales = [lcm(row.rhs.denominator, *dens[a:b])
+                       for row, a, b in zip(rows, starts, starts[1:])]
+        self.coeffs = [c.numerator for c in values]
+        self.rhs = [row.rhs.numerator for row in rows]
+        self.senses = [row.sense for row in rows]
+        for i, scale in enumerate(self.scales):
+            if scale != 1:
+                a, b = starts[i], starts[i + 1]
+                self.coeffs[a:b] = [c.numerator * (scale // c.denominator) for c in values[a:b]]
+                self.rhs[i] *= scale // rows[i].rhs.denominator
+
+    def __getitem__(self, i):
+        a, b = self.starts[i], self.starts[i + 1]
+        return self.masks[a:b], self.coeffs[a:b], self.rhs[i], self.scales[i], self.senses[i]
+
+
 @dataclass(frozen=True)
 class LpProblem:
     n_vars: int
@@ -82,6 +111,11 @@ class LpProblem:
     @property
     def dimension(self) -> int:
         return (1 << self.n_vars) - 1
+
+    @cached_property
+    def _int_rows(self) -> _IntRows:
+        """``rows`` in integer form, built on first use."""
+        return _IntRows(self.rows)
 
 
 @dataclass(frozen=True)
@@ -269,23 +303,19 @@ def _violated_rows(problem: LpProblem, point: dict, ray: bool = False) -> list[i
     """Indices of the rows ``point`` violates, in row order, checked in integers.
 
     ``point`` maps column masks to rationals.  It is scaled once to the common
-    denominator ``den`` of its values, and each row by the lcm ``scale`` of
-    the denominators of its coefficients and right-hand side, so the row sum
-    and the right-hand side, both multiplied by ``scale * den``, compare as
+    denominator ``den`` of its values, so it meets each integer row in
     integers.  With ``ray`` the point is a direction, checked against the
     homogeneous rows (right-hand side 0).
     """
     den = lcm(*[x.denominator for x in point.values()])
     scaled = {mask: x.numerator * (den // x.denominator) for mask, x in point.items()}
+    rows, get = problem._int_rows, scaled.get
+    products = [c * get(mask, 0) for mask, c in zip(rows.masks, rows.coeffs)]
     bad = []
-    for i, (_, _, coeffs, sense, rhs) in enumerate(problem.rows):
-        scale = lcm(rhs.denominator, *[c.denominator for _, c in coeffs])
-        total = 0
-        for mask, c in coeffs:
-            x = scaled.get(mask)
-            if x:
-                total += c.numerator * (scale // c.denominator) * x
-        bound = 0 if ray else rhs.numerator * (scale // rhs.denominator) * den
+    for i, (a, b, rhs, sense) in enumerate(zip(rows.starts, rows.starts[1:], rows.rhs,
+                                                rows.senses)):
+        total = sum(products[a:b])
+        bound = 0 if ray else rhs * den
         if sense == ">=":
             ok = total >= bound
         elif sense == "<=":
@@ -348,26 +378,27 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     n_cols = problem.dimension
     seed = [i for i, row in enumerate(problem.rows)
             if row.tag != ELEMENTAL2 or len(row.coeffs) == 3]
-    working = list(seed)
-    in_working = set(working)
     objective = {mask - 1: c for mask, c in problem.objective}
     aux = _bounding_helpers(problem)
 
+    def triple(i):
+        masks, coeffs, rhs, scale, sense = problem._int_rows[i]
+        return ({m - 1: Fraction(c, scale) for m, c in zip(masks, coeffs)},
+                sense, Fraction(rhs, scale))
+
+    working = {i: triple(i) for i in seed}  # row index -> simplex row, in order
     while True:
-        sub = [( {mask - 1: c for mask, c in problem.rows[i].coeffs},
-                 problem.rows[i].sense, problem.rows[i].rhs) for i in working]
-        sub += aux
         # The full elemental family implies h(A) >= 0 for every subset, so
         # solving the relaxation inside the nonnegative cone never cuts a
         # point that is feasible for the complete problem.
-        res = simplex.solve(n_cols, objective, sub)
+        res = simplex.solve(n_cols, objective, [*working.values(), *aux])
 
         if res.status == simplex.OPTIMAL:
             witness = {j + 1: x for j, x in enumerate(res.x) if x}
             # One scan of every row: it finds the rows to add and, once none
             # is left outside the working set, re-verifies the witness.
             bad = _violated_rows(problem, witness)
-            violated = [i for i in bad if i not in in_working]
+            violated = [i for i in bad if i not in working]
             if not violated:
                 if bad:
                     names = [problem.rows[i].name for i in bad[:5]]
@@ -381,7 +412,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         elif res.status == simplex.UNBOUNDED:
             ray = {j + 1: x for j, x in enumerate(res.ray) if x}
             violated = [i for i in _violated_rows(problem, ray, ray=True)
-                        if i not in in_working]
+                        if i not in working]
             if not violated:
                 return LpSolution(status="unbounded", value=None, witness=None,
                                   source_masks=problem.source_masks, method="exact")
@@ -389,8 +420,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
             return LpSolution(status="infeasible", value=None, witness=None,
                               source_masks=problem.source_masks, method="exact")
 
-        working += violated
-        in_working.update(violated)
+        working.update((i, triple(i)) for i in violated)
 
 
 def _float_solve(problem: LpProblem):
@@ -399,9 +429,10 @@ def _float_solve(problem: LpProblem):
     Returns (result, ub_idx, eq_idx) where the index lists map scipy's
     inequality/equality row positions back to problem row indices.  Rows
     with sense '>=' are negated to '<=' on the way in.  Each number enters
-    as ``numerator / denominator``, which is exactly ``float`` of it.  None
-    also when scipy is missing or a number does not fit a float: this solve
-    only suggests a certificate, and the exact path answers without it.
+    as an int division (a row's integer over its scale), which is exactly
+    ``float`` of it.  None also when scipy is missing or a number does not
+    fit a float: this solve only suggests a certificate, and the exact path
+    answers without it.
     """
     try:  # scipy first: a run without scipy then never loads numpy
         from scipy.optimize import linprog
@@ -410,36 +441,28 @@ def _float_solve(problem: LpProblem):
     except ImportError:  # pragma: no cover - exercised only without scipy
         return None
 
+    rows = problem._int_rows
     n = problem.dimension
     c = np.zeros(n)
-    ub_idx, eq_idx = [], []
-    ub_data, ub_r, ub_c, ub_b = [], [], [], []
-    eq_data, eq_r, eq_c, eq_b = [], [], [], []
+    lengths = np.diff(rows.starts)
     try:
         for mask, w in problem.objective:
             c[mask - 1] = -(w.numerator / w.denominator)
-        for i, (_, _, coeffs, sense, rhs) in enumerate(problem.rows):
-            if sense == "=":
-                r = len(eq_idx)
-                eq_idx.append(i)
-                for mask, v in coeffs:
-                    eq_r.append(r); eq_c.append(mask - 1)
-                    eq_data.append(v.numerator / v.denominator)
-                eq_b.append(rhs.numerator / rhs.denominator)
-            else:
-                flip = -1.0 if sense == ">=" else 1.0
-                r = len(ub_idx)
-                ub_idx.append(i)
-                for mask, v in coeffs:
-                    ub_r.append(r); ub_c.append(mask - 1)
-                    ub_data.append(flip * (v.numerator / v.denominator))
-                ub_b.append(flip * (rhs.numerator / rhs.denominator))
+        scale_of_entry = chain.from_iterable(map(repeat, rows.scales, lengths.tolist()))
+        data = np.array([x / s for x, s in zip(rows.coeffs, scale_of_entry)])
+        b = np.array([x / s for x, s in zip(rows.rhs, rows.scales)])
     except OverflowError:
         return None
-    A_ub = csr_matrix((ub_data, (ub_r, ub_c)), shape=(len(ub_idx), n)) if ub_idx else None
-    A_eq = csr_matrix((eq_data, (eq_r, eq_c)), shape=(len(eq_idx), n)) if eq_idx else None
+    flip = np.array([-1.0 if sense == ">=" else 1.0 for sense in rows.senses])
+    data *= np.repeat(flip, lengths)
+    b *= flip
+    A = csr_matrix((data, np.array(rows.masks, dtype=np.int64) - 1, rows.starts),
+                   shape=(len(b), n))
+    ub_idx = [i for i, sense in enumerate(rows.senses) if sense != "="]
+    eq_idx = [i for i, sense in enumerate(rows.senses) if sense == "="]
     try:
-        res = linprog(c, A_ub=A_ub, b_ub=ub_b or None, A_eq=A_eq, b_eq=eq_b or None,
+        res = linprog(c, A_ub=A[ub_idx] if ub_idx else None, b_ub=b[ub_idx].tolist() or None,
+                      A_eq=A[eq_idx] if eq_idx else None, b_eq=b[eq_idx].tolist() or None,
                       bounds=(0, None), method="highs")
     except ValueError:  # pragma: no cover - defensive
         return None
@@ -506,31 +529,27 @@ def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
     """Exact weak-duality check: u >= 0 was ensured by the caller; verify
     dual feasibility and that the dual objective equals ``value``.
 
-    In integers: the dual is scaled to its common denominator ``den``, the
-    coefficients of its support rows to theirs (``coeff_den``) and the
-    right-hand sides to theirs (``rhs_den``), so a column sum is an integer
-    over ``den * coeff_den`` and the dual objective one over ``den * rhs_den``.
+    In integers: the multiplier ``q`` of an integer row with scale ``s``
+    stands for ``q / s``, and over the common denominator ``den`` of those,
+    every column sum and the dual objective are integers.
     """
-    support = [(q, problem.rows[i]) for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
-    den = lcm(*[q.denominator for q, _ in support])
-    coeff_den = lcm(*[c.denominator for _, row in support for _, c in row.coeffs])
-    rhs_den = lcm(*[row.rhs.denominator for _, row in support])
+    support = [(q, problem._int_rows[i]) for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
+    den = lcm(*[q.denominator * scale for q, (_, _, _, scale, _) in support])
     column_sums = {}
     dual_value = 0
-    for q, row in support:
-        y = q.numerator * (den // q.denominator)
-        if row.sense == ">=":  # negated to '<=' for the float solve
+    for q, (masks, coeffs, rhs, scale, sense) in support:
+        y = q.numerator * (den // (q.denominator * scale))
+        if sense == ">=":  # negated to '<=' for the float solve
             y = -y
-        for mask, c in row.coeffs:
-            column_sums[mask] = (column_sums.get(mask, 0)
-                                 + y * c.numerator * (coeff_den // c.denominator))
-        dual_value += y * row.rhs.numerator * (rhs_den // row.rhs.denominator)
-    if dual_value * value.denominator != value.numerator * den * rhs_den:
+        for mask, c in zip(masks, coeffs):
+            column_sums[mask] = column_sums.get(mask, 0) + y * c
+        dual_value += y * rhs
+    if dual_value * value.denominator != value.numerator * den:
         return False
     objective = dict(problem.objective)
     for mask in set(column_sums) | set(objective):
         w = objective.get(mask, _ZERO)
-        if column_sums.get(mask, 0) * w.denominator < w.numerator * den * coeff_den:
+        if column_sums.get(mask, 0) * w.denominator < w.numerator * den:
             return False
     return True
 
@@ -584,46 +603,16 @@ def _decimal_digits(den: int) -> int | None:
 
 
 def _decimal_exact(num: int, den: int) -> str:
-    """Render num/den (lowest terms, ``den`` = 2^a 5^b) exactly as a decimal."""
+    """Render num/den exactly as a decimal; den // gcd(num, den) is 2^a 5^b."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
     digits = _decimal_digits(den)
     if not digits:
-        return str(num)
+        return fraction_text(num)
     scaled = num * 10 ** digits // den
     sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
+    text = fraction_text(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def _scaled(q, scale: int) -> tuple[int, int]:
-    """q * scale as (numerator, denominator); ``scale`` is 1 or a multiple
-    of the denominator of q."""
-    if scale == 1:
-        return q.numerator, q.denominator
-    return q.numerator * (scale // q.denominator), 1
-
-
-def _render_terms(coeffs, scale: int) -> str:
-    if not coeffs:
-        return "0 h_1"
-    parts = []
-    for mask, c in coeffs:
-        num, den = _scaled(c, scale)
-        unit = den == 1 and (num == 1 or num == -1)
-        mag = "" if unit else _decimal_exact(abs(num), den) + " "
-        if num > 0:
-            parts.append(f"+ {mag}h_{mask:x}" if parts else f"{mag}h_{mask:x}")
-        else:
-            parts.append(f"- {mag}h_{mask:x}")
-    return " ".join(parts)
-
-
-def _row_scale(coeffs, rhs) -> int:
-    """1 when every number is an integer or an exact decimal, else the lcm
-    of the denominators, which turns every number into an integer."""
-    dens = [rhs.denominator, *[c.denominator for _, c in coeffs]]
-    if all(d == 1 or _decimal_digits(d) is not None for d in dens):
-        return 1
-    return lcm(*dens)
 
 
 def export_lp(problem: LpProblem) -> str:
@@ -632,20 +621,30 @@ def export_lp(problem: LpProblem) -> str:
     Row names are the tag-derived names from the problem; columns are named
     h_<subset-bitmask-in-hex>.  Every variable is declared free: the
     elemental rows imply nonnegativity, so the declaration only keeps
-    external solvers from quietly adding their default lower bound.
+    external solvers from quietly adding their default lower bound.  A row
+    is written from its integer form, in exact decimals when its scale is
+    2^a 5^b and else multiplied through by the scale; so is the objective.
     """
+    names = [f"h_{mask:x}" for mask in range(problem.dimension + 1)]
+
+    def terms(masks, coeffs, den: int) -> str:
+        parts = []
+        for mask, c in zip(masks, coeffs):
+            mag = "" if abs(c) == den else _decimal_exact(abs(c), den) + " "
+            parts.append(f"+ {mag}{names[mask]}" if c > 0 else f"- {mag}{names[mask]}")
+        text = " ".join(parts) or "0 h_1"
+        return text[2:] if text.startswith("+") else text
+
     lines = []
-    obj_scale = _row_scale(problem.objective, _ZERO)
-    if obj_scale != 1:
-        lines.append(f"\\ objective scaled by {obj_scale}")
-    lines += ["Maximize", f" obj: {_render_terms(problem.objective, obj_scale)}",
-              "Subject To"]
-    for name, _, coeffs, sense, rhs in problem.rows:
-        scale = _row_scale(coeffs, rhs)
-        lines.append(f" {name}: {_render_terms(coeffs, scale)} {sense} "
-                     f"{_decimal_exact(*_scaled(rhs, scale))}")
-    lines.append("Bounds")
-    for mask in range(1, problem.dimension + 1):
-        lines.append(f" h_{mask:x} free")
-    lines.append("End")
+    masks, coeffs, _, scale, _ = _IntRows([Row("obj", "", problem.objective, "", _ZERO)])[0]
+    den = scale if _decimal_digits(scale) is not None else 1
+    if den != scale:
+        lines.append(f"\\ objective scaled by {fraction_text(scale)}")
+    lines += ["Maximize", f" obj: {terms(masks, coeffs, den)}", "Subject To"]
+    for i, row in enumerate(problem.rows):
+        masks, coeffs, rhs, scale, sense = problem._int_rows[i]
+        den = scale if _decimal_digits(scale) is not None else 1
+        lines.append(f" {row.name}: {terms(masks, coeffs, den)} {sense} "
+                     f"{_decimal_exact(rhs, den)}")
+    lines += ["Bounds", *[f" {name} free" for name in names[1:]], "End"]
     return "\n".join(lines) + "\n"

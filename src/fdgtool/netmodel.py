@@ -19,6 +19,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -90,6 +91,15 @@ def parse_fraction(text: str) -> Fraction:
     if exponent and limit and abs(int(exponent.group(1))) > limit:
         raise ValueError(f"exponent {exponent.group(1)} gives more than {limit} digits")
     return Fraction(text)
+
+
+def fraction_text(q) -> str:
+    """``str(q)`` for an int or a Fraction, also past the digit limit
+    Python puts on int-to-string conversion (``parse_fraction`` accepts
+    ``1e4300``, which has 4301 digits): ``Decimal`` of an int converts
+    without that limit, and prints an integer in plain digits."""
+    num, den = q.as_integer_ratio()
+    return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _parse_cap(text) -> Fraction:

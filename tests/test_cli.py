@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -405,9 +408,15 @@ def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
         assert "empty weight list" in err
 
 
+# 1e4300 has 4301 digits, one more than Python's default limit on
+# int-to-string conversion, so str() of it raises.
 @pytest.mark.parametrize("fixture, edit, argv, value", [
-    ("butterfly", None, ["--reduce", "linear", "-w", "1e400,1"], 10 ** 400 + 1),
-    ("single_edge", ('"cap": "1"', '"cap": "1e400"'), [], 10 ** 400),
+    ("butterfly", None, ["--reduce", "linear", "-w", "1e400,1"], "1" + "0" * 399 + "1"),
+    ("single_edge", ('"cap": "1"', '"cap": "1e400"'), [], "1" + "0" * 400),
+    pytest.param("butterfly", None, ["--reduce", "linear", "-w", "1e4300,1"],
+                 "1" + "0" * 4299 + "1", id="butterfly-weight-1e4300"),
+    pytest.param("single_edge", ('"cap": "1"', '"cap": "1e4300"'), [], "1" + "0" * 4300,
+                 id="single_edge-cap-1e4300"),
 ])
 def test_lp_solve_beyond_float_range_is_answered_exactly(tmp_path, capsys, fixture,
                                                          edit, argv, value):
@@ -417,7 +426,21 @@ def test_lp_solve_beyond_float_range_is_answered_exactly(tmp_path, capsys, fixtu
     code, out, err = run(capsys, "lp", "--solve", *argv, str(path))
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["status"] == "optimal" and doc["value"] == str(value)
+    assert doc["status"] == "optimal" and doc["value"] == value
+    code, out, err = run(capsys, "lp", "--solve", "--format", "text", *argv, str(path))
+    assert (code, err) == (0, "") and out.startswith(f"optimal {value}\n")
+
+
+def test_a_capacity_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
+    cap = "1" + "0" * 4300
+    path = tmp_path / "single_edge.json"
+    path.write_text(fixture_text("single_edge").replace('"cap": "1"', '"cap": "1e4300"'))
+    code, out, err = run(capsys, "reduce", str(path))
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["reduced"]["capacities"].values()) == [cap]
+    code, out, err = run(capsys, "lp", "--export", "-", str(path))
+    assert (code, err) == (0, "")
+    assert f" cap_e1: h_2 <= {cap}\n" in out
 
 
 def test_lp_bad_solve_cap_names_the_variable(on_disk, capsys, monkeypatch):
@@ -592,3 +615,24 @@ def test_outputs_are_byte_deterministic(on_disk, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_in_process_calls_answer_as_fresh_processes(on_disk, capsys):
+    # The parser is built once per process; an option given to one call
+    # must not carry into the next call, which leaves it out.
+    butterfly = on_disk("butterfly")
+    calls = [["reduce", "--format", "text", butterfly], ["reduce", butterfly],
+             ["transfer", "--search", "2", "--pin", "eps[Y1->e_c]=0", butterfly],
+             ["transfer", "--search", "2", butterfly],
+             ["lp", "--solve", "--reduce", "linear", "-w", "1,2", butterfly],
+             ["lp", "--solve", "--reduce", "linear", butterfly]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = set()
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "fdgtool.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        outputs.add(fresh.stdout)
+    assert len(outputs) == len(calls)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest as ref
-from fdgtool import lpbound, netmodel
+from fdgtool import lpbound, netmodel, simplex
 from fdgtool.fdg import build_fdg, reduce
 from fdgtool.lpbound import (LpProblem, Row, build_lp, elemental_inequalities,
                              export_lp, graph_lp_stats, lp_solve, lp_stats,
@@ -36,6 +36,24 @@ KNOWN_OPTIMA = {"butterfly": 2, "two_unicast_side": 1, "two_unicast_chain": 1,
 EXACT_FIXTURE_MODES = [("parallel_relay", "shannon"), ("parallel_relay", "linear"),
                        ("two_unicast_chain", "shannon"), ("two_unicast_chain", "linear"),
                        ("two_unicast_side", "linear"), ("butterfly", "linear")]
+# What the exact fallback answers on those LPs at unit weights and at weights
+# 1/3, 2/7: (value, rates, simplex.solve calls, pivots over those calls).  A
+# pivot count that moves means the fallback handed the simplex other
+# rationals, or the same ones in another order.
+EXACT_FALLBACK_PATHS = {
+    ("parallel_relay", "shannon"): [(1, {1: 0, 2: 1}, 5, 132),
+                                    (Fraction(1, 3), {1: 1, 2: 0}, 5, 122)],
+    ("parallel_relay", "linear"): [(1, {1: 0, 2: 1}, 2, 17),
+                                   (Fraction(1, 3), {1: 1, 2: 0}, 2, 16)],
+    ("two_unicast_chain", "shannon"): [(1, {1: 0, 2: 1}, 5, 132),
+                                       (Fraction(1, 3), {1: 1, 2: 0}, 5, 122)],
+    ("two_unicast_chain", "linear"): [(1, {1: 0, 2: 1}, 2, 17),
+                                      (Fraction(1, 3), {1: 1, 2: 0}, 2, 16)],
+    ("two_unicast_side", "linear"): [(1, {1: 0, 2: 1}, 3, 56),
+                                     (Fraction(1, 3), {1: 1, 2: 0}, 3, 58)],
+    ("butterfly", "linear"): [(2, {1: 1, 2: 1}, 5, 228),
+                              (Fraction(13, 21), {1: 1, 2: 1}, 4, 151)],
+}
 
 
 def elemental_count_formula(n):
@@ -435,14 +453,49 @@ def _rows_and_points(draw):
     return problem, point
 
 
+def _same_arrays(a, b):
+    if a is None or b is None:
+        return a is b
+    if hasattr(a, "tocsr"):
+        return all(_same_arrays(getattr(a, k), getattr(b, k))
+                   for k in ("shape", "indptr", "indices", "data"))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _linprog_arguments(problem):
+    """The (c, keyword arguments) that ``_float_solve`` hands ``linprog``."""
+    import scipy.optimize
+    from unittest import mock
+
+    calls = []
+
+    def linprog(c, **kwargs):
+        calls.append((c, kwargs))
+        raise ValueError("arguments captured")  # _float_solve then returns None
+
+    with mock.patch.object(scipy.optimize, "linprog", linprog):
+        assert lpbound._float_solve(problem) is None
+    (call,) = calls
+    return call
+
+
 @settings(max_examples=300, deadline=None)
 @given(_rows_and_points())
 def test_integer_row_checks_equal_the_fraction_reference(case):
+    # A row here may mix denominators, as 1/2 and 1/3, or hold a number that
+    # is not in lowest terms over the row's scale, as 1/2 in a row with 1/4;
+    # no fixture has either.
     problem, point = case
     assert verify_witness(problem, point) == ref.verify_witness(problem, point)
     assert lpbound._violated_rows(problem, point, ray=True) == [
         i for i, row in enumerate(problem.rows)
         if ref._ray_violates(row, ref._eval_row(row.coeffs, point))]
+    assert export_lp(problem) == ref.export_lp(problem)
+    (c, kwargs), (ref_c, ref_kwargs) = (_linprog_arguments(problem),
+                                        ref.reference_linprog_inputs(problem))
+    assert _same_arrays(c, ref_c) and kwargs.keys() == ref_kwargs.keys()
+    assert all(_same_arrays(kwargs[k], ref_kwargs[k]) for k in ("A_ub", "b_ub", "A_eq", "b_eq"))
 
 
 @st.composite
@@ -548,3 +601,25 @@ def test_solves_without_the_float_solve_answer_exactly(fixture, mode, monkeypatc
     sol = lp_solve(_fixture_problem(fixture, mode))
     assert sol.status == "optimal" and sol.value == KNOWN_OPTIMA[fixture]
     assert sol.method == "exact"
+
+
+@pytest.mark.parametrize("fixture, mode", EXACT_FIXTURE_MODES)
+def test_exact_fallback_keeps_its_answers_and_pivot_path(fixture, mode, monkeypatch):
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    pivots = []
+    solve = simplex.solve
+
+    def counted(*args):
+        res = solve(*args)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(simplex, "solve", counted)
+    got = []
+    for weights in (None, Weights.of({1: Fraction(1, 3), 2: Fraction(2, 7)})):
+        pivots.clear()
+        sol = lp_solve(_fixture_problem(fixture, mode, weights))
+        assert sol.status == "optimal" and sol.method == "exact"
+        got.append((sol.value, {k: sol.rate(k) for k, _ in sol.source_masks},
+                    len(pivots), sum(pivots)))
+    assert got == EXACT_FALLBACK_PATHS[fixture, mode]
