@@ -8,7 +8,8 @@ reproducible; ``--format text`` prints the human tables instead.
 
 Exit codes are a stable scripting contract: 0 success, 1 domain-level
 negative result (invalid network, exhausted search, failed replay), 2 usage
-or I/O error.  A library warning, such as a demanded source that no sink
+or I/O error.  A stdout whose reader has gone, as under ``| head``, exits 2
+without a message.  A library warning, such as a demanded source that no sink
 can decode, is printed to stderr as one ``warning:`` line.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -338,7 +340,14 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # here, so that a closed pipe is caught below
+            return code
+        except BrokenPipeError:
+            # Send what is still buffered to devnull, or the flush at exit
+            # fails again and prints "Exception ignored".
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return USAGE
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE

@@ -450,6 +450,8 @@ class Step:
     @classmethod
     def from_json(cls, line: str) -> "Step":
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
         if not isinstance(doc["rule"], str):
             raise TypeError("rule is not a string")
         for key in ("removed", "up", "down"):

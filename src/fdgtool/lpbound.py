@@ -24,8 +24,11 @@ simplex is driven through lazy row generation (the full elemental family is
 enormous, but optima are supported on few of them), and every returned
 witness is re-checked against every row of the full problem afterwards.
 
-Every stage reads the rows in one integer form (``_IntRows``), built once
-per problem: each row times its scale, the lcm of its own denominators.  The
+A problem holds its rows once, in one integer table (``RowTable``): each
+row times its scale, the lcm of its own denominators, flat as in a CSR
+matrix.  ``build_lp`` writes the table row by row; ``problem.rows`` reads it
+as a sequence of ``Row``s of ``Fraction``s, each built when asked for, and
+every stage of the solve and the export reads the integers directly.  The
 exact checks scale a point (witness or ray) once to the common denominator
 of its values and compare it with those rows in integers.  The elemental
 rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
@@ -34,10 +37,10 @@ rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -61,8 +64,6 @@ MAX_N_ENV = "FDGTOOL_MAX_N"
 ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 class Row(NamedTuple):
@@ -73,49 +74,74 @@ class Row(NamedTuple):
     rhs: Fraction
 
 
-class _IntRows:
-    """Rows times their scales, flat as in a CSR matrix (no object per row
-    for the garbage collector to track).  ``self[i]`` gives row i as
-    (masks, coeffs, rhs, scale, sense), sliced at ``starts[i:i + 2]``."""
+class RowTable(Sequence):
+    """LP rows, each times its scale, flat as in a CSR matrix: no object per
+    row for the garbage collector to track.  Row i is ``names[i]``,
+    ``tags[i]``, ``senses[i]``, ``scales[i]``, the integer ``rhs[i]`` and the
+    integer entries ``masks[a:b]``, ``coeffs[a:b]`` at ``a, b = starts[i:i + 2]``.
+    As a sequence it gives row i as a ``Row`` of ``Fraction``s, built on demand."""
 
-    def __init__(self, rows):
-        terms = [row.coeffs for row in rows]
-        self.starts = starts = [0, *accumulate(map(len, terms))]
-        self.masks = [mask for coeffs in terms for mask, _ in coeffs]
-        values = [c for coeffs in terms for _, c in coeffs]
-        dens = [c.denominator for c in values]
-        self.scales = [lcm(row.rhs.denominator, *dens[a:b])
-                       for row, a, b in zip(rows, starts, starts[1:])]
-        self.coeffs = [c.numerator for c in values]
-        self.rhs = [row.rhs.numerator for row in rows]
-        self.senses = [row.sense for row in rows]
-        for i, scale in enumerate(self.scales):
-            if scale != 1:
-                a, b = starts[i], starts[i + 1]
-                self.coeffs[a:b] = [c.numerator * (scale // c.denominator) for c in values[a:b]]
-                self.rhs[i] *= scale // rows[i].rhs.denominator
+    def __init__(self, rows=()):
+        self.names, self.tags, self.senses, self.scales, self.rhs = [], [], [], [], []
+        self.starts, self.masks, self.coeffs = [0], [], []
+        for row in rows:
+            self.add(*row)
 
-    def __getitem__(self, i):
+    def add(self, name: str, tag: str, terms, sense: str, rhs=0) -> None:
+        """Append the row ``terms`` (``sense``) ``rhs``; ``terms`` is a sorted
+        sequence of (mask, int or Fraction) pairs, scaled here to integers."""
+        scale = lcm(rhs.denominator, *[c.denominator for _, c in terms])
+        self.names.append(name)
+        self.tags.append(tag)
+        self.senses.append(sense)
+        self.scales.append(scale)
+        self.rhs.append(rhs.numerator * (scale // rhs.denominator))
+        self.masks += [mask for mask, _ in terms]
+        self.coeffs += [c.numerator * (scale // c.denominator) for _, c in terms]
+        self.starts.append(len(self.masks))
+
+    def integer_row(self, i: int):
+        """Row i as (masks, coeffs, rhs, scale, sense), in integers."""
         a, b = self.starts[i], self.starts[i + 1]
         return self.masks[a:b], self.coeffs[a:b], self.rhs[i], self.scales[i], self.senses[i]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        at = range(len(self.names))[i]
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        masks, coeffs, rhs, scale, sense = self.integer_row(at)
+        return Row(self.names[at], self.tags[at],
+                   tuple((mask, Fraction(c, scale)) for mask, c in zip(masks, coeffs)),
+                   sense, Fraction(rhs, scale))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RowTable) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, vars(self).values())))
 
 
 @dataclass(frozen=True)
 class LpProblem:
+    """An entropy LP.  ``rows`` may be given as any sequence of ``Row``s; it
+    is held, and read back, as a ``RowTable``."""
+
     n_vars: int
     var_names: tuple[str, ...]
     source_masks: tuple[tuple[int, int], ...]  # (source index, column mask)
     objective: tuple  # ((mask, Fraction), ...)
-    rows: tuple[Row, ...]
+    rows: RowTable
+
+    def __post_init__(self):
+        if not isinstance(self.rows, RowTable):
+            object.__setattr__(self, "rows", RowTable(self.rows))
 
     @property
     def dimension(self) -> int:
         return (1 << self.n_vars) - 1
-
-    @cached_property
-    def _int_rows(self) -> _IntRows:
-        """``rows`` in integer form, built on first use."""
-        return _IntRows(self.rows)
 
 
 @dataclass(frozen=True)
@@ -183,12 +209,16 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
     graph first instead of generating astronomically many rows.
     """
     _check_generation_cap(n, cap)
-    full = (1 << n) - 1
-    rows = []
+    return list(_elemental_table(n))
+
+
+def _elemental_table(n: int) -> RowTable:
+    """A table of the elemental rows for n variables, in canonical order."""
+    rows, full = RowTable(), (1 << n) - 1
     for i in range(n):
         rest = full & ~(1 << i)
-        coeffs = ((rest, _MINUS_ONE), (full, _ONE)) if rest else ((full, _ONE),)
-        rows.append(Row(f"elem1_{i + 1}", ELEMENTAL1, coeffs, ">=", _ZERO))
+        rows.add(f"elem1_{i + 1}", ELEMENTAL1,
+                 ((rest, -1), (full, 1)) if rest else ((full, 1),), ">=")
     k = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,12 +228,9 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
                 k += 1
                 # c misses bits i < j, so c < a|c < b|c < a|b|c: the four masks
                 # are distinct and already sorted, and only c can be empty.
-                if c:
-                    coeffs = ((c, _MINUS_ONE), (a | c, _ONE), (b | c, _ONE),
-                              (ab | c, _MINUS_ONE))
-                else:
-                    coeffs = ((a, _ONE), (b, _ONE), (ab, _MINUS_ONE))
-                rows.append(Row(f"elem2_{k}", ELEMENTAL2, coeffs, ">=", _ZERO))
+                rows.add(f"elem2_{k}", ELEMENTAL2,
+                         ((c, -1), (a | c, 1), (b | c, 1), (ab | c, -1)) if c
+                         else ((a, 1), (b, 1), (ab, -1)), ">=")
     return rows
 
 
@@ -219,23 +246,18 @@ def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> L
             m |= 1 << index[v]
         return m
 
-    rows = list(elemental_inequalities(n, cap=cap))
+    rows = _elemental_table(n)
 
     svars = fdg.source_vars()
-    all_sources = mask_of(svars)
-    terms = {all_sources: Fraction(1)}
+    terms = {mask_of(svars): 1}
     for s in svars:
         m = mask_of([s])
-        terms[m] = terms.get(m, Fraction(0)) - 1
-    rows.append(Row(name="indep", tag=INDEP, coeffs=_coeff_row(terms),
-                    sense="=", rhs=Fraction(0)))
+        terms[m] = terms.get(m, 0) - 1
+    rows.add("indep", INDEP, _coeff_row(terms), "=")
 
     for v in fdg.edge_vars():
         p = mask_of(fdg.up(v))
-        rows.append(Row(name=f"enc_{v.edge_id}", tag=ENCODE,
-                        coeffs=_coeff_row({p | mask_of([v]): Fraction(1),
-                                           p: Fraction(-1)}),
-                        sense="=", rhs=Fraction(0)))
+        rows.add(f"enc_{v.edge_id}", ENCODE, ((p, -1), (p | mask_of([v]), 1)), "=")
 
     for s in svars:
         parents = fdg.up(s)
@@ -245,14 +267,10 @@ def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> L
         me = mask_of([s])
         if me & p:
             continue
-        rows.append(Row(name=f"dec_{s.index}", tag=DECODE,
-                        coeffs=_coeff_row({p | me: Fraction(1), p: Fraction(-1)}),
-                        sense="=", rhs=Fraction(0)))
+        rows.add(f"dec_{s.index}", DECODE, ((p, -1), (p | me, 1)), "=")
 
     for v in fdg.edge_vars():
-        rows.append(Row(name=f"cap_{v.edge_id}", tag=CAPACITY,
-                        coeffs=_coeff_row({mask_of([v]): Fraction(1)}),
-                        sense="<=", rhs=Fraction(v.cap)))
+        rows.add(f"cap_{v.edge_id}", CAPACITY, ((mask_of([v]), 1),), "<=", v.cap)
 
     objective = {}
     for s in svars:
@@ -265,14 +283,12 @@ def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> L
         var_names=tuple(v.name for v in fdg.vars),
         source_masks=tuple((s.index, mask_of([s])) for s in svars),
         objective=_coeff_row(objective),
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
 def lp_stats(problem: LpProblem) -> LpStats:
-    counts = {tag: 0 for tag in TAG_ORDER}
-    for row in problem.rows:
-        counts[row.tag] += 1
+    counts = {tag: problem.rows.tags.count(tag) for tag in TAG_ORDER}
     return LpStats(dimension=problem.dimension, counts=counts,
                    total=len(problem.rows))
 
@@ -309,7 +325,7 @@ def _violated_rows(problem: LpProblem, point: dict, ray: bool = False) -> list[i
     """
     den = lcm(*[x.denominator for x in point.values()])
     scaled = {mask: x.numerator * (den // x.denominator) for mask, x in point.items()}
-    rows, get = problem._int_rows, scaled.get
+    rows, get = problem.rows, scaled.get
     products = [c * get(mask, 0) for mask, c in zip(rows.masks, rows.coeffs)]
     bad = []
     for i, (a, b, rhs, sense) in enumerate(zip(rows.starts, rows.starts[1:], rows.rhs,
@@ -329,7 +345,7 @@ def _violated_rows(problem: LpProblem, point: dict, ray: bool = False) -> list[i
 
 def verify_witness(problem: LpProblem, witness: dict) -> list[str]:
     """Exactly re-check a candidate point against every row; [] means feasible."""
-    return [problem.rows[i].name for i in _violated_rows(problem, witness)]
+    return [problem.rows.names[i] for i in _violated_rows(problem, witness)]
 
 
 def solve_cap() -> int:
@@ -376,13 +392,14 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         return certified
 
     n_cols = problem.dimension
-    seed = [i for i, row in enumerate(problem.rows)
-            if row.tag != ELEMENTAL2 or len(row.coeffs) == 3]
+    rows = problem.rows
+    seed = [i for i, (tag, a, b) in enumerate(zip(rows.tags, rows.starts, rows.starts[1:]))
+            if tag != ELEMENTAL2 or b - a == 3]
     objective = {mask - 1: c for mask, c in problem.objective}
     aux = _bounding_helpers(problem)
 
     def triple(i):
-        masks, coeffs, rhs, scale, sense = problem._int_rows[i]
+        masks, coeffs, rhs, scale, sense = rows.integer_row(i)
         return ({m - 1: Fraction(c, scale) for m, c in zip(masks, coeffs)},
                 sense, Fraction(rhs, scale))
 
@@ -401,7 +418,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
             violated = [i for i in bad if i not in working]
             if not violated:
                 if bad:
-                    names = [problem.rows[i].name for i in bad[:5]]
+                    names = [rows.names[i] for i in bad[:5]]
                     raise RuntimeError(f"internal error: witness fails rows {names}")
                 value = _eval_row(problem.objective, witness)
                 if value != res.value:
@@ -441,7 +458,7 @@ def _float_solve(problem: LpProblem):
     except ImportError:  # pragma: no cover - exercised only without scipy
         return None
 
-    rows = problem._int_rows
+    rows = problem.rows
     n = problem.dimension
     c = np.zeros(n)
     lengths = np.diff(rows.starts)
@@ -533,7 +550,8 @@ def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
     stands for ``q / s``, and over the common denominator ``den`` of those,
     every column sum and the dual objective are integers.
     """
-    support = [(q, problem._int_rows[i]) for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
+    support = [(q, problem.rows.integer_row(i))
+               for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
     den = lcm(*[q.denominator * scale for q, (_, _, _, scale, _) in support])
     column_sums = {}
     dual_value = 0
@@ -564,12 +582,11 @@ def _bounding_helpers(problem: LpProblem) -> list:
     feasible point of the complete problem; they are working-set helpers
     only and never appear in the problem's rows or statistics.
     """
-    decode = {}
-    for row in problem.rows:
-        if row.tag != DECODE:
-            continue
-        pos = next(m for m, c in row.coeffs if c > 0)
-        neg = next(m for m, c in row.coeffs if c < 0)
+    rows, decode = problem.rows, {}
+    for i in (i for i, tag in enumerate(rows.tags) if tag == DECODE):
+        masks, coeffs, *_ = rows.integer_row(i)
+        pos = next(m for m, c in zip(masks, coeffs) if c > 0)
+        neg = next(m for m, c in zip(masks, coeffs) if c < 0)
         decode[pos & ~neg] = (pos, neg)
     helpers = []
     objective_masks = {m for m, _ in problem.objective}
@@ -636,15 +653,15 @@ def export_lp(problem: LpProblem) -> str:
         return text[2:] if text.startswith("+") else text
 
     lines = []
-    masks, coeffs, _, scale, _ = _IntRows([Row("obj", "", problem.objective, "", _ZERO)])[0]
+    masks, coeffs, _, scale, _ = RowTable([("obj", "", problem.objective, "")]).integer_row(0)
     den = scale if _decimal_digits(scale) is not None else 1
     if den != scale:
         lines.append(f"\\ objective scaled by {fraction_text(scale)}")
     lines += ["Maximize", f" obj: {terms(masks, coeffs, den)}", "Subject To"]
-    for i, row in enumerate(problem.rows):
-        masks, coeffs, rhs, scale, sense = problem._int_rows[i]
+    for i, row_name in enumerate(problem.rows.names):
+        masks, coeffs, rhs, scale, sense = problem.rows.integer_row(i)
         den = scale if _decimal_digits(scale) is not None else 1
-        lines.append(f" {row.name}: {terms(masks, coeffs, den)} {sense} "
+        lines.append(f" {row_name}: {terms(masks, coeffs, den)} {sense} "
                      f"{_decimal_exact(rhs, den)}")
     lines += ["Bounds", *[f" {name} free" for name in names[1:]], "End"]
     return "\n".join(lines) + "\n"

@@ -102,6 +102,38 @@ def fraction_text(q) -> str:
     return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
+def _cap_text(cap: Fraction) -> str:
+    """``str(cap)``, or, where a part of ``cap`` is past the digit limit
+    Python puts on int-to-string conversion, ``cap`` as a decimal whose
+    exponent ``parse_fraction`` accepts, as ``1e4300`` or ``1234.5e-4300``.
+
+    A capacity that ``parse_network`` accepts and ``str`` cannot print was
+    read from that form (each side of a ``p/q`` is within the limit, so
+    ``str`` prints it).  Written with the exponent nearest its own within
+    the limit, it needs no more digits than it was read with."""
+    try:
+        return str(cap)
+    except ValueError:
+        pass
+    num, den = cap.as_integer_ratio()
+    shift = den.bit_length()  # 10**shift is a multiple of every 2^a 5^b <= den
+    scaled, rest = divmod(abs(num) * 10 ** shift, den)
+    if rest:  # not a decimal, so not a capacity that parse_network accepts
+        return fraction_text(cap)
+    text = str(Decimal(scaled))
+    digits = text.rstrip("0")
+    exponent = len(text) - len(digits) - shift
+    limit = sys.get_int_max_str_digits()
+    written = max(-limit, min(exponent, limit))
+    if exponent > written:
+        digits += "0" * (exponent - written)
+    elif exponent < written:
+        point = written - exponent
+        digits = digits.rjust(point + 1, "0")
+        digits = f"{digits[:-point]}.{digits[-point:]}"
+    return f"{'-' if num < 0 else ''}{digits}e{written}"
+
+
 def _parse_cap(text) -> Fraction:
     if not isinstance(text, str):
         raise NetworkFormatError(
@@ -198,7 +230,7 @@ def serialize_network(net: Network) -> str:
     """Render a Network back to its canonical JSON form (round-trips exactly)."""
     doc = {
         "nodes": list(net.nodes),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "cap": str(e.cap)}
+        "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "cap": _cap_text(e.cap)}
                   for e in net.edges],
         "sources": [{"index": s.index, "at": s.at} for s in net.sources],
         "sinks": [{"at": t.at, "demands": list(t.demands)} for t in net.sinks],

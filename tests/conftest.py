@@ -9,6 +9,7 @@ import json
 import random
 import signal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,9 @@ from fdgtool import netmodel
 from fdgtool.algebra import Poly, TransferSystem, ind_decode, ind_edge, ind_source
 from fdgtool.fdg import (COR1, COR2, COR3, COR4, COR5A, COR5B, LINEAR, SHANNON, EdgeVar, Fdg,
                          ReductionTrace, ReplayError, Step, UnitCapacityError)
-from fdgtool.lpbound import DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2, LpProblem, Row
+from fdgtool.lpbound import (CAPACITY, DECODE, DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2,
+                             ENCODE, INDEP, LpProblem, Row)
+from fdgtool.netmodel import Weights
 from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
@@ -523,9 +526,9 @@ def scipy_solve_exported(text: str):
 
 
 # Reference LP layers: the Fraction code that the integer row checks, the
-# integer dual check, the direct elemental rows and the integer export
-# replaced in ``lpbound``, kept verbatim (with ``_ray_violates``, the exact
-# fallback's old ray test).
+# integer dual check, the direct elemental rows, the integer row table and
+# the integer export replaced in ``lpbound``, kept verbatim (with
+# ``_ray_violates``, the exact fallback's old ray test).
 
 def _coeff_row(terms: dict) -> tuple:
     return tuple(sorted((m, c) for m, c in terms.items() if c != 0))
@@ -577,6 +580,90 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
                 rows.append(Row(name=f"elem2_{k}", tag=ELEMENTAL2,
                                 coeffs=_coeff_row(terms), sense=">=", rhs=Fraction(0)))
     return rows
+
+
+def _check_generation_cap(n: int, cap: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if n > cap:
+        raise ValueError(
+            f"n={n} exceeds the generation cap {cap}; reduce the graph first")
+
+
+def _check_buildable(fdg: Fdg, cap: int) -> None:
+    """Raise the ValueError that ``build_lp`` refuses ``fdg`` with, if any."""
+    _check_generation_cap(fdg.order, cap)
+    for v in fdg.edge_vars():
+        if not fdg.up(v):
+            raise ValueError(
+                f"edge variable {v.name} has no parents; the underlying edge "
+                f"leaves a node with no inputs")
+
+
+def reference_build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP):
+    """``build_lp`` as it was when it stored a ``Row`` of ``Fraction``s per
+    row, kept verbatim but for its last line: the result is a namespace with
+    ``LpProblem``'s fields, ``rows`` a tuple of ``Row``s, since ``LpProblem``
+    now holds its rows as a ``RowTable``.  The elemental rows come from the
+    reference ``elemental_inequalities`` above."""
+    _check_buildable(fdg, cap)
+    n = fdg.order
+    index = {v: i for i, v in enumerate(fdg.vars)}
+
+    def mask_of(vs) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << index[v]
+        return m
+
+    rows = list(elemental_inequalities(n, cap=cap))
+
+    svars = fdg.source_vars()
+    all_sources = mask_of(svars)
+    terms = {all_sources: Fraction(1)}
+    for s in svars:
+        m = mask_of([s])
+        terms[m] = terms.get(m, Fraction(0)) - 1
+    rows.append(Row(name="indep", tag=INDEP, coeffs=_coeff_row(terms),
+                    sense="=", rhs=Fraction(0)))
+
+    for v in fdg.edge_vars():
+        p = mask_of(fdg.up(v))
+        rows.append(Row(name=f"enc_{v.edge_id}", tag=ENCODE,
+                        coeffs=_coeff_row({p | mask_of([v]): Fraction(1),
+                                           p: Fraction(-1)}),
+                        sense="=", rhs=Fraction(0)))
+
+    for s in svars:
+        parents = fdg.up(s)
+        if not parents:
+            continue
+        p = mask_of(parents)
+        me = mask_of([s])
+        if me & p:
+            continue
+        rows.append(Row(name=f"dec_{s.index}", tag=DECODE,
+                        coeffs=_coeff_row({p | me: Fraction(1), p: Fraction(-1)}),
+                        sense="=", rhs=Fraction(0)))
+
+    for v in fdg.edge_vars():
+        rows.append(Row(name=f"cap_{v.edge_id}", tag=CAPACITY,
+                        coeffs=_coeff_row({mask_of([v]): Fraction(1)}),
+                        sense="<=", rhs=Fraction(v.cap)))
+
+    objective = {}
+    for s in svars:
+        w = weights.get(s.index)
+        if w:
+            objective[mask_of([s])] = w
+
+    return SimpleNamespace(
+        n_vars=n,
+        var_names=tuple(v.name for v in fdg.vars),
+        source_masks=tuple((s.index, mask_of([s])) for s in svars),
+        objective=_coeff_row(objective),
+        rows=tuple(rows),
+    )
 
 
 def _eval_row(coeffs, witness) -> Fraction:

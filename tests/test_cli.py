@@ -150,11 +150,16 @@ def test_an_option_value_of_two_dashes_is_that_value(on_disk, tmp_path, monkeypa
     (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
                               if k != "removed"}), "missing key 'removed'"),
     (lambda line: "{not json", "line 1"),
-    (lambda line: "[]", "line 1"),
+    (lambda line: "[]", "line 1: not a JSON object"),
+    (lambda line: "[1,2]", "line 1: not a JSON object"),
+    (lambda line: '"x"', "line 1: not a JSON object"),
+    (lambda line: "3", "line 1: not a JSON object"),
+    (lambda line: "null", "line 1: not a JSON object"),
     (lambda line: json.dumps({**json.loads(line), "rule": ["COR1"]}), "rule is not a string"),
     (lambda line: json.dumps({"rule": "COR1", "removed": [["x"]], "up": [], "down": [],
                               "added": []}), "removed is not a list of names"),
-], ids=["no-removed", "not-json", "not-an-object", "rule-not-a-string", "removed-not-names"])
+], ids=["no-removed", "not-json", "not-an-object", "a-list", "a-string", "a-number", "null",
+        "rule-not-a-string", "removed-not-names"])
 def test_replay_malformed_trace_is_a_usage_error(on_disk, tmp_path, capsys, edit, detail):
     trace_file = tmp_path / "trace.jsonl"
     net = on_disk("butterfly")
@@ -636,3 +641,20 @@ def test_in_process_calls_answer_as_fresh_processes(on_disk, capsys):
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
         outputs.add(fresh.stdout)
     assert len(outputs) == len(calls)
+
+
+@pytest.mark.parametrize("argv", [["reduce"], ["transfer"], ["lp", "--export", "-"]])
+def test_a_closed_stdout_exits_2_without_a_traceback(on_disk, argv):
+    # The pipe's read end is closed before the process starts, so its first
+    # write to stdout fails, as once ``head`` has read its lines and exited.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fdgtool.cli", *argv, on_disk("butterfly")],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")

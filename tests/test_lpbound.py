@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import math
 import os
@@ -5,12 +7,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import conftest as ref
 from fdgtool import lpbound, netmodel, simplex
@@ -393,6 +396,69 @@ def test_rows_and_export_equal_the_fraction_reference(fixture, mode):
         elemental = ref.elemental_inequalities(p.n_vars)
         assert list(p.rows[:len(elemental)]) == elemental
         assert export_lp(p) == ref.export_lp(p)
+
+
+def _assert_built_as_the_reference(graph, weights):
+    p, r = build_lp(graph, weights), ref.reference_build_lp(graph, weights)
+    rows = list(p.rows)
+    assert rows == list(r.rows)
+    assert all(type(x) is Fraction for row in rows for x in (row.rhs, *dict(row.coeffs).values()))
+    assert p.rows[-1] == r.rows[-1] and p.rows[2:5] == list(r.rows[2:5])
+    assert (p.n_vars, p.var_names, p.source_masks, p.objective) == (
+        r.n_vars, r.var_names, r.source_masks, r.objective)
+    rebuilt = LpProblem(n_vars=p.n_vars, var_names=p.var_names, source_masks=p.source_masks,
+                        objective=p.objective, rows=tuple(rows))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+@pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
+def test_build_lp_equals_the_fraction_reference(fixture, mode):
+    text = netmodel.fixture_text(fixture)
+    texts = [text]
+    if mode != "linear":  # linear reduction requires unit capacities
+        texts.append(text.replace('"cap": "1"', '"cap": "2.5"', 1)
+                     .replace('"cap": "1"', '"cap": "3/7"', 1))
+    for text in texts:
+        net = parse_network(text)
+        graph = build_fdg(net)
+        if mode != "none":
+            graph, _ = reduce(graph, mode)
+        for weights in ({s.index: 1 for s in net.sources},
+                        {s.index: Fraction(s.index, 3 + 4 * s.index) for s in net.sources}):
+            _assert_built_as_the_reference(graph, Weights.of(weights))
+
+
+_CAPACITIES = (1, 2, Fraction(1, 2), 3, Fraction(3, 2), Fraction(2, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["none", "shannon"]), st.data())
+def test_build_lp_equals_the_fraction_reference_on_random_networks(seed, mode, data):
+    net = random_network(random.Random(seed), max_edges=6)
+    caps = data.draw(st.lists(st.sampled_from(_CAPACITIES), min_size=len(net.edges),
+                              max_size=len(net.edges)))
+    net = dataclasses.replace(net, edges=tuple(
+        dataclasses.replace(e, cap=Fraction(cap)) for e, cap in zip(net.edges, caps)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a source that no sink demands
+        graph = build_fdg(net)
+    if mode != "none":
+        graph, _ = reduce(graph, mode)
+    assume(graph.order <= 10)
+    weights = data.draw(st.lists(st.sampled_from([1, Fraction(1, 2), Fraction(2, 7)]),
+                                 min_size=len(net.sources), max_size=len(net.sources)))
+    _assert_built_as_the_reference(graph, Weights.of(dict(enumerate(weights, 1))))
+
+
+def test_build_lp_leaves_no_object_per_row_for_the_collector():
+    # Rows held as Fraction tuples left about six tracked objects per row.
+    graph = build_fdg(load_fixture("two_unicast_chain"))
+    gc.collect()
+    before = len(gc.get_objects())
+    problem = build_lp(graph, W11)
+    gc.collect()
+    assert len(problem.rows) == 11549
+    assert len(gc.get_objects()) - before < 100
 
 
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)

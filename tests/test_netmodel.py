@@ -137,6 +137,16 @@ def test_round_trip_all_fixtures(name):
     assert again == net
 
 
+@pytest.mark.parametrize("cap", ["1e4300", "25e4299", "1e-4300", "1234.5e-4300"])
+def test_a_capacity_past_the_digit_limit_round_trips(cap):
+    # str() of each raises: a numerator or denominator has 4301 digits or more.
+    net = parse_network(doc(edges=[{"id": "e1", "tail": "s", "head": "m", "cap": cap},
+                                   {"id": "e2", "tail": "m", "head": "t", "cap": "1"}]))
+    text = serialize_network(net)
+    assert [e["cap"] for e in json.loads(text)["edges"]] == [cap, "1"]
+    assert parse_network(text) == net
+
+
 def test_in_out_edges_on_butterfly(butterfly):
     assert in_edges(butterfly, "e_c") == ["e_a", "e_b"]
     assert out_edges(butterfly, "e_c") == ["e_d", "e_e"]
