@@ -27,9 +27,10 @@ nested loops, one per free position.  The part of an entry fixed before its
 block is evaluated once on entering the block, the rest right after each
 loop that binds one of its positions, and the entries due at a block's end
 are tested right after its last loop, whose values are solved from the
-first of them when it is affine in that loop's position.  The node and
-evaluation counters are defined by the plain depth-first search that assigns
-one indeterminate per node.
+first of them when it is affine in that loop's position; no loop tries 0
+for a factor of every monomial of a first entry that must be nonzero.  The
+node and evaluation counters are defined by the plain depth-first search
+that assigns one indeterminate per node.
 """
 
 from __future__ import annotations
@@ -337,6 +338,28 @@ def _entry_terms(entry: Poly, position: dict, fixed: dict, p: int) -> dict:
     return {mono: c for mono, c in terms.items() if c}
 
 
+def _nonzero_factors(terms: dict, target: int) -> set:
+    """The positions that every monomial of an entry with nonzero ``target``
+    contains: over a prime field the entry can pass only where each of them
+    is nonzero."""
+    if not target or not terms:
+        return set()
+    return set.intersection(*map(set, terms))
+
+
+def _root_table(p: int, t: int) -> tuple:
+    """``R[a][b]``, the values of x in GF(p) with a*x + b = t: the one root
+    for a != 0, every value for a = 0 and b = t, none otherwise.  The
+    1-tuples are shared, so the table holds p*p pointers."""
+    one = [(x,) for x in range(p)]
+    every = tuple(range(p))
+    table = [tuple(every if b == t else () for b in range(p))]
+    for a in range(1, p):
+        inverse = pow(a, -1, p)
+        table.append(tuple(one[(t - b) * inverse % p] for b in range(p)))
+    return tuple(table)
+
+
 def _search_source(blocks, free: list, p: int) -> str:
     """Source of ``search()``, the whole search as nested loops.
 
@@ -349,15 +372,23 @@ def _search_source(blocks, free: list, p: int) -> str:
     and updated right after each loop that binds one of its positions.
     After the block's last loop the entries are tested in order; reaching
     entry k > 1 adds one evaluation, a failure continues the innermost loop,
-    and a pass adds one node and enters the next block.  When the first
-    entry is affine in the block's last position i, a*c{i} + b with a
-    literal or runtime a, that loop is solved: it runs over the values that
-    pass the entry (the root ((t - b) * a^-1) mod p for a != 0, all p
-    values for a == 0 and b == t, none otherwise), with a^-1 read from a
-    literal table of inverses mod p, and the entry is not tested.  The
-    values it skips fail the first entry, which is counted on entry, so
-    the counters and the first hit stay those of the full loop.  ``search()``
-    returns (free values of the hit or None, nodes, evals).  Past
+    and a pass adds one node and enters the next block.
+
+    No loop runs over values that are certain to fail the block's first
+    entry.  When that entry is affine in the block's last position i,
+    a*c{i} + b with a literal or runtime a, the loop is solved: it runs
+    over ``R{t}[a][b]``, the values that pass (the root ((t - b) * a^-1)
+    mod p for a != 0, all p values for a == 0 and b == t, none otherwise),
+    and the entry is not tested.  ``R{t}`` is a local bound once per call
+    to ``root_table(p, t)`` (``_root_table``) for each target t that a
+    solved loop uses.  When the target is nonzero and a position i lies in
+    every monomial of the entry, the entry fails wherever c{i} is 0 (p is
+    prime): the block's own loop over i runs over ``range(1, p)``, and an
+    i bound in an earlier block gets one ``if not c{i}: continue`` on block
+    entry, after the counts are added.  Every value skipped fails the first
+    entry, whose evaluations and the nodes before it are counted on entry,
+    so the counters and the first hit stay those of the full loops.
+    ``search()`` returns (free values of the hit or None, nodes, evals).  Past
     ``_MAX_NESTED_LOOPS`` loops the rest of the search moves into a nested
     function, called once per combination that reaches it.  The text is
     built from integers only.
@@ -398,18 +429,15 @@ def _search_source(blocks, free: list, p: int) -> str:
             out.setdefault(rest, []).append("*".join(factors) or "1")
         return out
 
-    inverse = tuple(pow(a, -1, p) if a else 0 for a in range(p))
+    tables = set()  # the targets whose root table the search reads
 
     def roots(rep, i, target):
         # The values of c{i} passing an entry a*c{i} + b, or None when the
         # entry is not affine in c{i}.
         if (i,) not in rep or not rep.keys() <= {(), (i,)}:
             return None
-        a, b = rep[(i,)], rep.get((), "0")
-        if a.isdigit():  # a literal, nonzero mod p
-            return f"((({target} - {b}) * {inverse[int(a)]}) % {p},)"
-        return (f"((({target} - {b}) * {inverse}[{a}]) % {p},) if {a} "
-                f"else range({p}) if {b} == {target} else ()")
+        tables.add(target)
+        return f"R{target}[{rep[(i,)]}][{rep.get((), '0')}]"
 
     parts.append([["def search():", "    nodes = evals = 0"], 1, 0])
     for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
@@ -419,6 +447,10 @@ def _search_source(blocks, free: list, p: int) -> str:
             emit(f"nodes += {nodes_in}")
         if evals_in:
             emit(f"evals += {evals_in}")
+        nonzero = _nonzero_factors(*entries[0]) if entries else set()
+        for i in sorted(nonzero):
+            if i < lo:  # bound by an enclosing loop of an earlier block
+                emit(f"if not c{i}: continue")
         loops = [i for i in free if lo <= i < hi]
         coefficients = []  # per entry: {monomial in the block: local or literal}
         for terms, _ in entries:
@@ -438,7 +470,8 @@ def _search_source(blocks, free: list, p: int) -> str:
                 parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0])
             if i == loops[-1] and entries:
                 solved = roots(coefficients[0], i, entries[0][1])
-            emit(f"for c{i} in {solved or f'range({p})'}:")
+            values = solved or (f"range(1, {p})" if i in nonzero else f"range({p})")
+            emit(f"for c{i} in {values}:")
             parts[-1][1] += 1
             parts[-1][2] += 1
             if i != loops[-1]:
@@ -462,6 +495,7 @@ def _search_source(blocks, free: list, p: int) -> str:
         lines.append("    " + leave("None"))
         text = lines[:2] + ["    " + line for line in text] + lines[2:]
         parts.pop()
+    text[1:1] = [f"    R{t} = root_table({p}, {t})" for t in sorted(tables)]
     return "\n".join(text) + "\n"
 
 
@@ -486,7 +520,11 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     passes runs straight into the next block's loops.  A transfer-matrix
     entry is multilinear, so a block's first entry is usually affine in the
     block's last indeterminate: that loop then runs only over the values
-    that pass the entry, at most one when its coefficient is nonzero.
+    that pass the entry, at most one when its coefficient is nonzero, read
+    from a table of roots built once per target.  When that entry must be
+    nonzero and an indeterminate divides every one of its monomials, no
+    loop tries the value 0 for it: its own loop skips 0, or the block is
+    skipped on entry when it was assigned in an earlier block.
 
     The counters are those of a depth-first search that assigns one
     indeterminate per node and checks each entry at its depth.
@@ -571,7 +609,7 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     exhausted = [counts(lo, hi, last) for lo, hi in spans]
     blocks = [(lo, hi, due[hi], inner, tried if due[hi] else 0)
               for (lo, hi), (inner, tried) in zip(spans, exhausted)]
-    namespace = {}
+    namespace = {"root_table": _root_table}
     exec(_search_source(blocks, free, p), namespace)
     hit, nodes, entry_evals = namespace["search"]()
     if hit is None:

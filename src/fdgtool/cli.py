@@ -127,7 +127,12 @@ def cmd_lp(args) -> int:
                 print(f"  {tag:10s} {stats.counts[tag]}")
         return OK
 
-    if args.export is None:
+    if args.export is not None:  # rows counted in closed form, before generating them
+        rows = lpbound.graph_lp_stats(graph).total
+        if rows > lpbound.EXPORT_ROW_CAP:
+            raise _UsageError(f"the LP has {rows} rows, above the export cap of "
+                              f"{lpbound.EXPORT_ROW_CAP}; reduce the graph first")
+    else:
         try:
             max_n = lpbound.solve_cap()
         except ValueError as exc:

@@ -32,7 +32,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import Network, fraction_text, topological_sort, validate
+from .netmodel import (Network, fraction_from_text, fraction_text, topological_sort,
+                       validate)
 
 COR1 = "COR1"
 COR2 = "COR2"
@@ -196,7 +197,7 @@ class Fdg:
             if name.startswith("Y"):
                 return SourceVar(int(name[1:]))
             if name.startswith("U:"):
-                return EdgeVar(name[2:], Fraction(caps[name]))
+                return EdgeVar(name[2:], fraction_from_text(caps[name]))
             raise ValueError(f"bad variable name {name!r}")
 
         vars_ = [mk(n) for n in doc["vars"]]

@@ -26,8 +26,9 @@ witness is re-checked against every row of the full problem afterwards.
 
 A problem holds its rows once, in one integer table (``RowTable``): each
 row times its scale, the lcm of its own denominators, flat as in a CSR
-matrix.  ``build_lp`` writes the table row by row; ``problem.rows`` reads it
-as a sequence of ``Row``s of ``Fraction``s, each built when asked for, and
+matrix.  ``build_lp`` writes the elemental rows straight into the table's
+lists and adds the other rows one by one; ``problem.rows`` reads it as a
+sequence of ``Row``s of ``Fraction``s, each built when asked for, and
 every stage of the solve and the export reads the integers directly.  The
 exact checks scale a point (witness or ray) once to the common denominator
 of its values and compare it with those rows in integers.  The elemental
@@ -59,6 +60,9 @@ TAG_ORDER = (ELEMENTAL1, ELEMENTAL2, INDEP, ENCODE, DECODE, CAPACITY)
 
 DEFAULT_GENERATION_CAP = 24
 DEFAULT_SOLVE_CAP = 16
+# ``lp --export`` refuses an LP with more rows, counted before any is built:
+# about 0.5 KB of memory each.  N=15 (about 860k rows) is the largest order under it.
+EXPORT_ROW_CAP = 10 ** 6
 MAX_N_ENV = "FDGTOOL_MAX_N"
 # Denominator limits tried, in order, when snapping float solutions to rationals.
 ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
@@ -213,24 +217,40 @@ def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Ro
 
 
 def _elemental_table(n: int) -> RowTable:
-    """A table of the elemental rows for n variables, in canonical order."""
+    """A table of the elemental rows for n variables, in canonical order.
+
+    Their coefficients are +-1 and their scale is 1, so the table's lists
+    are written directly, a pair of variables at a time, not through
+    ``RowTable.add``."""
     rows, full = RowTable(), (1 << n) - 1
+    masks, coeffs, starts = rows.masks, rows.coeffs, rows.starts
     for i in range(n):
         rest = full & ~(1 << i)
-        rows.add(f"elem1_{i + 1}", ELEMENTAL1,
-                 ((rest, -1), (full, 1)) if rest else ((full, 1),), ">=")
-    k = 0
+        masks += (rest, full) if rest else (full,)
+        coeffs += (-1, 1) if rest else (1,)
+        starts.append(len(masks))
     for i in range(n):
         for j in range(i + 1, n):
             a, b = 1 << i, 1 << j
             ab = a | b
-            for c in _submasks_ascending(full & ~ab):
-                k += 1
-                # c misses bits i < j, so c < a|c < b|c < a|b|c: the four masks
-                # are distinct and already sorted, and only c can be empty.
-                rows.add(f"elem2_{k}", ELEMENTAL2,
-                         ((c, -1), (a | c, 1), (b | c, 1), (ab | c, -1)) if c
-                         else ((a, 1), (b, 1), (ab, -1)), ">=")
+            # The first c is 0, the one row with three terms.  Every later c
+            # misses bits i < j, so c < a|c < b|c < a|b|c: the four masks are
+            # distinct and already sorted.
+            subsets = _submasks_ascending(full & ~ab)
+            next(subsets)
+            at = len(masks)
+            masks += (a, b, ab)
+            masks += [m for c in subsets for m in (c, a | c, b | c, ab | c)]
+            coeffs += (1, 1, -1)
+            coeffs += (-1, 1, 1, -1) * ((1 << (n - 2)) - 1)
+            starts += range(at + 3, len(masks) + 1, 4)
+    total = len(starts) - 1
+    rows.names += [f"elem1_{i + 1}" for i in range(n)]
+    rows.names += [f"elem2_{k}" for k in range(1, total - n + 1)]
+    rows.tags += [ELEMENTAL1] * n + [ELEMENTAL2] * (total - n)
+    rows.senses += [">="] * total
+    rows.scales += [1] * total
+    rows.rhs += [0] * total
     return rows
 
 

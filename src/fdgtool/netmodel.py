@@ -19,7 +19,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import resources
 
@@ -100,6 +100,18 @@ def fraction_text(q) -> str:
     without that limit, and prints an integer in plain digits."""
     num, den = q.as_integer_ratio()
     return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def fraction_from_text(text: str) -> Fraction:
+    """The number ``fraction_text`` printed as ``text``, also past the digit
+    limit: each side of ``p/q`` is read through ``Decimal``, which converts
+    to an int without that limit.  Malformed text raises ValueError, as
+    ``Fraction(text)`` does."""
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
+    except InvalidOperation:
+        raise ValueError(f"invalid fraction {text!r}") from None
 
 
 def _cap_text(cap: Fraction) -> str:

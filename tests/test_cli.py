@@ -466,6 +466,31 @@ def test_lp_export_writes_file(on_disk, tmp_path, capsys):
     assert text.rstrip().endswith("End")
 
 
+def test_lp_export_refuses_too_many_rows_before_building_the_lp(on_disk, capsys,
+                                                                monkeypatch, tmp_path):
+    def build_lp(*args):
+        raise AssertionError("build_lp called for an LP above the export cap")
+    monkeypatch.setattr(lpbound, "build_lp", build_lp)
+    out_file = tmp_path / "fano.lp"
+    code, out, err = run(capsys, "lp", "--reduce", "none", "--export", str(out_file),
+                         on_disk("fano"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the LP has ") and "export cap of 1000000" in err
+    assert err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_lp_export_writes_fano_shannon(on_disk, tmp_path, capsys):
+    # N=13, 159781 rows: under the export cap.
+    out_file = tmp_path / "fano.lp"
+    code, out, err = run(capsys, "lp", "--reduce", "shannon", "--export", str(out_file),
+                         on_disk("fano"))
+    assert (code, out, err) == (0, "", "")
+    text = out_file.read_text()
+    assert text.count("\n elem") == 13 + 78 * 2 ** 11
+    assert text.rstrip().endswith("End")
+
+
 def test_transfer_matrix_json(on_disk, capsys):
     code, out, _ = run(capsys, "transfer", "--matrix", on_disk("fano"))
     assert code == 0

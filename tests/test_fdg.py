@@ -15,7 +15,7 @@ from fdgtool.fdg import (EdgeVar, Fdg, ReductionTrace, SourceVar,
                          UnitCapacityError, build_fdg, cor1, cor2, cor3, cor4,
                          cor5a, cor5b, reduce, remove_group, remove_var, removable,
                          replay)
-from fdgtool.netmodel import in_edges, load_fixture
+from fdgtool.netmodel import in_edges, load_fixture, parse_network
 
 from conftest import (FORGED_STEPS, UNIT_FIXTURES, head_first_path_text, random_network,
                       reference_reduce, reference_removable, reference_replay, relay_grid)
@@ -388,6 +388,18 @@ def test_fdg_json_round_trip():
         assert Fdg.from_json(g.to_json()) == g
         reduced, _ = reduce(g, "shannon")
         assert Fdg.from_json(reduced.to_json()) == reduced
+
+
+@pytest.mark.parametrize("cap", ["1e4300", "1/3"])
+def test_fdg_json_round_trip_keeps_the_capacity(cap):
+    # 1e4300 prints as 4301 digits, one more than Python's default limit on
+    # integer strings.
+    net = parse_network(netmodel.fixture_text("single_edge")
+                        .replace('"cap": "1"', f'"cap": "{cap}"'))
+    g = build_fdg(net)
+    read_back = Fdg.from_json(g.to_json())
+    assert read_back == g
+    assert read_back.edge_vars()[0].cap == netmodel.parse_fraction(cap)
 
 
 def test_irreducible_graph_has_empty_trace():

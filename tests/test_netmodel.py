@@ -80,6 +80,15 @@ def test_a_huge_decimal_exponent_is_refused_at_once(text):
     assert netmodel.parse_fraction("1e4300") == 10 ** 4300
 
 
+def test_fraction_from_text_reads_what_fraction_text_prints():
+    # 10**4300 prints as 4301 digits, past Python's default limit on integer strings.
+    for q in (Fraction(0), Fraction(-7, 3), Fraction(10 ** 4300), Fraction(3, 10 ** 4300 + 1)):
+        assert netmodel.fraction_from_text(netmodel.fraction_text(q)) == q
+    for text in ("abc", "1/x", ""):
+        with pytest.raises(ValueError):
+            netmodel.fraction_from_text(text)
+
+
 def test_zero_edges_with_source_equal_sink_rejected():
     bad = json.dumps({
         "nodes": ["x"],
