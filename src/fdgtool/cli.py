@@ -105,6 +105,21 @@ def cmd_reduce(args) -> int:
     return OK
 
 
+def _solve_cap_refusal(graph, max_n: int) -> str:
+    """One line refusing an in-process solve above the cap.  It offers
+    --export only for an LP that --export would write."""
+    head = (f"problem has N={graph.order} variables, above the in-process solve cap "
+            f"{max_n} (override with {lpbound.MAX_N_ENV})")
+    try:  # rows counted in closed form, none generated
+        rows = lpbound.graph_lp_stats(graph).total
+    except ValueError as exc:
+        return f"{head}; --export refuses it too: {exc}"
+    if rows > lpbound.EXPORT_ROW_CAP:
+        return (f"{head}; its {rows} rows are above the --export cap of "
+                f"{lpbound.EXPORT_ROW_CAP}, so reduce the graph first")
+    return f"{head}; try --export and an external solver"
+
+
 def cmd_lp(args) -> int:
     net = _read_network(args.network)
     graph = _reduced_graph(net, args.reduce)
@@ -139,8 +154,8 @@ def cmd_lp(args) -> int:
             raise _UsageError(str(exc)) from None
         try:  # N is the graph order: refuse before generating the rows
             lpbound.check_solve_cap(graph.order, max_n)
-        except ValueError as exc:
-            raise _UsageError(f"{exc}; try --export and an external solver") from None
+        except ValueError:
+            raise _UsageError(_solve_cap_refusal(graph, max_n)) from None
     problem = lpbound.build_lp(graph, weights)
 
     if args.export is not None:

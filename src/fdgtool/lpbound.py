@@ -162,6 +162,8 @@ class LpSolution:
     witness: dict | None       # sparse: column mask -> Fraction, zeros omitted
     source_masks: tuple = ()
     method: str = "exact"      # 'certificate' (rounded float solve) | 'exact' (simplex)
+    rounds: int = 0            # exact path: simplex solves over the growing working set
+    pivots: int = 0            # exact path: simplex pivots over those solves
 
     def rate(self, index: int) -> Fraction:
         """The witness entropy of a single source, read as its rate bound."""
@@ -400,7 +402,8 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     2. fallback path: exact simplex over a lazily grown working set of rows
        (the complete elemental family is huge, but optima are supported on
        few of its members), iterating until the exact witness or improving
-       ray violates nothing.
+       ray violates nothing.  The solution's ``rounds`` and ``pivots`` count
+       its simplex solves and their pivots.
 
     Either way the returned witness is re-verified against every row of the
     full problem.
@@ -424,11 +427,16 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
                 sense, Fraction(rhs, scale))
 
     working = {i: triple(i) for i in seed}  # row index -> simplex row, in order
+    rounds = pivots = 0
     while True:
         # The full elemental family implies h(A) >= 0 for every subset, so
         # solving the relaxation inside the nonnegative cone never cuts a
         # point that is feasible for the complete problem.
         res = simplex.solve(n_cols, objective, [*working.values(), *aux])
+        rounds += 1
+        pivots += res.pivots
+        cost = {"source_masks": problem.source_masks, "method": "exact",
+                "rounds": rounds, "pivots": pivots}
 
         if res.status == simplex.OPTIMAL:
             witness = {j + 1: x for j, x in enumerate(res.x) if x}
@@ -443,19 +451,16 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
                 value = _eval_row(problem.objective, witness)
                 if value != res.value:
                     raise RuntimeError("internal error: objective mismatch")
-                return LpSolution(status="optimal", value=res.value,
-                                  witness=witness,
-                                  source_masks=problem.source_masks, method="exact")
+                return LpSolution(status="optimal", value=res.value, witness=witness,
+                                  **cost)
         elif res.status == simplex.UNBOUNDED:
             ray = {j + 1: x for j, x in enumerate(res.ray) if x}
             violated = [i for i in _violated_rows(problem, ray, ray=True)
                         if i not in working]
             if not violated:
-                return LpSolution(status="unbounded", value=None, witness=None,
-                                  source_masks=problem.source_masks, method="exact")
+                return LpSolution(status="unbounded", value=None, witness=None, **cost)
         else:
-            return LpSolution(status="infeasible", value=None, witness=None,
-                              source_masks=problem.source_masks, method="exact")
+            return LpSolution(status="infeasible", value=None, witness=None, **cost)
 
         working.update((i, triple(i)) for i in violated)
 

@@ -387,10 +387,12 @@ def test_lp_solve_weights(on_disk, capsys):
 
 
 def test_lp_solve_cap_suggests_export(on_disk, capsys, monkeypatch):
+    # Unreduced butterfly: N=9 and 4634 rows, which --export writes.
     monkeypatch.setenv("FDGTOOL_MAX_N", "4")
     code, _, err = run(capsys, "lp", "--solve", on_disk("butterfly"))
     assert code == 2
-    assert "--export" in err
+    assert err == ("error: problem has N=9 variables, above the in-process solve cap 4 "
+                   "(override with FDGTOOL_MAX_N); try --export and an external solver\n")
 
 
 def test_lp_solve_cap_refuses_before_building_the_lp(on_disk, capsys, monkeypatch):
@@ -402,6 +404,30 @@ def test_lp_solve_cap_refuses_before_building_the_lp(on_disk, capsys, monkeypatc
     assert out == ""
     assert "N=21" in err and "solve cap 16" in err and "--export" in err
     assert err.count("\n") == 1
+    # 110,100,541 rows: --export would refuse them too, so it is not offered.
+    assert err.endswith("; its 110100541 rows are above the --export cap of 1000000, "
+                        "so reduce the graph first\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_lp_solve_prints_the_same_bytes_on_either_path(on_disk, capsys, monkeypatch, fmt):
+    # The exact path's rounds and pivots stay off stdout.
+    argv = ("lp", "--solve", "--reduce", "linear", "--format", fmt, on_disk("butterfly"))
+    certified = run(capsys, *argv)
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    assert run(capsys, *argv) == certified
+    assert certified[0] == 0 and certified[2] == ""
+
+
+def test_lp_solve_cap_refusal_past_the_generation_cap(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(head_first_path_text(25))  # N=26: no row is generated
+    code, out, err = run(capsys, "lp", "--solve", "--reduce", "none", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: problem has N=26 variables, above the in-process solve cap 16 "
+                   "(override with FDGTOOL_MAX_N); --export refuses it too: n=26 exceeds "
+                   "the generation cap 24; reduce the graph first\n")
+
 
 @pytest.mark.parametrize("weights", ["abc", "1/0", ",", "1,1,1", "", "1,,2", "1,1,"])
 def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):

@@ -659,6 +659,7 @@ def test_benchmark_solves_answer_by_certificate(fixture, mode, monkeypatch):
     sol = lp_solve(_fixture_problem(fixture, mode))
     assert sol.status == "optimal" and sol.value == KNOWN_OPTIMA[fixture]
     assert sol.method == "certificate"
+    assert (sol.rounds, sol.pivots) == (0, 0)
 
 
 @pytest.mark.parametrize("fixture, mode", EXACT_FIXTURE_MODES)
@@ -689,3 +690,14 @@ def test_exact_fallback_keeps_its_answers_and_pivot_path(fixture, mode, monkeypa
         got.append((sol.value, {k: sol.rate(k) for k, _ in sol.source_masks},
                     len(pivots), sum(pivots)))
     assert got == EXACT_FALLBACK_PATHS[fixture, mode]
+
+
+@pytest.mark.parametrize("fixture, mode", EXACT_FIXTURE_MODES)
+def test_exact_fallback_reports_its_rounds_and_pivots(fixture, mode, monkeypatch):
+    # The solution carries the simplex calls and pivots that
+    # EXACT_FALLBACK_PATHS counts from outside.
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    weightings = (None, Weights.of({1: Fraction(1, 3), 2: Fraction(2, 7)}))
+    for weights, (_, _, rounds, pivots) in zip(weightings, EXACT_FALLBACK_PATHS[fixture, mode]):
+        sol = lp_solve(_fixture_problem(fixture, mode, weights))
+        assert (sol.method, sol.rounds, sol.pivots) == ("exact", rounds, pivots)

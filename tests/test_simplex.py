@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -166,3 +167,91 @@ def test_exact_path_calls_equal_the_fraction_reference(monkeypatch):
     assert len(calls) == 64
     for args, got in calls:
         assert got == ref.reference_simplex_solve(*args)
+
+
+@st.composite
+def _kernel_lps(draw):
+    """A small LP whose rows are mostly over denominator 1, whose
+    right-hand sides are mostly 0, and whose numbers are ints or Fractions
+    at random.  Most pivot entries are then 1 and most ratio tests tie, as
+    on the entropy LPs; the other rows put denominators above 1 and pivot
+    entries above 1 in the mix."""
+    n = draw(st.integers(1, 5))
+    cols = st.integers(0, n - 1)
+    objective = draw(st.dictionaries(cols, st.integers(-2, 2), max_size=n))
+
+    def number(num, den):
+        return num if den == 1 and draw(st.booleans()) else Fraction(num, den)
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        den = draw(st.sampled_from([1, 1, 1, 2, 3]))
+        coeffs = {j: number(v, den)
+                  for j, v in draw(st.dictionaries(cols, st.integers(-2, 3),
+                                                   max_size=n)).items()}
+        rhs = number(draw(st.sampled_from([0, 0, 0, 1, 2, -1])), den)
+        rows.append((coeffs, draw(st.sampled_from(["<=", "<=", ">=", "="])), rhs))
+    return n, objective, rows
+
+
+# One LP per branch of the elimination: pivot entry 1 with the other row
+# over denominator 1 (updated in place); pivot entry 1 with the other row
+# over denominator 2 (updated in place, then normalised); pivot entry 3
+# (every other row scaled by it).  Then a degenerate cone, x_i <= x_j for
+# every i != j under sum(x) <= 1: every ratio test ties at 0, and the
+# lexicographic tie-break walks across the slack columns of up to four
+# tied rows.
+_KERNEL_EXAMPLES = (
+    (2, {0: 1}, [({0: 1, 1: 1}, "<=", 2), ({0: 1, 1: -1}, "<=", 1)]),
+    (2, {0: 1}, [({0: Fraction(1, 2), 1: Fraction(1, 2)}, "<=", 1), ({0: 1}, "<=", 1)]),
+    (2, {0: 1}, [({0: 3}, "<=", 1), ({0: 1, 1: 1}, "<=", 1)]),
+    (5, {i: 1 for i in range(5)},
+     [({i: 1, j: -1}, "<=", 0) for i in range(5) for j in range(5) if i != j]
+     + [({i: 1 for i in range(5)}, "<=", 1)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_lps())
+@example(_KERNEL_EXAMPLES[0])
+@example(_KERNEL_EXAMPLES[1])
+@example(_KERNEL_EXAMPLES[2])
+@example(_KERNEL_EXAMPLES[3])
+def test_pivot_kernel_equals_the_fraction_reference(lp):
+    assert simplex.solve(*lp) == ref.reference_simplex_solve(*lp)
+
+
+def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
+    # Equal rationals (the reference tests above) in lowest terms over a
+    # positive denominator are equal integers, so this pins every integer
+    # of the tableau, not only the answers read from it.
+    pivot = simplex._Tableau._pivot
+
+    def checked(tab, pr, pc):
+        pivot(tab, pr, pc)
+        for row, den in zip(tab.rows, tab.dens):
+            assert den > 0 and math.gcd(den, *row) == 1
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", checked)
+    for lp in _KERNEL_EXAMPLES:
+        simplex.solve(*lp)
+    monkeypatch.setattr(lpbound, "_float_solve", lambda problem: None)
+    for fixture, mode in EXACT_SOLVES:
+        g, _ = reduce(build_fdg(load_fixture(fixture)), mode)
+        lpbound.lp_solve(lpbound.build_lp(g, Weights.of({1: 1, 2: 1})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lps())
+def test_int_and_fraction_numbers_give_equal_results(lp):
+    # The same LP scaled to integer rows, written once with ints and once
+    # with Fractions: the two solves agree, also in their pivot counts.
+    n, objective, rows = lp
+    as_ints = []
+    for coeffs, sense, rhs in rows:
+        scale = math.lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        as_ints.append(({j: int(v * scale) for j, v in coeffs.items()}, sense,
+                        int(rhs * scale)))
+    as_fractions = [({j: Fraction(v) for j, v in coeffs.items()}, sense, Fraction(rhs))
+                    for coeffs, sense, rhs in as_ints]
+    assert simplex.solve(n, objective, as_ints) == simplex.solve(n, objective, as_fractions)
