@@ -84,7 +84,6 @@ def cmd_reduce(args) -> int:
     reduced, trace = fdgmod.reduce(graph, args.mode)
     if args.trace_out:
         _write(args.trace_out, trace.to_jsonl())
-    steps = [json.loads(step.to_json()) for step in trace.steps]
     if args.format == "json":
         _print_json({
             "mode": args.mode,
@@ -92,8 +91,8 @@ def cmd_reduce(args) -> int:
             "reduced_order": reduced.order,
             "delta_v": trace.delta_v,
             "delta_e": trace.delta_e,
-            "steps": steps,
-            "reduced": json.loads(reduced.to_json()),
+            "steps": [step.to_dict() for step in trace.steps],
+            "reduced": reduced.to_dict(),
         })
     else:
         print(f"order {graph.order} -> {reduced.order} "
@@ -127,7 +126,7 @@ def cmd_lp(args) -> int:
         try:
             weights = netmodel.Weights.parse(args.weights)
             weights.check_against(net)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise _UsageError(f"bad weights {args.weights!r}: {exc}") from None
     else:
         weights = netmodel.Weights.of({s.index: 1 for s in net.sources})
@@ -265,7 +264,7 @@ def cmd_replay(args) -> int:
         print(f"replay failed: {exc}", file=sys.stderr)
         return NEGATIVE
     if args.format == "json":
-        _print_json(json.loads(result.to_json()))
+        _print_json(result.to_dict())
     else:
         print(f"replayed {len(trace.steps)} steps -> order {result.order}")
     return OK

@@ -177,16 +177,19 @@ class Fdg:
     def __repr__(self) -> str:
         return f"Fdg(order={self.order})"
 
-    def to_json(self) -> str:
-        doc = {
-            "vars": [v.name for v in self._vars],
-            "parents": {v.name: [self._vars[p].name for p in ps]
-                        for v, ps in zip(self._vars, self._parents)},
+    def to_dict(self) -> dict:
+        """The JSON document of the graph, as ``to_json`` writes it."""
+        names = self._names
+        return {
+            "vars": list(names),
+            "parents": {names[i]: [names[p] for p in ps] for i, ps in enumerate(self._parents)},
             "capacities": {v.name: fraction_text(v.cap) for v in self.edge_vars()},
             "demand_origin": {v.name: sorted(self._demand_origin.get(v, ()))
                               for v in self.source_vars()},
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Fdg":
@@ -214,6 +217,10 @@ def build_fdg(net: Network) -> Fdg:
     count.  A demanded source that no sink in-edge can decode ends up with
     no parents; that is permitted but reported, in one warning for all such
     sources, because the variable then lies on no cycle.
+
+    The network checks run once per ``Network`` (see ``validate``), so a
+    network that ``parse_network`` returned is not checked again; an
+    invalid one built by hand raises ValueError.
     """
     violations = validate(net)
     if violations:
@@ -250,6 +257,9 @@ def _shared_neighbourhood(g, members: tuple):
     variables at ``members`` in ``g``, or None unless ``members`` is
     non-empty, has no repeats, holds only edge variables, and all have the
     same parents and children.  No member is among them: no self-loops."""
+    if len(members) == 1:
+        i = members[0]
+        return (g._parents[i], g._children[i]) if g._is_edge[i] else None
     if not members or len(set(members)) != len(members):
         return None
     is_edge = g._is_edge
@@ -343,11 +353,12 @@ class _WorkGraph:
                                           parents, self._demand_origin)
 
 
-# Each rule: single variables only?  unit capacities only?  For COR5a/COR5b, the
-# side of the shared neighbourhood (0 up, 1 down) that must be one edge variable.
-_RULE_KINDS = {COR1: (True, False, None), COR2: (False, False, None),
-               COR3: (True, True, None), COR4: (False, True, None),
-               COR5A: (True, True, 0), COR5B: (True, True, 1)}
+# Each rule: single variables only?  unit capacities only?  The one side of the
+# shared neighbourhood (0 up, 1 down) it reads, and whether that side must be one
+# edge variable (COR5a/COR5b) or edge variables the group's capacity covers.
+_RULE_KINDS = {COR1: (True, False, 0, False), COR2: (False, False, 0, False),
+               COR3: (True, True, 0, False), COR4: (False, True, 0, False),
+               COR5A: (True, True, 0, True), COR5B: (True, True, 1, True)}
 
 
 def _permits(g, group: tuple, rule: str, index=None) -> bool:
@@ -357,7 +368,7 @@ def _permits(g, group: tuple, rule: str, index=None) -> bool:
     an unknown rule, UnitCapacityError for a unit rule on other capacities."""
     if rule not in _RULE_KINDS:
         raise ValueError(f"unknown rule {rule!r}")
-    single, unit, side = _RULE_KINDS[rule]
+    single, unit, side, one = _RULE_KINDS[rule]
     if single and len(group) != 1:
         return False
     if unit and not g.unit_capacities():
@@ -370,11 +381,12 @@ def _permits(g, group: tuple, rule: str, index=None) -> bool:
     shared = _shared_neighbourhood(g, group)
     if shared is None:
         return False
-    is_edge, cap, up = g._is_edge, g._caps, shared[0]
-    if side is not None:
-        return len(shared[side]) == 1 and is_edge[shared[side][0]]
+    is_edge, cap, near = g._is_edge, g._caps, shared[side]
+    if one:
+        return len(near) == 1 and is_edge[near[0]]
     # COR1-COR4: no source parent, and the group's capacity covers the parents'.
-    return all(is_edge[p] for p in up) and sum(cap[i] for i in group) >= sum(cap[p] for p in up)
+    return (all(is_edge[p] for p in near)
+            and sum(cap[i] for i in group) >= sum(cap[p] for p in near))
 
 
 # Each rule as a predicate over a tuple of variables.
@@ -439,14 +451,18 @@ class Step:
     down: tuple[str, ...]
     added: tuple[tuple[str, str], ...]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The JSON object of the step, as ``to_json`` writes it."""
+        return {
             "rule": self.rule,
             "removed": list(self.removed),
             "up": list(self.up),
             "down": list(self.down),
             "added": [list(pair) for pair in self.added],
-        }, sort_keys=True)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "Step":
@@ -551,9 +567,12 @@ class _Candidates:
 
     For each single-variable rule, the set of edge variables it permits
     removing, and each edge variable's depth, both held by position and
-    kept current step by step: after a step only the variables it rewired
-    are re-tested.  COR2's classes are formed only when ``first`` reaches
-    COR2.
+    kept current step by step.  A single-variable rule reads one side of a
+    variable's neighbourhood (``_RULE_KINDS``), and a step changes only the
+    parent sets of its downs and the child sets of its ups, so after a step
+    a rule that reads parents is re-tested on the downs only and one that
+    reads children on the ups only.  COR2's classes are formed only when
+    ``first`` reaches COR2.
     """
 
     def __init__(self, work: _WorkGraph, rules: tuple):
@@ -561,7 +580,9 @@ class _Candidates:
         self._rules = rules
         self._singles = {rule: set() for rule in rules if rule != COR2}
         self._depth = _edge_var_depths(work)
-        self._retest([i for i, edge in enumerate(work._is_edge) if edge])
+        edges = [i for i, edge in enumerate(work._is_edge) if edge]
+        for rule in self._singles:
+            self._retest(rule, edges)
 
     def first(self):
         """The first ``(members, rule)`` that a rule permits, trying the
@@ -600,7 +621,9 @@ class _Candidates:
         ups = [i for i in up if work._is_edge[i]]
         downs = [i for i in down if work._is_edge[i]]
         self._push_depths(downs)
-        self._retest(ups + downs)
+        changed = (downs, ups)  # by the side a rule reads: whose parents, whose children changed
+        for rule in self._singles:
+            self._retest(rule, changed[_RULE_KINDS[rule][2]])
 
     def _push_depths(self, start: list) -> None:
         # Only the parent sets of ``start`` changed; carry changes downstream.
@@ -614,12 +637,11 @@ class _Candidates:
                 depth[v] = d
                 pending += [c for c in children[v] if is_edge[c]]
 
-    def _retest(self, positions) -> None:
-        """Re-test the single-variable rules on ``positions``."""
-        work = self._work
+    def _retest(self, rule: str, positions) -> None:
+        """Re-test the single-variable ``rule`` on ``positions``."""
+        work, passing = self._work, self._singles[rule]
         for i in positions:
-            for rule, passing in self._singles.items():
-                (passing.add if _permits(work, (i,), rule) else passing.discard)(i)
+            (passing.add if _permits(work, (i,), rule) else passing.discard)(i)
 
 
 def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
@@ -634,8 +656,11 @@ def reduce(fdg: Fdg, mode: str = SHANNON) -> tuple[Fdg, ReductionTrace]:
     contract.
 
     The steps run on one private working graph, where the rules read
-    positions and integer capacities.  A step rewires and re-tests only the
-    removed group's neighbourhood and updates only the depths it shortens.
+    positions and integer capacities.  A step rewires only the removed
+    group's neighbourhood and updates only the depths it shortens.  It
+    re-tests COR1, which reads parents, only on the group's children, whose
+    parent sets changed, and COR5b, which reads children, only on the
+    group's parents; ``_step`` still checks each removal with its rule.
     Picking the next removal still scans every passing variable, and a step
     that reaches COR2 groups every live edge variable, so a step is also
     linear in the number of candidates.  The ``Fdg`` is built once, at the end.

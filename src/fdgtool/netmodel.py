@@ -14,6 +14,7 @@ preserved because it fixes the variable ordering used by every other module.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
@@ -78,6 +79,11 @@ class Network:
     def unit_capacities(self) -> bool:
         return all(e.cap == 1 for e in self.edges)
 
+    @functools.cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What ``validate`` returns, worked out once: the network is frozen."""
+        return tuple(_check_network(self))
+
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -85,12 +91,16 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 def parse_fraction(text: str) -> Fraction:
     """``Fraction(text)``, refusing first a decimal exponent larger than the
     digit limit Python puts on integer strings: ``Fraction`` would build
-    that power of ten, and ``1e10000000`` alone takes about 12 s."""
+    that power of ten, and ``1e10000000`` alone takes about 12 s.  A zero
+    denominator raises ValueError, as every other malformed text does."""
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent and limit and abs(int(exponent.group(1))) > limit:
         raise ValueError(f"exponent {exponent.group(1)} gives more than {limit} digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def fraction_text(q) -> str:
@@ -152,7 +162,7 @@ def _parse_cap(text) -> Fraction:
             f"capacity must be a string (decimal or p/q), got {text!r}")
     try:
         cap = parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise NetworkFormatError(f"bad capacity {text!r}: {exc}") from None
     return cap
 
@@ -232,9 +242,8 @@ def parse_network(text: str) -> Network:
 
     net = Network(nodes=tuple(nodes), edges=tuple(edges),
                   sources=tuple(sources), sinks=tuple(sinks))
-    violations = validate(net)
-    if violations:
-        raise InvalidNetworkError(violations)
+    if net._violations:
+        raise InvalidNetworkError(net._violations)
     return net
 
 
@@ -255,8 +264,13 @@ def validate(net: Network) -> list[str]:
 
     An empty list means the network is valid.  Violations are data, not
     exceptions: callers that need a hard failure use parse_network or raise
-    InvalidNetworkError themselves.
+    InvalidNetworkError themselves.  The checks run once per network; each
+    call returns a new list.
     """
+    return list(net._violations)
+
+
+def _check_network(net: Network) -> list[str]:
     violations = []
     node_set = set()
     for n in net.nodes:

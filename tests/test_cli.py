@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdgtool import algebra, cli, fdg, lpbound
-from fdgtool.netmodel import FIXTURE_NAMES, fixture_text, load_fixture
+from fdgtool.netmodel import FIXTURE_NAMES, fixture_text, load_fixture, serialize_network
 
-from conftest import FORGED_STEPS, head_first_path_text
+from conftest import FORGED_STEPS, head_first_path_text, relay_grid
 
 
 @pytest.fixture
@@ -54,6 +55,15 @@ def test_validate_reports_violations(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "cycle detected" in out
+
+
+def test_python_dash_m_runs_the_command(on_disk):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fdgtool", "validate", on_disk("butterfly")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_validate_missing_file(capsys):
@@ -437,6 +447,15 @@ def test_lp_bad_weights_are_a_usage_error(on_disk, capsys, weights):
     assert err.startswith("error: bad weights") and err.count("\n") == 1
     if not weights.strip(","):
         assert "empty weight list" in err
+    if weights == "1/0":
+        assert err == "error: bad weights '1/0': zero denominator\n"
+
+
+def test_a_zero_capacity_denominator_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "single_edge.json"
+    path.write_text(fixture_text("single_edge").replace('"cap": "1"', '"cap": "1/0"'))
+    assert run(capsys, "validate", str(path)) == (
+        2, "", "error: bad capacity '1/0': zero denominator\n")
 
 
 # 1e4300 has 4301 digits, one more than Python's default limit on
@@ -671,6 +690,89 @@ def test_outputs_are_byte_deterministic(on_disk, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def _cli_digest(capsys, tmp_path, network: str, group: str) -> str:
+    """SHA-256 of the exit code, stdout and stderr of each call in ``group``
+    on ``network``, and of each trace file written: ``reduce`` in one mode
+    then ``replay`` of its trace, in JSON and text, or ``transfer --matrix``
+    in every reduce mode and both formats."""
+    path = tmp_path / "net.json"
+    path.write_text(serialize_network(relay_grid(5, 6)) if network == "relay_grid"
+                    else fixture_text(network))
+    trace = tmp_path / "trace.jsonl"
+    digest = hashlib.sha256()
+
+    def add(*argv):
+        code, out, err = run(capsys, *argv)
+        for part in (str(code), out, err):
+            digest.update(f"{len(part)}:{part}".encode())
+
+    for fmt in ("json", "text"):
+        if group == "transfer":
+            for mode in ("none", "shannon", "linear"):
+                add("transfer", "--matrix", "--reduce", mode, "--format", fmt, str(path))
+        else:
+            trace.write_text("")
+            add("reduce", "--mode", group, "--format", fmt, "--trace-out", str(trace), str(path))
+            text = trace.read_text()
+            digest.update(f"{len(text)}:{text}".encode())
+            add("replay", "--trace", str(trace), "--format", fmt, str(path))
+    return digest.hexdigest()
+
+
+# Recorded before ``reduce`` and ``replay`` built their documents from the
+# graph's and the steps' dict forms: indentation, key order and every byte
+# of the CLI's answers must stay as they were.
+_CLI_DIGESTS = {
+    ("butterfly", "shannon"):
+        "9ff365578914db600eb8b27ae8b2450fae84016d45a5c48c6d85b03c38102227",
+    ("butterfly", "linear"):
+        "b09dcafd9daa23a0a7067f3d2486c89c07eab8fb5935d25f68a79cb4bebab8cc",
+    ("butterfly", "transfer"):
+        "dea9f684892bc3d5c64d810d5a05d433f3655baf62e00c82af0cc722d960ea4d",
+    ("two_unicast_side", "shannon"):
+        "b92049e4f3e6bbb8743bf5df17a033d2e12870e3048190c5f04be06047e1a1c2",
+    ("two_unicast_side", "linear"):
+        "22334b69e62868c3148b3817213fed91084b152850773d2f1ec2538717f9423b",
+    ("two_unicast_side", "transfer"):
+        "1970760b921c1d060c760b07a935bb3e538d7f2558a0d54933d10894509e6dd6",
+    ("two_unicast_chain", "shannon"):
+        "55169eace1d08be12776729a5d742fd7f50036007ea3cac425bce2b789e35852",
+    ("two_unicast_chain", "linear"):
+        "46df0144aa456a3d0e17ddba0372c1468dbdfd86fa29b16576063270ad7ffa0e",
+    ("two_unicast_chain", "transfer"):
+        "e15cdb0118dede8dab8622c48deab18ad23d7289a1a95cb34dcfc9a918c7e22e",
+    ("parallel_relay", "shannon"):
+        "2188478c03798a554221393c813245575cb28e754f215e698b425fb3bc075ef3",
+    ("parallel_relay", "linear"):
+        "c8f2269d2358709a58463a4cd23c5171487ced0f45a8fc39b7eb1ff3c8e9663f",
+    ("parallel_relay", "transfer"):
+        "4077f7250d49c2e2563779fb8a15f52738f8050acdab69e46d4370116a7cfb8c",
+    ("fano", "shannon"):
+        "4e05d5f75f854da520b87940dae55027f546092221a5a76be581d383c00cc706",
+    ("fano", "linear"):
+        "7a57262210a62af11ec14316d55bb96bea4b6c30efd6290f2cc279f340a17e8b",
+    ("fano", "transfer"):
+        "561085a1908b1d29ab55107ce1d7c115aa0f0be85e1fbd701b86c4168a28035d",
+    ("single_edge", "shannon"):
+        "6de41acdd9289cebc9d753b99154d40cca05dad62195b9466db855c0711b725f",
+    ("single_edge", "linear"):
+        "dad007761aebd22a23b1003be11cd1b510dc97b3cc32279ce31589df55ddefae",
+    ("single_edge", "transfer"):
+        "88969aeedb5fc80733d88a46d3525fff54751af0d1071fd9d139ac9e650469a3",
+    ("relay_grid", "shannon"):
+        "fd0f0725a7eb269be5a78f017cb991735256b07832d62258577fbe59e9204692",
+    ("relay_grid", "linear"):
+        "baa7725333089f12eed5d5db9ca135a8c1a97dd1880c0f4285a979cb89b67517",
+    ("relay_grid", "transfer"):
+        "ddb34efb5817428d1a5f65d1c40b6a98ed111ec29d06dfc8fb4dc1c3c9468242",
+}
+
+
+@pytest.mark.parametrize("key", _CLI_DIGESTS, ids="-".join)
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, key):
+    assert _cli_digest(capsys, tmp_path, *key) == _CLI_DIGESTS[key]
 
 
 def test_in_process_calls_answer_as_fresh_processes(on_disk, capsys):

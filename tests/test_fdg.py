@@ -76,6 +76,23 @@ def test_every_demanded_source_on_a_cycle(name):
         assert y in seen, f"{y.name} not on a cycle in {name}"
 
 
+def test_build_fdg_reuses_the_checks_parse_network_ran(monkeypatch):
+    calls = []
+    check = netmodel._check_network
+    monkeypatch.setattr(netmodel, "_check_network", lambda net: calls.append(net) or check(net))
+    net = parse_network(netmodel.fixture_text("butterfly"))
+    build_fdg(net)
+    build_fdg(net)
+    assert len(calls) == 1
+
+
+def test_build_fdg_refuses_a_hand_built_invalid_network():
+    net = dataclasses.replace(load_fixture("butterfly"), sinks=())
+    with pytest.raises(ValueError) as refused:
+        build_fdg(net)
+    assert str(refused.value) == "invalid network: network has no sinks"
+
+
 def test_shared_demand_merges_decoder_inputs():
     # two sinks demanding the same source: its variable conditions on the
     # union of both sinks' in-edges

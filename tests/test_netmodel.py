@@ -80,6 +80,19 @@ def test_a_huge_decimal_exponent_is_refused_at_once(text):
     assert netmodel.parse_fraction("1e4300") == 10 ** 4300
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_a_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        netmodel.parse_fraction(text)
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        Weights.parse(f"1,{text}")
+    bad = json.loads(doc())
+    bad["edges"][0]["cap"] = text
+    with pytest.raises(NetworkFormatError) as refused:
+        parse_network(json.dumps(bad))
+    assert str(refused.value) == f"bad capacity {text!r}: zero denominator"
+
+
 def test_fraction_from_text_reads_what_fraction_text_prints():
     # 10**4300 prints as 4301 digits, past Python's default limit on integer strings.
     for q in (Fraction(0), Fraction(-7, 3), Fraction(10 ** 4300), Fraction(3, 10 ** 4300 + 1)):
@@ -130,6 +143,8 @@ def test_validate_reports_all_violations_in_order():
     assert any("Out(T) nonempty" in v for v in violations)
     assert any("unknown source 3" in v for v in violations)
     assert violations == validate(net)
+    validate(net).clear()
+    assert validate(net) == violations
 
 
 def test_source_index_range_enforced():
