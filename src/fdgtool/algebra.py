@@ -18,9 +18,11 @@ lexicographically smallest.
 
 Polynomials are sparse with exact integer coefficients; reduction modulo p
 happens only at evaluation time, so one symbolic matrix serves every field.
-The search compiles once per call for its field: indeterminates become
-integer positions in the search order, and an entry becomes its monomials
-in the free positions with coefficients mod p, pinned values multiplied in.
+A monomial is a sorted tuple of indeterminate names, a name repeated once
+per power.  The search compiles once per call for its field: each name
+becomes its position in the search order, so an entry becomes monomials of
+the same shape in the free positions, with coefficients mod p and pinned
+values multiplied in.
 The order is cut into blocks at the depths where some entry becomes
 checkable.  The whole search is then generated as one Python function of
 nested loops, one per free position.  The part of an entry fixed before its
@@ -38,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .fdg import EdgeVar, Fdg
 from .netmodel import topological_sort
@@ -49,8 +52,9 @@ DEFAULT_INDET_CAP = 16
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
-    Monomials are stored as sorted tuples of (indeterminate name, exponent);
-    zero coefficients are never kept.  Instances are immutable and hashable.
+    A monomial is a sorted tuple of indeterminate names in which a name
+    repeats once per power: x^2*y is ("x", "x", "y") and a constant is ().
+    Zero coefficients are never kept.  Instances are immutable and hashable.
     """
 
     __slots__ = ("terms",)
@@ -68,7 +72,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): 1})
+        return cls({(name,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,12 +105,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         out = {}
         for m1, c1 in self.terms.items():
-            d1 = dict(m1)
             for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for name, e in m2:
-                    d[name] = d.get(name, 0) + e
-                mono = tuple(sorted(d.items()))
+                mono = tuple(sorted(m1 + m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
@@ -115,16 +115,12 @@ class Poly:
         return Poly(out)
 
     def indeterminates(self) -> set:
-        names = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
+        return set().union(*self.terms)
 
     def rename(self, mapping: dict) -> "Poly":
         out = {}
         for mono, c in self.terms.items():
-            renamed = tuple(sorted((mapping.get(n, n), e) for n, e in mono))
+            renamed = tuple(sorted(mapping.get(n, n) for n in mono))
             out[renamed] = out.get(renamed, 0) + c
         return Poly({m: c for m, c in out.items() if c})
 
@@ -133,8 +129,8 @@ class Poly:
         total = 0
         for mono, c in self.terms.items():
             t = c % p
-            for name, e in mono:
-                t = (t * pow(assignment[name], e, p)) % p
+            for name in mono:
+                t = t * assignment[name] % p
             total = (total + t) % p
         return total
 
@@ -142,11 +138,10 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, c in sorted(self.terms.items()):
-            factors = []
-            for name, e in mono:
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
+        # Terms in the order of their (name, exponent) pairs: x*y before x^2.
+        for powers, c in sorted((tuple((name, len(list(run))) for name, run in groupby(mono)), c)
+                                for mono, c in self.terms.items()):
+            body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers)
             if not body:
                 parts.append(str(c))
             elif c == 1:
@@ -320,19 +315,19 @@ _MAX_CHAINED_TERMS = 256
 def _entry_terms(entry: Poly, position: dict, fixed: dict, p: int) -> dict:
     """``entry`` over GF(p) with the pinned values ``fixed`` multiplied in.
 
-    Maps each monomial in the free positions, a sorted tuple in which a
-    position repeats once per power, to its coefficient mod p; monomials
-    whose coefficient vanishes mod p are dropped.
+    Maps each monomial in the free positions, its names replaced by their
+    positions and sorted again, to its coefficient mod p; monomials whose
+    coefficient vanishes mod p are dropped.
     """
     terms = {}
     for mono, c in entry.terms.items():
         c, free = operator.index(c), []
-        for name, e in mono:
+        for name in mono:
             i = position[name]
             if i in fixed:
-                c *= fixed[i] ** e
+                c *= fixed[i]
             else:
-                free += [i] * e
+                free.append(i)
         key = tuple(sorted(free))
         terms[key] = (terms.get(key, 0) + c) % p
     return {mono: c for mono, c in terms.items() if c}

@@ -156,10 +156,7 @@ def _cap_text(cap: Fraction) -> str:
     return f"{'-' if num < 0 else ''}{digits}e{written}"
 
 
-def _parse_cap(text) -> Fraction:
-    if not isinstance(text, str):
-        raise NetworkFormatError(
-            f"capacity must be a string (decimal or p/q), got {text!r}")
+def _parse_cap(text: str) -> Fraction:
     try:
         cap = parse_fraction(text)
     except ValueError as exc:
@@ -183,6 +180,17 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _records(doc: dict, section: str, keys: set[str]):
+    """Each record of the list ``doc[section]``, checked to be an object
+    with no key outside ``keys``, with the place errors name it by."""
+    for i, rec in enumerate(_require(doc, section, list, "network document")):
+        where = f"{section}[{i}]"
+        if not isinstance(rec, dict):
+            raise NetworkFormatError(f"{where} must be an object")
+        _check_keys(rec, keys, where)
+        yield rec, where
+
+
 def parse_network(text: str) -> Network:
     """Parse a JSON document into a validated Network.
 
@@ -204,36 +212,21 @@ def parse_network(text: str) -> Network:
     if not all(isinstance(n, str) for n in nodes):
         raise NetworkFormatError("node ids must be strings")
 
-    edges = []
-    for i, rec in enumerate(_require(doc, "edges", list, "network document")):
-        where = f"edges[{i}]"
-        if not isinstance(rec, dict):
-            raise NetworkFormatError(f"{where} must be an object")
-        _check_keys(rec, {"id", "tail", "head", "cap"}, where)
-        edges.append(Edge(
-            id=_require(rec, "id", str, where),
-            tail=_require(rec, "tail", str, where),
-            head=_require(rec, "head", str, where),
-            cap=_parse_cap(_require(rec, "cap", str, where)),
-        ))
+    edges = [Edge(id=_require(rec, "id", str, where),
+                  tail=_require(rec, "tail", str, where),
+                  head=_require(rec, "head", str, where),
+                  cap=_parse_cap(_require(rec, "cap", str, where)))
+             for rec, where in _records(doc, "edges", {"id", "tail", "head", "cap"})]
 
     sources = []
-    for i, rec in enumerate(_require(doc, "sources", list, "network document")):
-        where = f"sources[{i}]"
-        if not isinstance(rec, dict):
-            raise NetworkFormatError(f"{where} must be an object")
-        _check_keys(rec, {"index", "at"}, where)
+    for rec, where in _records(doc, "sources", {"index", "at"}):
         index = _require(rec, "index", int, where)
         if isinstance(index, bool):
             raise NetworkFormatError(f"key 'index' in {where} must be int")
         sources.append(Source(index=index, at=_require(rec, "at", str, where)))
 
     sinks = []
-    for i, rec in enumerate(_require(doc, "sinks", list, "network document")):
-        where = f"sinks[{i}]"
-        if not isinstance(rec, dict):
-            raise NetworkFormatError(f"{where} must be an object")
-        _check_keys(rec, {"at", "demands"}, where)
+    for rec, where in _records(doc, "sinks", {"at", "demands"}):
         demands = _require(rec, "demands", list, where)
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in demands):
             raise NetworkFormatError(f"demands in {where} must be integers")

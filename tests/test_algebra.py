@@ -60,6 +60,38 @@ def test_poly_render():
     assert Poly.zero().render() == "0"
 
 
+_x, _y, _z = (Poly.var(name) for name in "xyz")
+
+
+# Transfer matrices are multilinear, so only these pin how powers print.
+# A term sorts by its (name, exponent) pairs: x*y comes before x^2.
+@pytest.mark.parametrize("poly, text, values", [
+    (_x * _x, "x^2", [0, 1, 4, 4, 1]),
+    (_x * _x * _x * _y * _y - Poly.const(1), "-1 + x^3*y^2", [1, 2, 1, 1, 5]),
+    (_x * _x + _x * _y, "x*y + x^2", [0, 1, 0, 3, 0]),
+    ((_x + _y) * (_x + _y) * (_x + _y), "3*x*y^2 + 3*x^2*y + x^3 + y^3", [1, 2, 0, 6, 0]),
+    ((_x - _y) * (_x - _y) * _z - Poly.const(2), "-2 - 2*x*y*z + x^2*z + y^2*z",
+     [0, 2, 2, 2, 4]),
+    (Poly.const(7) - Poly.const(3) * _x * _x * _z - _y * _y * _y, "7 - 3*x^2*z - y^3",
+     [0, 1, 2, 2, 5]),
+])
+def test_poly_render_and_evaluation_with_powers(poly, text, values):
+    assert poly.render() == text
+    at = {"x": 2, "y": 3, "z": 4}
+    assert [poly.eval_mod(at, p) for p in (2, 3, 5, 7)] == values[:4]
+    assert poly.eval_mod({"x": 6, "y": 1, "z": 5}, 7) == values[4]
+
+
+def test_a_merging_rename_is_canonical():
+    square = (_x * _y).rename({"x": "y"})
+    assert square == _y * _y
+    assert square.render() == "y^2"
+    assert square.eval_mod({"y": 3}, 5) == 4
+    merged = (_x * _y + _y * _y).rename({"x": "y"})
+    assert merged == Poly.const(2) * _y * _y
+    assert merged.render() == "2*y^2"
+
+
 def test_fano_system_sizes():
     g = build_fdg(load_fixture("fano"))
     original = build_transfer_system(g)

@@ -458,6 +458,35 @@ def test_a_zero_capacity_denominator_is_a_usage_error(tmp_path, capsys):
         2, "", "error: bad capacity '1/0': zero denominator\n")
 
 
+@pytest.mark.parametrize("section, record, line", [
+    ("edges", ["e1"], "edges[0] must be an object"),
+    ("edges", {"id": "e1", "tail": "s", "head": "t", "cap": "1", "kind": "x"},
+     "unknown key 'kind' in edges[0]"),
+    ("edges", {"tail": "s", "head": "t", "cap": "1"}, "missing key 'id' in edges[0]"),
+    ("edges", {"id": "e1", "tail": "s", "head": "t"}, "missing key 'cap' in edges[0]"),
+    ("edges", {"id": "e1", "tail": "s", "head": 2, "cap": "1"},
+     "key 'head' in edges[0] must be str, got int"),
+    ("edges", {"id": "e1", "tail": "s", "head": "t", "cap": 1},
+     "key 'cap' in edges[0] must be str, got int"),
+    ("sources", 1, "sources[0] must be an object"),
+    ("sources", {"index": 1, "at": "s", "rate": "1"}, "unknown key 'rate' in sources[0]"),
+    ("sources", {"index": 1}, "missing key 'at' in sources[0]"),
+    ("sources", {"index": "1", "at": "s"}, "key 'index' in sources[0] must be int, got str"),
+    ("sources", {"index": True, "at": "s"}, "key 'index' in sources[0] must be int"),
+    ("sinks", None, "sinks[0] must be an object"),
+    ("sinks", {"at": "t", "demands": [1], "id": "t"}, "unknown key 'id' in sinks[0]"),
+    ("sinks", {"at": "t"}, "missing key 'demands' in sinks[0]"),
+    ("sinks", {"at": "t", "demands": 1}, "key 'demands' in sinks[0] must be list, got int"),
+    ("sinks", {"at": "t", "demands": ["1"]}, "demands in sinks[0] must be integers"),
+])
+def test_a_malformed_record_is_one_error_line(tmp_path, capsys, section, record, line):
+    doc = json.loads(fixture_text("single_edge"))
+    doc[section][0] = record
+    path = tmp_path / "single_edge.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path)) == (2, "", f"error: {line}\n")
+
+
 # 1e4300 has 4301 digits, one more than Python's default limit on
 # int-to-string conversion, so str() of it raises.
 @pytest.mark.parametrize("fixture, edit, argv, value", [
