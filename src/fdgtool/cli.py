@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -30,7 +29,7 @@ USAGE = 2
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(netmodel._json_text(doc))
 
 
 def _read(path: str) -> str:

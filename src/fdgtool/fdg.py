@@ -32,8 +32,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import (Network, fraction_from_text, fraction_text, topological_sort,
-                       validate)
+from .netmodel import (Network, _json_text, fraction_from_text, fraction_text,
+                       topological_sort, validate)
 
 COR1 = "COR1"
 COR2 = "COR2"
@@ -189,7 +189,7 @@ class Fdg:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Fdg":
@@ -439,6 +439,11 @@ def removable(fdg: Fdg, target, rule: str) -> bool:
     return RULES[rule](fdg, group)
 
 
+# One trace line, as ``json.dumps(doc, sort_keys=True)`` writes it; that
+# call would build a new encoder for every step.
+_encode_step = json.JSONEncoder(sort_keys=True).encode
+
+
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
@@ -462,7 +467,7 @@ class Step:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _encode_step(self.to_dict())
 
     @classmethod
     def from_json(cls, line: str) -> "Step":
@@ -491,7 +496,7 @@ class ReductionTrace:
     delta_e: int
 
     def to_jsonl(self) -> str:
-        return "".join(step.to_json() + "\n" for step in self.steps)
+        return "".join([_encode_step(step.to_dict()) + "\n" for step in self.steps])
 
     @classmethod
     def from_jsonl(cls, text: str, delta_v: int | None = None,

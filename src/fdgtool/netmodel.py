@@ -156,6 +156,56 @@ def _cap_text(cap: Fraction) -> str:
     return f"{'-' if num < 0 else ''}{digits}e{written}"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython 3.11 encodes with ``indent`` in pure Python, one generator step
+    per token.  Here a string goes through the C ``encode_basestring_ascii``,
+    a list of strings is encoded and joined in one call, an int is its
+    ``int.__repr__``, and any other scalar goes through ``json.dumps`` of
+    that value.
+    ``newline`` is the line break and indentation ``value`` starts at.
+    Documents are trees: a value that contains itself raises RecursionError
+    here, where ``json.dumps`` raises ValueError."""
+    if type(value) is str:
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_encode_str(k) if type(k) is str else _key_text(k)}: "
+                 f"{_encode_str(v) if type(v) is str else _json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if type(value[0]) is str:
+            try:  # a str subclass encodes as json encodes it; any other item raises
+                return f"[{inner}{(',' + inner).join(map(_encode_str, value))}{newline}]"
+            except TypeError:
+                pass
+        items = [_encode_str(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or a number,
+    bool or None written as the string of its JSON text."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _parse_cap(text: str) -> Fraction:
     try:
         cap = parse_fraction(text)
@@ -180,15 +230,25 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _records(doc: dict, section: str, keys: set[str]):
+def _records(doc: dict, section: str, keys):
     """Each record of the list ``doc[section]``, checked to be an object
     with no key outside ``keys``, with the place errors name it by."""
     for i, rec in enumerate(_require(doc, section, list, "network document")):
-        where = f"{section}[{i}]"
-        if not isinstance(rec, dict):
-            raise NetworkFormatError(f"{where} must be an object")
-        _check_keys(rec, keys, where)
-        yield rec, where
+        yield rec, _checked(rec, section, i, keys)
+
+
+def _checked(rec, section: str, i: int, keys) -> str:
+    """The place errors name the record ``doc[section][i]`` by, once
+    ``rec`` is checked to be an object with no key outside ``keys``."""
+    where = f"{section}[{i}]"
+    if not isinstance(rec, dict):
+        raise NetworkFormatError(f"{where} must be an object")
+    _check_keys(rec, keys, where)
+    return where
+
+
+_EDGE_KEYS = dict.fromkeys(("id", "tail", "head", "cap")).keys()  # in the order faults are named
+_STR = frozenset((str,))
 
 
 def parse_network(text: str) -> Network:
@@ -212,11 +272,18 @@ def parse_network(text: str) -> Network:
     if not all(isinstance(n, str) for n in nodes):
         raise NetworkFormatError("node ids must be strings")
 
-    edges = [Edge(id=_require(rec, "id", str, where),
-                  tail=_require(rec, "tail", str, where),
-                  head=_require(rec, "head", str, where),
-                  cap=_parse_cap(_require(rec, "cap", str, where)))
-             for rec, where in _records(doc, "edges", {"id", "tail", "head", "cap"})]
+    caps = {}  # capacity text -> Fraction, for this document: most edges repeat a few texts
+    edges = []
+    for i, rec in enumerate(_require(doc, "edges", list, "network document")):
+        # A record with exactly the four keys, each a string, needs no other check.
+        if type(rec) is not dict or rec.keys() != _EDGE_KEYS or set(map(type, rec.values())) != _STR:
+            where = _checked(rec, "edges", i, _EDGE_KEYS)
+            for key in _EDGE_KEYS:
+                _require(rec, key, str, where)
+        cap = caps.get(rec["cap"])
+        if cap is None:
+            cap = caps[rec["cap"]] = _parse_cap(rec["cap"])
+        edges.append(Edge(rec["id"], rec["tail"], rec["head"], cap))
 
     sources = []
     for rec, where in _records(doc, "sources", {"index", "at"}):
@@ -249,7 +316,7 @@ def serialize_network(net: Network) -> str:
         "sources": [{"index": s.index, "at": s.at} for s in net.sources],
         "sinks": [{"at": t.at, "demands": list(t.demands)} for t in net.sinks],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def validate(net: Network) -> list[str]:
@@ -289,13 +356,11 @@ def _check_network(net: Network) -> list[str]:
             violations.append(f"edge {e.id!r}: unknown head node {e.head!r}")
         if e.tail == e.head:
             violations.append(f"edge {e.id!r}: self-loop at node {e.tail!r}")
-        if e.cap < 0:
-            violations.append(f"edge {e.id!r}: negative capacity {e.cap}")
+        if e.cap.numerator < 0:  # the sign of a Fraction; comparing it to 0 takes longer
+            violations.append(f"edge {e.id!r}: negative capacity {_cap_text(e.cap)}")
 
-    incoming, outgoing = {}, {}
-    for e in net.edges:
-        incoming.setdefault(e.head, []).append(e.id)
-        outgoing.setdefault(e.tail, []).append(e.id)
+    heads = {e.head for e in net.edges}
+    tails = {e.tail for e in net.edges}
 
     indices = [s.index for s in net.sources]
     if net.sources and sorted(indices) != list(range(1, len(indices) + 1)):
@@ -307,10 +372,10 @@ def _check_network(net: Network) -> list[str]:
             violations.append(f"source {s.index}: unknown node {s.at!r}")
             continue
         source_nodes.add(s.at)
-        if s.at in incoming:
+        if s.at in heads:
             violations.append(
                 f"In(S) nonempty: source {s.index} at node {s.at!r} "
-                f"has incoming edges {incoming[s.at]}")
+                f"has incoming edges {[e.id for e in net.edges if e.head == s.at]}")
 
     known_indices = set(indices)
     sink_nodes = set()
@@ -323,9 +388,9 @@ def _check_network(net: Network) -> list[str]:
         sink_nodes.add(t.at)
         if t.at in source_nodes:
             violations.append(f"node {t.at!r} hosts both a source and a sink")
-        if t.at in outgoing:
-            violations.append(
-                f"Out(T) nonempty: sink node {t.at!r} has outgoing edges {outgoing[t.at]}")
+        if t.at in tails:
+            violations.append(f"Out(T) nonempty: sink node {t.at!r} has outgoing edges "
+                              f"{[e.id for e in net.edges if e.tail == t.at]}")
         if not t.demands:
             violations.append(f"sink {t.at!r}: empty demand set")
         for d in t.demands:

@@ -522,6 +522,13 @@ def test_a_capacity_past_the_digit_limit_is_printed_exactly(tmp_path, capsys):
     assert f" cap_e1: h_2 <= {cap}\n" in out
 
 
+@pytest.mark.parametrize("cap", ["-1e4300", "-1/3"])
+def test_a_negative_capacity_is_named_also_past_the_digit_limit(tmp_path, capsys, cap):
+    path = tmp_path / "single_edge.json"
+    path.write_text(fixture_text("single_edge").replace('"cap": "1"', f'"cap": "{cap}"'))
+    assert run(capsys, "validate", str(path)) == (1, f"edge 'e1': negative capacity {cap}\n", "")
+
+
 def test_lp_bad_solve_cap_names_the_variable(on_disk, capsys, monkeypatch):
     monkeypatch.setenv("FDGTOOL_MAX_N", "x")
     code, _, err = run(capsys, "lp", "--reduce", "linear", "--solve", on_disk("butterfly"))
@@ -802,6 +809,70 @@ _CLI_DIGESTS = {
 @pytest.mark.parametrize("key", _CLI_DIGESTS, ids="-".join)
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, key):
     assert _cli_digest(capsys, tmp_path, *key) == _CLI_DIGESTS[key]
+
+
+_INVALID_NETWORK = {
+    "nodes": ["s", "s", "a", "é\u0001", "t"],
+    "edges": [
+        {"id": "e1", "tail": "s", "head": "a", "cap": "-1/3"},
+        {"id": "e1", "tail": "a", "head": "a", "cap": "2"},
+        {"id": "a", "tail": "a", "head": "x", "cap": "1"},
+        {"id": "e3", "tail": "t", "head": "s", "cap": "1"},
+    ],
+    "sources": [{"index": 2, "at": "s"}, {"index": 3, "at": "t"}],
+    "sinks": [{"at": "t", "demands": [1, 4]}, {"at": "q", "demands": [1]}],
+}
+
+
+def _document_calls(tmp_path, key) -> list:
+    """The calls ``key`` names: ``lp --stats`` and ``lp --solve`` in both
+    reduce modes on one fixture (fano's Shannon-reduced LP is stats only:
+    it is too large to solve here), one ``transfer --search``, or
+    ``validate`` of a network that breaks most invariants."""
+    kind, name, *rest = key
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_INVALID_NETWORK) if kind == "validate" else fixture_text(name))
+    if kind == "lp":
+        return [["lp", action, "--reduce", mode, str(path)]
+                for mode in ("shannon", "linear") for action in ("--stats", "--solve")
+                if (name, mode, action) != ("fano", "shannon", "--solve")]
+    if kind == "search":
+        return [["transfer", "--search", *rest, str(path)]]
+    return [["validate", str(path)]]
+
+
+# Recorded before the CLI wrote its JSON documents with its own writer:
+# every byte of these answers must stay as ``json.dumps(doc, indent=2,
+# sort_keys=True)`` printed it.
+_DOCUMENT_DIGESTS = {
+    ("lp", "butterfly"):
+        "91a0920871de32733a0841bd69ed0c8a9c9df87527b3e4f43f860ee5a1ce27a2",
+    ("lp", "two_unicast_side"):
+        "21d87be4359444d6879d790c06b4dd9ca98f302c93e999cda2c5005f40e4d962",
+    ("lp", "two_unicast_chain"):
+        "7b23dd4138ebf5d5da1cf063eb22b56031676a036c3d9e30a805d14a50ebc74b",
+    ("lp", "parallel_relay"):
+        "7b23dd4138ebf5d5da1cf063eb22b56031676a036c3d9e30a805d14a50ebc74b",
+    ("lp", "fano"):
+        "a93f447a0addba8a911e138f728c9c88ff48ace8cef71b47b4dc384304075030",
+    ("lp", "single_edge"):
+        "28131f014899bdd0f734e74952d58cc0c4819f9c720fab08cf1777374f2137c8",
+    ("search", "butterfly", "3", "--reduce", "none"):
+        "275880b180a91aa2b5dba3455603d334399fe21179eb346cf8fba4c28f39de74",
+    ("search", "two_unicast_chain", "3", "--reduce", "none"):
+        "4b149b6629b76ce70f0419b14f6aeeeee20b10c07dd982ad8d84327842a353d1",
+    ("validate", "invalid"):
+        "843fa14c1c8b8b1f8f48963e043b6185ef5f83e899740e11e63475cd59a61371",
+}
+
+
+@pytest.mark.parametrize("key", _DOCUMENT_DIGESTS, ids="-".join)
+def test_cli_documents_are_pinned(tmp_path, capsys, key):
+    digest = hashlib.sha256()
+    for argv in _document_calls(tmp_path, key):
+        for part in map(str, run(capsys, *argv)):
+            digest.update(f"{len(part)}:{part}".encode())
+    assert digest.hexdigest() == _DOCUMENT_DIGESTS[key]
 
 
 def test_in_process_calls_answer_as_fresh_processes(on_disk, capsys):

@@ -419,6 +419,58 @@ def test_fdg_json_round_trip_keeps_the_capacity(cap):
     assert read_back.edge_vars()[0].cap == netmodel.parse_fraction(cap)
 
 
+# SHA-256 of ``Fdg.to_json`` for every fixture's graph, unreduced and
+# reduced in each mode, recorded while it was ``json.dumps(doc, indent=2,
+# sort_keys=True)``.
+_FDG_JSON_DIGESTS = {
+    ("butterfly", "none"):
+        "a925abf6861793f1bcb0d479a0ef8a43287e3fe728798010bfaf742a70a8ce14",
+    ("butterfly", "shannon"):
+        "7a57858b83f67f2b5bab78a555c676440ae9bca0597ed635fa79cdbe94286934",
+    ("butterfly", "linear"):
+        "0d3e49a866f0c8a56adad205498a3424ba05bb11cc0a3e0cabb55e50d0686b9f",
+    ("two_unicast_side", "none"):
+        "4a20eaf046296abeadc48bf1d7973dd6ca08be24d5c1eb79198a244c33fc79d1",
+    ("two_unicast_side", "shannon"):
+        "9dfece86e5d015c0ff482fae722edb630cd331d8383c8319a6c4663793dbdc42",
+    ("two_unicast_side", "linear"):
+        "0ea5ade01f695cc3c993b725805cd44adb50e1775ce985d01c025b35ec666080",
+    ("two_unicast_chain", "none"):
+        "419d51fe2e3d31f2858b92caa69d58f045d5da9435af19121d2bbbabbf8c5373",
+    ("two_unicast_chain", "shannon"):
+        "0667b23230cfbf5f4c1e3943835deffd17e8bf69d6cabfc61852d2294637926b",
+    ("two_unicast_chain", "linear"):
+        "bd432f3e58cf04a591c137baa78286531f6edc76f974ca4b9e3de8f899ca01f3",
+    ("parallel_relay", "none"):
+        "9807788eecf46006c4a524e86bea899fc5e2433d7876f7db5f902887544e4e24",
+    ("parallel_relay", "shannon"):
+        "1632ceddb40f25942e4a7f85ff3f45950ee2d6635f79b3ed38b357b51b993342",
+    ("parallel_relay", "linear"):
+        "37046c2109b4545c88fd3638c80c6955bf0fc10fc939cbd742210c8f51a90103",
+    ("fano", "none"):
+        "a7bfa1fd4354347e5663bc0c336bc8c83eaef20de8c492900f6f04a3207515a8",
+    ("fano", "shannon"):
+        "a953ed403238fe0303ae0b4fd801ed2414b42bde113919f7bdf9dcc28cfd7f47",
+    ("fano", "linear"):
+        "953317aa707836fcaee28859f1b28c3686de752f6a33f6f4a759e727f2df0cb4",
+    ("single_edge", "none"):
+        "4b39054df72ac29a0cb5e889219c1a0435e978fb6e514b4edaea6288660c1f79",
+    ("single_edge", "shannon"):
+        "4b39054df72ac29a0cb5e889219c1a0435e978fb6e514b4edaea6288660c1f79",
+    ("single_edge", "linear"):
+        "4b39054df72ac29a0cb5e889219c1a0435e978fb6e514b4edaea6288660c1f79",
+}
+
+
+@pytest.mark.parametrize("key", _FDG_JSON_DIGESTS, ids="-".join)
+def test_fdg_json_is_pinned(key):
+    name, mode = key
+    g = build_fdg(load_fixture(name))
+    if mode != "none":
+        g, _ = reduce(g, mode)
+    assert hashlib.sha256(g.to_json().encode()).hexdigest() == _FDG_JSON_DIGESTS[key]
+
+
 def test_irreducible_graph_has_empty_trace():
     g = build_fdg(load_fixture("single_edge"))
     reduced, trace = reduce(g, "shannon")

@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdgtool import netmodel
 from fdgtool.netmodel import (InvalidNetworkError, NetworkFormatError, Weights,
@@ -169,6 +170,118 @@ def test_a_capacity_past_the_digit_limit_round_trips(cap):
     text = serialize_network(net)
     assert [e["cap"] for e in json.loads(text)["edges"]] == [cap, "1"]
     assert parse_network(text) == net
+
+
+_ODD_NAMES = netmodel.Network(
+    nodes=("s", "é\u0001", "☃ t"),
+    edges=(netmodel.Edge("e\"1\\", "s", "é\u0001", Fraction(-1, 3)),
+           netmodel.Edge("\U0001f600", "é\u0001", "☃ t", Fraction(10) ** 4300)),
+    sources=(netmodel.Source(1, "s"),),
+    sinks=(netmodel.Sink("☃ t", ()),))
+
+# SHA-256 of ``serialize_network``, recorded while it was
+# ``json.dumps(doc, indent=2, sort_keys=True)``.  ``odd-names`` is
+# ``_ODD_NAMES``: non-ASCII and control characters, quotes and a backslash
+# in names, a negative capacity, one past the digit limit and no demands.
+_SERIALIZED_DIGESTS = {
+    "butterfly":
+        "5d83373f55802e356cf150002b82ecae07be3c7efeb1aae32d7ea00588330140",
+    "two_unicast_side":
+        "6b66b48f4a20c41ff56ca0a6f391039ef10ea8b95bd54dab6f1c43fde3a5079e",
+    "two_unicast_chain":
+        "1c6beee4059cd4261538230475e7a5c4a13c60633ed9dacd7f3141aac921aad4",
+    "parallel_relay":
+        "da1261a57e667a62fecd26fbb19de243c394362856a3c2b129732c77e483535e",
+    "fano":
+        "dfcecfd56192c2f1ec9ede79ecfd885e256fb9b042a8530fafd6c9dd59f19eea",
+    "single_edge":
+        "ce07ca5557a70c78a9e985a123f914ff1fedbc1f5cbce647b9b20814f376f8da",
+    "odd-names":
+        "5ec83fe09bee467b29f8131c753958b6f42cddb6e971249133c4931817748142",
+}
+
+
+@pytest.mark.parametrize("name", _SERIALIZED_DIGESTS)
+def test_serialized_networks_are_pinned(name):
+    net = _ODD_NAMES if name == "odd-names" else load_fixture(name)
+    text = serialize_network(net)
+    assert hashlib.sha256(text.encode()).hexdigest() == _SERIALIZED_DIGESTS[name]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\ud800é☃'),
+                max_size=6)
+_KEYS = (_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+         | st.tuples(st.integers()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | _TEXT
+    | st.integers() | st.integers(min_value=10 ** 100) | st.integers(max_value=-10 ** 120),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)
+                      | st.dictionaries(_KEYS, children, max_size=3)),
+    max_leaves=40)
+
+
+def _nested(depth: int):
+    """``depth`` lists and dicts, each holding the next and a string."""
+    value = []
+    for level in range(depth):
+        value = [value, "x"] if level % 2 else {"k": value, "ü": ()}
+    return value
+
+
+def _text_or_error(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value=_nested(150))
+@example(value={"a": [], "b": {}, "c": (), "d": [[]], "e": [{}], "f": ["", 0, 10 ** 300]})
+@example(value=[True, 1, 1.0, None, "1"])
+@example(value={1: "int", 2.5: "float", None: "null"})
+@example(value={True: 1, False: 0})
+@example(value={"a": 1, 2: "b"})
+@example(value=[object()])
+@example(value={(1,): 1})
+@example(value=[10 ** 4300])
+@example(value=[float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert (_text_or_error(netmodel._json_text, value)
+            == _text_or_error(lambda v: json.dumps(v, indent=2, sort_keys=True), value))
+
+
+_CAP_TEXTS = ["1", "2", "1/3", "0.25", "7e-2", "1e4300"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_serialized_network_parses_back_to_itself(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_edges=12)
+    assert parse_network(serialize_network(net)) == net
+    net = dataclasses.replace(net, edges=tuple(
+        dataclasses.replace(e, cap=netmodel.parse_fraction(rng.choice(_CAP_TEXTS)))
+        for e in net.edges))
+    assert parse_network(serialize_network(net)) == net
+
+
+def test_a_repeated_bad_capacity_is_refused_on_each_edge():
+    # The first edge's text is read once per document; a later edge with the
+    # same good text, then a bad text seen twice, gives the same error.
+    good = json.loads(doc())
+    good["edges"].append({"id": "e3", "tail": "s", "head": "t", "cap": "1"})
+    assert [e.cap for e in parse_network(json.dumps(good)).edges] == [1, 1, 1]
+    for first in ("1", "x/2"):
+        bad = json.loads(doc())
+        bad["edges"][0]["cap"] = first
+        bad["edges"][1]["cap"] = "x/2"
+        bad["edges"].append({"id": "e3", "tail": "s", "head": "t", "cap": "x/2"})
+        with pytest.raises(NetworkFormatError) as refused:
+            parse_network(json.dumps(bad))
+        assert str(refused.value) == "bad capacity 'x/2': Invalid literal for Fraction: 'x/2'"
 
 
 def test_in_out_edges_on_butterfly(butterfly):

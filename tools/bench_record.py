@@ -10,6 +10,9 @@ the per-layer metrics, every run at the seed ``SEED`` and for the
 ``run_seconds`` that ``BENCHMARK.json`` sets.  The file holds the commit,
 the hash of its ``src/`` tree, the seed, the run length, the ``env`` line of
 the first run and the result line (the last line of stdout) of every run.
+A run that fails, or whose result line reports a wrong answer
+(``"correct": false`` or ``"failed"`` above 0), stops the recording with
+exit code 1, and no file is written.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ def main(argv=None) -> int:
                 print(f"error: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
                 return 1
             run_env, result = parse_run(proc.stdout)
+            if result["correct"] is not True or result["failed"]:
+                print(f"error: workload {workload['name']} at --trace {trace} answered wrongly: "
+                      f"correct {json.dumps(result['correct'])}, "
+                      f"{result['failed']} of {result['attempted']} ops failed; no file written",
+                      file=sys.stderr)
+                return 1
             env = env or run_env
             runs.append({"workload": workload["name"], "trace": trace, "result": result})
 
