@@ -496,7 +496,7 @@ class ReductionTrace:
     delta_e: int
 
     def to_jsonl(self) -> str:
-        return "".join([_encode_step(step.to_dict()) + "\n" for step in self.steps])
+        return "".join(step.to_json() + "\n" for step in self.steps)
 
     @classmethod
     def from_jsonl(cls, text: str, delta_v: int | None = None,

@@ -276,7 +276,8 @@ def parse_network(text: str) -> Network:
     edges = []
     for i, rec in enumerate(_require(doc, "edges", list, "network document")):
         # A record with exactly the four keys, each a string, needs no other check.
-        if type(rec) is not dict or rec.keys() != _EDGE_KEYS or set(map(type, rec.values())) != _STR:
+        if (type(rec) is not dict or rec.keys() != _EDGE_KEYS
+                or set(map(type, rec.values())) != _STR):
             where = _checked(rec, "edges", i, _EDGE_KEYS)
             for key in _EDGE_KEYS:
                 _require(rec, key, str, where)

@@ -208,8 +208,9 @@ def test_serialized_networks_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == _SERIALIZED_DIGESTS[name]
 
 
-_TEXT = st.text(st.characters(blacklist_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\ud800é☃'),
-                max_size=6)
+# Any code point, surrogates included, and the characters JSON escapes.
+_TEXT = st.text(st.characters(blacklist_categories=())
+                | st.sampled_from('"\\/\x00\x1f\x7f\ud800é☃'), max_size=6)
 _KEYS = (_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
          | st.tuples(st.integers()))
 _JSON_VALUES = st.recursive(
