@@ -31,8 +31,11 @@ loop that binds one of its positions, and the entries due at a block's end
 are tested right after its last loop, whose values are solved from the
 first of them when it is affine in that loop's position; no loop tries 0
 for a factor of every monomial of a first entry that must be nonzero.  The
-node and evaluation counters are defined by the plain depth-first search
-that assigns one indeterminate per node.
+loops of a block that its entries do not read, just before the trailing
+loops that they do, are run over a list of the passing trailing values
+built once, not over the trailing loops again for each of their values.
+The node and evaluation counters are defined by the plain depth-first
+search that assigns one indeterminate per node.
 """
 
 from __future__ import annotations
@@ -383,16 +386,35 @@ def _search_source(blocks, free: list, p: int) -> str:
     entry, after the counts are added.  Every value skipped fails the first
     entry, whose evaluations and the nodes before it are counted on entry,
     so the counters and the first hit stay those of the full loops.
+
+    A block's loops are a head, then spectators (the run of loops before
+    the tail that no entry of the block reads), then the tail (the trailing
+    run of loops that the entries read).  Which tail combinations pass does
+    not depend on the spectators, so the tail is searched once per head
+    combination: right after the head's loops, the tail's loops and tests
+    fill the list ``t{b}``, one row per passing combination, holding the
+    tail's values, every coefficient local assigned in the tail (later
+    blocks read them) and the evaluations counted since the row before;
+    ``e{b}`` then holds those after the last row.  Under the spectator
+    loops a loop over the rows adds each row's count before the next block
+    and ``e{b}`` after the last row; an empty list skips the spectator
+    loops, adding ``e{b}`` once per spectator combination.  The counters,
+    the order of the combinations and the first hit stay those of the full
+    loops.  Two kinds of block run their loops in full instead: a tail of
+    one loop with one entry, which is already one root table read, and a
+    tail whose loops would nest past ``_MAX_NESTED_LOOPS`` in the current
+    function (the list is filled in one function).
+
     ``search()`` returns (free values of the hit or None, nodes, evals).  Past
     ``_MAX_NESTED_LOOPS`` loops the rest of the search moves into a nested
     function, called once per combination that reaches it.  The text is
     built from integers only.
     """
-    parts = []   # [lines, indent, loops] per function, outermost first
+    parts = []   # [lines, indent, loops, trailers] per function, outermost first
     held = {}    # expression -> the local holding its value mod p
 
     def emit(line):
-        lines, indent, _ = parts[-1]
+        lines, indent, _, _ = parts[-1]
         lines.append("    " * indent + line)
 
     def leave(value):
@@ -434,7 +456,48 @@ def _search_source(blocks, free: list, p: int) -> str:
         tables.add(target)
         return f"R{target}[{rep[(i,)]}][{rep.get((), '0')}]"
 
-    parts.append([["def search():", "    nodes = evals = 0"], 1, 0])
+    def loop(target, values):
+        if parts[-1][2] == _MAX_NESTED_LOOPS:
+            name = f"part{len(parts)}"
+            emit(f"hit = {name}()")
+            emit(f"if hit is not None: {leave('hit')}")
+            parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0, []])
+        emit(f"for {target} in {values}:")
+        parts[-1][1] += 1
+        parts[-1][2] += 1
+
+    def domain(i):
+        return f"range(1, {p})" if i in nonzero else f"range({p})"
+
+    def bind(loops, coefficients):
+        # A loop per position, each bound in the coefficients as it opens.
+        for i in loops:
+            loop(f"c{i}", domain(i))
+            coefficients = [{rest: atom(t) for rest, t in collect(rep, i).items()}
+                            for rep in coefficients]
+        return coefficients
+
+    def check(loops, entries, coefficients, counter):
+        # The loops, the last one solved from the first entry when it is
+        # affine there, then the entries' tests at the innermost loop.
+        coefficients = bind(loops[:-1], coefficients)
+        solved = None
+        if loops:
+            if entries:
+                solved = roots(coefficients[0], loops[-1], entries[0][1])
+            loop(f"c{loops[-1]}", solved or domain(loops[-1]))
+        fail = "continue" if parts[-1][2] else leave("None")
+        for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
+            if k:
+                emit(f"{counter} += 1")
+            elif solved:
+                continue  # the loop runs only over the values that pass
+            terms = collect(rep, loops[-1] if loops else None).get((), [])
+            value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
+                     else f"({total(terms)}) % {p}")
+            emit(f"if {value} != {target}: {fail}")
+
+    parts.append([["def search():", "    nodes = evals = 0"], 1, 0, []])
     for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
         if b:
             nodes_in += 1  # the previous block's passing combination
@@ -446,7 +509,6 @@ def _search_source(blocks, free: list, p: int) -> str:
         for i in sorted(nonzero):
             if i < lo:  # bound by an enclosing loop of an earlier block
                 emit(f"if not c{i}: continue")
-        loops = [i for i in free if lo <= i < hi]
         coefficients = []  # per entry: {monomial in the block: local or literal}
         for terms, _ in entries:
             split = {}
@@ -456,37 +518,46 @@ def _search_source(blocks, free: list, p: int) -> str:
                 split.setdefault(inner, []).append(
                     "*".join(outer if c == 1 and outer else [str(c)] + outer))
             coefficients.append({inner: atom(t) for inner, t in split.items()})
-        solved = None  # the values of the block's last loop, when solved
-        for i in loops:
-            if parts[-1][2] == _MAX_NESTED_LOOPS:
-                name = f"part{len(parts)}"
-                emit(f"hit = {name}()")
-                emit(f"if hit is not None: {leave('hit')}")
-                parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0])
-            if i == loops[-1] and entries:
-                solved = roots(coefficients[0], i, entries[0][1])
-            values = solved or (f"range(1, {p})" if i in nonzero else f"range({p})")
-            emit(f"for c{i} in {values}:")
-            parts[-1][1] += 1
-            parts[-1][2] += 1
-            if i != loops[-1]:
-                coefficients = [{rest: atom(t) for rest, t in collect(rep, i).items()}
-                                for rep in coefficients]
-        fail = "continue" if parts[-1][2] else leave("None")
-        for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
-            if k:
-                emit("evals += 1")
-            elif solved:
-                continue  # the loop runs only over the values that pass
-            terms = collect(rep, loops[-1] if loops else None).get((), [])
-            value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
-                     else f"({total(terms)}) % {p}")
-            emit(f"if {value} != {target}: {fail}")
+        # The block's loops are head + spectators + tail: the tail is the
+        # trailing run the entries read, the spectators the run before it
+        # that they do not read.
+        loops = [i for i in free if lo <= i < hi]
+        read = {i for terms, _ in entries for mono in terms for i in mono}
+        t = len(loops)
+        while t and loops[t - 1] in read:
+            t -= 1
+        s = t
+        while s and loops[s - 1] not in read:
+            s -= 1
+        head, spectators, tail = loops[:s], loops[s:t], loops[t:]
+        coefficients = bind(head, coefficients)
+        if (not (spectators and tail) or len(tail) == len(entries) == 1
+                or parts[-1][2] + len(tail) > _MAX_NESTED_LOOPS):
+            check(spectators + tail, entries, coefficients, "evals")
+            continue
+        # The tail's passing rows, built once here and gone over for each
+        # spectator combination.
+        indent, level, start = parts[-1][1], parts[-1][2], len(held)
+        emit(f"t{b} = []")
+        emit(f"e{b} = 0")
+        check(tail, entries, coefficients, f"e{b}")
+        row = [f"c{i}" for i in tail] + list(held.values())[start:]
+        emit(f"t{b}.append(({', '.join(row)}, e{b}))")
+        emit(f"e{b} = 0")
+        parts[-1][1:3] = indent, level
+        fail = "continue" if level else leave("None")
+        emit(f"if not t{b}: evals += e{b} * {p ** len(spectators)}; {fail}")
+        bind(spectators, [])
+        loop(", ".join(row + ["e"]), f"t{b}")
+        emit("evals += e")
+        # After the rows loop: the evaluations that follow the last row.
+        parts[-1][3].append("    " * (parts[-1][1] - 1) + f"evals += e{b}")
     emit("nodes += 1")
     emit(leave("(" + "".join(f"c{i}, " for i in free) + ")"))
 
     text = []
-    for lines, _, _ in reversed(parts):
+    for lines, _, _, trailers in reversed(parts):
+        lines += reversed(trailers)
         lines.append("    " + leave("None"))
         text = lines[:2] + ["    " + line for line in text] + lines[2:]
         parts.pop()
@@ -519,7 +590,14 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     from a table of roots built once per target.  When that entry must be
     nonzero and an indeterminate divides every one of its monomials, no
     loop tries the value 0 for it: its own loop skips 0, or the block is
-    skipped on entry when it was assigned in an earlier block.
+    skipped on entry when it was assigned in an earlier block.  A block
+    whose entries do not read a run of its indeterminates just before the
+    trailing run that they do read searches that trailing run once for
+    each assignment of the indeterminates before the unread run, into a
+    list of the combinations that pass; the unread run's loops then go
+    over that list.  On fano in linear mode over GF(3) the first block's
+    last three loops then run once, not 9 times, for each assignment of
+    the six before its two unread ones.
 
     The counters are those of a depth-first search that assigns one
     indeterminate per node and checks each entry at its depth.

@@ -8,6 +8,8 @@ cross-check the library's own computation paths."""
 import json
 import random
 import signal
+import sys
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -213,6 +215,31 @@ def head_first_path_text(n: int) -> str:
 # Reference network checks: validate and its O(V*E) Kahn order as they were
 # before each node's in- and out-edges were listed once.
 
+def _reference_cap_text(cap: Fraction) -> str:
+    """``str(cap)``, or past the int-to-string digit limit, ``cap`` as a
+    decimal whose exponent is the one nearest its own within the limit:
+    ``-(10**4301)`` is ``-10e4300``.  A fraction that is no decimal prints
+    as ``p/q``.  Each part goes through ``Decimal``, which has no limit."""
+    try:
+        return str(cap)
+    except ValueError:
+        pass
+    num, den = cap.numerator, cap.denominator
+    with localcontext(prec=num.bit_length() + den.bit_length() + 1) as ctx:
+        quotient = Decimal(num) / Decimal(den)
+        if ctx.flags[Inexact]:
+            return f"{Decimal(num)}/{Decimal(den)}"
+        sign, digits, exponent = quotient.normalize().as_tuple()
+    limit = sys.get_int_max_str_digits()
+    written = max(-limit, min(exponent, limit))
+    text = "".join(map(str, digits)) + "0" * max(exponent - written, 0)
+    point = written - exponent
+    if point > 0:
+        text = text.rjust(point + 1, "0")
+        text = f"{text[:-point]}.{text[-point:]}"
+    return f"{'-' * sign}{text}e{written}"
+
+
 def reference_validate(net: netmodel.Network) -> list[str]:
     """Return all invariant violations, in a deterministic order.
 
@@ -246,7 +273,7 @@ def reference_validate(net: netmodel.Network) -> list[str]:
         if e.tail == e.head:
             violations.append(f"edge {e.id!r}: self-loop at node {e.tail!r}")
         if e.cap < 0:
-            violations.append(f"edge {e.id!r}: negative capacity {e.cap}")
+            violations.append(f"edge {e.id!r}: negative capacity {_reference_cap_text(e.cap)}")
 
     indices = [s.index for s in net.sources]
     if net.sources and sorted(indices) != list(range(1, len(indices) + 1)):

@@ -357,7 +357,8 @@ def _malformed_network(draw):
     indices = st.integers(0, 3)
     edges = draw(st.lists(st.builds(
         netmodel.Edge, st.sampled_from(["e1", "e2", "e3", "a"]), ends, ends,
-        st.integers(-1, 2).map(Fraction)), max_size=10))
+        # -(10**4301) prints past the int-to-string digit limit.
+        st.sampled_from([-1, 0, 1, 2, -(10 ** 4301)]).map(Fraction)), max_size=10))
     sources = draw(st.lists(st.builds(netmodel.Source, indices, ends), max_size=3))
     sinks = draw(st.lists(st.builds(
         netmodel.Sink, ends, st.frozensets(indices).map(lambda d: tuple(sorted(d)))),

@@ -385,6 +385,19 @@ def test_multilinear_search_past_the_nesting_limit_matches_reference(case, k):
     check_past_the_nesting_limit(case, k)
 
 
+def compiled_source(monkeypatch, M, demand, p, **options) -> str:
+    """The source ``solvability_search`` compiles for these arguments."""
+    source, sources = algebra._search_source, []
+
+    def compile_search(*args):
+        sources.append(source(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(algebra, "_search_source", compile_search)
+    solvability_search(M, demand, p, **options)
+    return sources[0]
+
+
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_search_moves_into_a_nested_function_at_a_solved_loop(target, monkeypatch):
     # 19 forced loops, then the block x0, x1 with entry x0*x1 + 1: the 21st
@@ -394,16 +407,9 @@ def test_search_moves_into_a_nested_function_at_a_solved_loop(target, monkeypatc
     M.append((x(0) * x(1) + Poly.const(1),))
     demand += ((target,),)
     order += ("x0", "x1")
-    source, sources = algebra._search_source, []
-
-    def compile_search(*args):
-        sources.append(source(*args))
-        return sources[-1]
-
-    monkeypatch.setattr(algebra, "_search_source", compile_search)
     got = solvability_search(M, demand, 3, order=order, indet_cap=21)
     assert_same_search(got, reference_search(M, demand, 3, order=order, indet_cap=21))
-    lines = sources[0].splitlines()
+    lines = compiled_source(monkeypatch, M, demand, 3, order=order, indet_cap=21).splitlines()
     header = lines[lines.index("    def part1():") + 2].strip()
     assert header == f"for c20 in R{target}[c19][1]:"
 
@@ -472,6 +478,119 @@ def test_search_with_shared_factors_matches_reference(case, k):
     options = dict(order=order, pinned=pinned, field_cap=11, indet_cap=len(order))
     assert_same_search(solvability_search(M, demand, p, **options),
                        reference_search(M, demand, p, **options))
+
+
+def multilinear_entry(draw, coefficient, names, last):
+    """A multilinear polynomial over ``names`` with a term in ``last``."""
+    entry = Poly.const(draw(st.integers(-3, 3)))
+    monomials = [*draw(st.lists(st.lists(st.sampled_from(names), unique=True), max_size=3)),
+                 [last, *draw(st.lists(st.sampled_from(names), unique=True, max_size=1))]]
+    for mono in monomials:
+        term = Poly.const(draw(coefficient))
+        for name in sorted(set(mono)):
+            term = term * Poly.var(name)
+        entry = entry + term
+    return entry
+
+
+@st.composite
+def spectator_cases(draw):
+    """(M, demand, p, order, pinned) whose first block runs head, spectator and
+    tail positions in that order: its entries read the head and the tail, and
+    the spectators are read only by a later entry, or by none."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    names = iter(NAMES)
+    head, spectators, tail, later = ([next(names) for _ in range(draw(st.integers(least, 2)))]
+                                     for least in (0, 1, 1, 0))
+    nonzero = st.integers(1, p - 1)  # no term vanishes mod p on its own
+    M = [tuple(multilinear_entry(draw, nonzero, head + tail, tail[-1])
+               for _ in range(draw(st.integers(1, 3))))]
+    if later:
+        M.append((multilinear_entry(draw, nonzero, spectators + later, later[-1]),))
+    order = tuple(head + spectators + tail + later)
+    pinned = {}
+    while p ** (len(order) - len(pinned)) > MAX_LEAVES:  # spectators are pinned last
+        unpinned = [n for n in order if n not in pinned and n not in spectators]
+        pinned[draw(st.sampled_from(unpinned or spectators))] = draw(st.integers(0, p - 1))
+    if draw(st.booleans()):
+        planted = {n: draw(st.integers(0, p - 1)) for n in order}
+        planted.update(pinned)
+        demand = tuple(tuple(entry.eval_mod(planted, p) for entry in row) for row in M)
+    else:
+        demand = tuple(tuple(draw(st.integers(0, p - 1)) for _ in row) for row in M)
+    return M, demand, p, order, pinned
+
+
+# x0 | x1 | x2 x3 | x4: the first block tabulates x2, x3 behind the spectator
+# x1, which only x1*x4 = 1 reads.  Over GF(3) its entries x0*x2 + x3 = 1 and
+# x0 + x3 = 2 leave the table empty at x0 = 0; at x0 = 1 its one row x2 = 0,
+# x3 = 1 is followed by two failing evaluations, and the hit takes the second
+# spectator value, x1 = 1.  With x3 = 1 and x3 = 0 the table is always empty.
+SPECTATOR_HIT = ([(x(0) * x(2) + x(3), x(0) + x(3)), (x(1) * x(4),)],
+                 ((1, 2), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
+EMPTY_TABLE = ([(x(0) * x(2) + x(3), x(3))], ((1, 0),), 3, ("x0", "x1", "x2", "x3"), {})
+# x0 | x1 x2 | x3 | x4: a one-loop tail with two entries, two spectators.
+TWO_SPECTATORS = ([(x(0) * x(3), x(0) + x(3)), (x(1) * x(2) * x(4),)],
+                  ((1, 2), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectator_cases(), st.sampled_from((0, 0, 0, 15, 17, 18, 19, 20, 21)))
+@example(SPECTATOR_HIT, 0)
+@example(EMPTY_TABLE, 0)
+# After a forced prefix of k loops: the tail's two loops are the 19th and
+# 20th and the next block moves into a nested function (k = 17); the second
+# spectator loop moves into one, which holds the loop over the rows (18);
+# the tail would pass the 20th loop, so the block runs its loops in full
+# (18, 19).
+@example(SPECTATOR_HIT, 17)
+@example(TWO_SPECTATORS, 18)
+@example(SPECTATOR_HIT, 18)
+@example(EMPTY_TABLE, 19)
+def test_search_with_spectators_matches_reference(case, k):
+    # A tail that no spectator value changes is searched once per prefix;
+    # the counters and the hit must be those of the full loops.
+    M, demand, p, order, pinned = case
+    if k:  # a forced prefix moves the search into nested functions
+        prefix_M, prefix_demand, prefix = forced_chain(k)
+        M, demand, order = prefix_M + M, prefix_demand + demand, prefix + order
+    options = dict(order=order, pinned=pinned, indet_cap=len(order))
+    assert_same_search(solvability_search(M, demand, p, **options),
+                       reference_search(M, demand, p, **options))
+
+
+@pytest.mark.parametrize("fixture, mode, p, pins, table", [
+    # Spectators c6, c7 between the head c0..c5 (c0..c2 pinned) and the
+    # tail c8, c9, c10 of the first block.
+    ("fano", "linear", 3, {},
+     ("for c7 in range(3):", "for c8, c9, c10, k0, k1, k2, k3, e in t1:")),
+    ("fano", "linear", 5, FANO_PINS,
+     ("for c7 in range(5):", "for c8, c9, c10, k0, k1, e in t1:")),
+    # The tail c7 is a lone solved loop with one entry: no table.
+    ("two_unicast_side", "none", 5, {}, None),
+])
+def test_search_tabulates_a_tail_behind_spectators(fixture, mode, p, pins, table, monkeypatch):
+    ts, M = fixture_system(fixture, mode)
+    lines = [line.strip() for line in compiled_source(
+        monkeypatch, M, ts.demand, p, order=ts.indeterminates, pinned=pins).splitlines()]
+    if table is None:
+        assert not any(line.endswith("= []") for line in lines)
+    else:
+        spectator, rows = table
+        assert lines.index("t1 = []") < lines.index(spectator) == lines.index(rows) - 1
+
+
+@pytest.mark.parametrize("case, k, tabulated", [
+    (SPECTATOR_HIT, 0, True), (EMPTY_TABLE, 0, True), (TWO_SPECTATORS, 0, True),
+    (SPECTATOR_HIT, 17, True), (TWO_SPECTATORS, 18, True),
+    (SPECTATOR_HIT, 18, False), (EMPTY_TABLE, 19, False),
+])
+def test_search_tabulates_within_the_nesting_limit(case, k, tabulated, monkeypatch):
+    M, demand, p, order, pinned = case
+    prefix_M, prefix_demand, prefix = forced_chain(k)
+    source = compiled_source(monkeypatch, prefix_M + M, prefix_demand + demand, p,
+                             order=prefix + order, pinned=pinned, indet_cap=k + len(order))
+    assert (f"t{k + 1} = []" in source) == tabulated
 
 
 def test_search_compiles_an_entry_with_thousands_of_terms():
