@@ -505,8 +505,9 @@ def spectator_cases(draw):
     nonzero = st.integers(1, p - 1)  # no term vanishes mod p on its own
     M = [tuple(multilinear_entry(draw, nonzero, head + tail, tail[-1])
                for _ in range(draw(st.integers(1, 3))))]
-    if later:
-        M.append((multilinear_entry(draw, nonzero, spectators + later, later[-1]),))
+    if later:  # a second table when no later entry reads later[0]
+        M.append(tuple(multilinear_entry(draw, nonzero, spectators + later, later[-1])
+                       for _ in range(draw(st.integers(1, 2)))))
     order = tuple(head + spectators + tail + later)
     pinned = {}
     while p ** (len(order) - len(pinned)) > MAX_LEAVES:  # spectators are pinned last
@@ -532,12 +533,17 @@ EMPTY_TABLE = ([(x(0) * x(2) + x(3), x(3))], ((1, 0),), 3, ("x0", "x1", "x2", "x
 # x0 | x1 x2 | x3 | x4: a one-loop tail with two entries, two spectators.
 TWO_SPECTATORS = ([(x(0) * x(3), x(0) + x(3)), (x(1) * x(2) * x(4),)],
                   ((1, 2), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
+# x0 | x1, then x2 | x3: two blocks with a one-loop tail and two entries
+# each, so the second table is built under the rows of the first.
+TWO_TABLES = ([(x(1), Poly.const(2) * x(1)), (x(0) * x(3), x(0) + x(3))],
+              ((1, 2), (1, 2)), 3, ("x0", "x1", "x2", "x3"), {})
 
 
 @settings(max_examples=300, deadline=None)
 @given(spectator_cases(), st.sampled_from((0, 0, 0, 15, 17, 18, 19, 20, 21)))
 @example(SPECTATOR_HIT, 0)
 @example(EMPTY_TABLE, 0)
+@example(TWO_TABLES, 0)
 # After a forced prefix of k loops: the tail's two loops are the 19th and
 # 20th and the next block moves into a nested function (k = 17); the second
 # spectator loop moves into one, which holds the loop over the rows (18);
@@ -582,6 +588,7 @@ def test_search_tabulates_a_tail_behind_spectators(fixture, mode, p, pins, table
 
 @pytest.mark.parametrize("case, k, tabulated", [
     (SPECTATOR_HIT, 0, True), (EMPTY_TABLE, 0, True), (TWO_SPECTATORS, 0, True),
+    (TWO_TABLES, 0, True),
     (SPECTATOR_HIT, 17, True), (TWO_SPECTATORS, 18, True),
     (SPECTATOR_HIT, 18, False), (EMPTY_TABLE, 19, False),
 ])
