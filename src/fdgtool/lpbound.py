@@ -19,10 +19,16 @@ optimum upper-bounds the corresponding weighted rate sum.
 ``lp_stats`` counts the rows a problem holds; ``graph_lp_stats`` gives the
 same counts from the graph alone, in closed form, so ``lp --stats`` never
 generates the rows it only counts (unreduced fano's LP has about 1.1e8).
-The tests hold the two equal.  The solver is exact: a dense rational
-simplex is driven through lazy row generation (the full elemental family is
-enormous, but optima are supported on few of them), and every returned
-witness is re-checked against every row of the full problem afterwards.
+The tests hold the two equal.  The solver is exact: a float solve by the
+HiGHS extension that scipy bundles, when scipy is installed, suggests a
+witness and a dual that are rounded and checked in rationals; failing that,
+a dense rational simplex is driven through lazy row generation (the full
+elemental family is enormous, but optima are supported on few of them).
+Every returned witness is re-checked against every row of the full problem
+afterwards.  The HiGHS module is loaded from its file, so a solve imports
+neither ``scipy.optimize`` nor ``scipy.sparse``: it hands HiGHS the model
+and options that ``scipy.optimize.linprog(method="highs")`` would, and gets
+the same bits back, at a fraction of the start-up time.
 
 A problem holds its rows once, in one integer table (``RowTable``): each
 row times its scale, the lcm of its own denominators, flat as in a CSR
@@ -37,11 +43,14 @@ rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -64,6 +73,8 @@ DEFAULT_SOLVE_CAP = 16
 # about 0.5 KB of memory each.  N=15 (about 860k rows) is the largest order under it.
 EXPORT_ROW_CAP = 10 ** 6
 MAX_N_ENV = "FDGTOOL_MAX_N"
+# scipy's HiGHS extension, loaded by ``_highs`` under the name scipy gives it.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
 # Denominator limits tried, in order, when snapping float solutions to rationals.
 ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
 
@@ -394,7 +405,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
 
     Two cooperating engines, both ending in the same exact verification:
 
-    1. certificate path: solve in floating point (scipy, when available),
+    1. certificate path: solve in floating point (HiGHS, when scipy is installed),
        round the primal and dual vectors back to small rationals, and check
        exactly that the witness satisfies every row and that the dual is
        feasible with matching objective.  Weak duality then pins the
@@ -465,50 +476,119 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         working.update((i, triple(i)) for i in violated)
 
 
-def _float_solve(problem: LpProblem):
-    """Floating-point solve of the full problem (scipy), or None.
+def _highs():
+    """scipy's bundled HiGHS extension module, or None without it.
 
-    Returns (result, ub_idx, eq_idx) where the index lists map scipy's
-    inequality/equality row positions back to problem row indices.  Rows
-    with sense '>=' are negated to '<=' on the way in.  Each number enters
-    as an int division (a row's integer over its scale), which is exactly
-    ``float`` of it.  None also when scipy is missing or a number does not
-    fit a float: this solve only suggests a certificate, and the exact path
+    The module is loaded from its file, so neither ``scipy.optimize`` nor
+    ``scipy.sparse`` is imported, and registered under its own name, so a
+    later ``import scipy.optimize`` reuses it.  scipy is found through the
+    import system: whatever hides scipy from an import hides HiGHS too.
+    """
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is not None:
+        return core
+    try:
+        spec = importlib.util.find_spec("scipy")
+        for base in (spec and spec.submodule_search_locations) or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(base, "optimize", "_highspy", "_core" + suffix)
+                if os.path.isfile(path):
+                    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+                    core = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(core)
+                    sys.modules[_HIGHS_MODULE] = core
+                    return core
+    except (ImportError, OSError):
+        pass
+    return None
+
+
+def _highs_options(core) -> dict:
+    """The HiGHS options ``linprog(method="highs")`` sets: presolve on, no
+    output, no debug checks and the dual simplex."""
+    return {"presolve": "on", "output_flag": False, "log_to_console": False,
+            "highs_debug_level": core.HighsDebugLevel.kHighsDebugLevelNone,
+            "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}
+
+
+def _highs_row_order(problem: LpProblem) -> tuple[list[int], list[int]]:
+    """Problem row indices of the inequality rows and of the equality rows,
+    in the order ``linprog`` stacks them: inequalities first."""
+    senses = problem.rows.senses
+    return ([i for i, sense in enumerate(senses) if sense != "="],
+            [i for i, sense in enumerate(senses) if sense == "="])
+
+
+def _highs_lp(problem: LpProblem, core):
+    """The column-wise ``HighsLp`` that ``linprog(method="highs")`` builds
+    for the problem.
+
+    The objective is negated to a minimum.  The rows come in
+    ``_highs_row_order`` with '>=' rows negated to '<='; each column lists its
+    entries in ascending row order, as a CSC matrix does.  Each number
+    enters as an int division (a row's integer over its scale), which is
+    exactly ``float`` of it; a number too large for a float raises
+    ``OverflowError``.
+    """
+    rows, n, inf = problem.rows, problem.dimension, core.kHighsInf
+    cost = [0.0] * n
+    for mask, w in problem.objective:
+        cost[mask - 1] = -(w.numerator / w.denominator)
+    ub_idx, eq_idx = _highs_row_order(problem)
+    lower, upper = [], []
+    entries = [[] for _ in range(n)]  # per column: row position, value, ...
+    for at, i in enumerate(chain(ub_idx, eq_idx)):
+        masks, coeffs, rhs, scale, sense = rows.integer_row(i)
+        flip = sense == ">="
+        b = -(rhs / scale) if flip else rhs / scale
+        lower.append(b if sense == "=" else -inf)
+        upper.append(b)
+        for mask, c in zip(masks, coeffs):
+            entries[mask - 1] += (at, -(c / scale) if flip else c / scale)
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [inf] * n
+    lp.row_lower_ = lower
+    lp.row_upper_ = upper
+    lp.a_matrix_.start_ = [0, *accumulate(len(column) // 2 for column in entries)]
+    lp.a_matrix_.index_ = [at for column in entries for at in column[::2]]
+    lp.a_matrix_.value_ = [value for column in entries for value in column[1::2]]
+    return lp
+
+
+def _float_solve(problem: LpProblem):
+    """Floating-point solve of the full problem (HiGHS), or None.
+
+    Returns (x, row_dual, ub_idx, eq_idx): the column values and the row
+    duals as lists, and the problem row indices of HiGHS's rows, in
+    ``_highs_row_order``.  HiGHS gets the model and the options that scipy's
+    ``linprog(method="highs")`` gives it, so these are the bits of that
+    call's ``x`` and of its inequality then equality marginals.  None when
+    scipy is missing, a number does not fit a float or HiGHS reports no
+    optimum: this solve only suggests a certificate, and the exact path
     answers without it.
     """
-    try:  # scipy first: a run without scipy then never loads numpy
-        from scipy.optimize import linprog
-        from scipy.sparse import csr_matrix
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised only without scipy
+    core = _highs()
+    if core is None:
         return None
-
-    rows = problem.rows
-    n = problem.dimension
-    c = np.zeros(n)
-    lengths = np.diff(rows.starts)
     try:
-        for mask, w in problem.objective:
-            c[mask - 1] = -(w.numerator / w.denominator)
-        scale_of_entry = chain.from_iterable(map(repeat, rows.scales, lengths.tolist()))
-        data = np.array([x / s for x, s in zip(rows.coeffs, scale_of_entry)])
-        b = np.array([x / s for x, s in zip(rows.rhs, rows.scales)])
+        lp = _highs_lp(problem, core)
     except OverflowError:
         return None
-    flip = np.array([-1.0 if sense == ">=" else 1.0 for sense in rows.senses])
-    data *= np.repeat(flip, lengths)
-    b *= flip
-    A = csr_matrix((data, np.array(rows.masks, dtype=np.int64) - 1, rows.starts),
-                   shape=(len(b), n))
-    ub_idx = [i for i, sense in enumerate(rows.senses) if sense != "="]
-    eq_idx = [i for i, sense in enumerate(rows.senses) if sense == "="]
-    try:
-        res = linprog(c, A_ub=A[ub_idx] if ub_idx else None, b_ub=b[ub_idx].tolist() or None,
-                      A_eq=A[eq_idx] if eq_idx else None, b_eq=b[eq_idx].tolist() or None,
-                      bounds=(0, None), method="highs")
-    except ValueError:  # pragma: no cover - defensive
+    highs, options = core._Highs(), core.HighsOptions()
+    for name, value in _highs_options(core).items():
+        setattr(options, name, value)
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
         return None
-    return res, ub_idx, eq_idx
+    solution = highs.getSolution()
+    return (list(solution.col_value), list(solution.row_dual), *_highs_row_order(problem))
 
 
 def _round_vector(values, limit: int) -> list:
@@ -536,23 +616,18 @@ def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
     """
     if solved is None:
         return None
-    res, ub_idx, eq_idx = solved
-    if not res.success:
-        return None
-
+    x, row_dual, ub_idx, eq_idx = solved
+    k = len(ub_idx)
     duals = {}
 
     def dual(limit):
         # Rounding never carries a value across zero, so clamping the float
         # multipliers at zero gives the same u >= 0 as clamping rounded ones.
         if limit not in duals:
-            u = _round_vector((-res.ineqlin.marginals).clip(0.0).tolist(), limit) \
-                if ub_idx else []
-            v = _round_vector((-res.eqlin.marginals).tolist(), limit) if eq_idx else []
-            duals[limit] = (u, v)
+            duals[limit] = (_round_vector([max(0.0, -d) for d in row_dual[:k]], limit),
+                            _round_vector([-d for d in row_dual[k:]], limit))
         return duals[limit]
 
-    x = res.x.tolist()
     for limit in ROUNDING_LIMITS:
         witness = {j + 1: q for j, q in enumerate(_round_vector(x, limit)) if q}
         if verify_witness(problem, witness):

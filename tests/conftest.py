@@ -867,6 +867,72 @@ def reference_linprog_inputs(problem):
                    bounds=(0, None), method="highs")
 
 
+class _Captured(Exception):
+    pass
+
+
+def reference_highs_model(problem):
+    """The ``HighsLp`` and options that scipy's ``linprog`` path hands HiGHS
+    for ``reference_linprog_inputs(problem)``: (lp, options).
+
+    ``linprog`` runs as it is up to its call of ``_highs_wrapper``, so the
+    arrays come out of scipy's own input cleaning, ``vstack``, ``csc_array``
+    and ``kHighsInf`` replacement; they are set on a ``HighsLp`` as
+    ``_highs_wrapper`` sets them.  ``options`` is the dict ``_linprog_highs``
+    builds, as ``_highs_wrapper`` passes it on: without the ``None`` values
+    and ``sense``, with ``presolve`` as "on" or "off"."""
+    from unittest import mock
+
+    import scipy.optimize._linprog_highs as linprog_highs
+    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
+
+    captured = []
+
+    def highs_wrapper(*args):
+        captured.append(args)
+        raise _Captured
+
+    c, kwargs = reference_linprog_inputs(problem)
+    with mock.patch.object(linprog_highs, "_highs_wrapper", highs_wrapper), \
+            pytest.raises(_Captured):
+        linprog(c, **kwargs)
+    (c, indptr, indices, data, lhs, rhs, lb, ub, integrality, options), = captured
+    assert integrality.size == 0
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    options = {key: ("on" if value else "off") if key == "presolve" else value
+               for key, value in options.items() if value is not None and key != "sense"}
+    return lp, options
+
+
+def highs_lp_bytes(lp) -> dict:
+    """Every field of a ``HighsLp`` that a model builder sets, as bytes: two
+    models with equal results hand HiGHS the same numbers, bit for bit."""
+    import numpy as np
+
+    fields = {"num_col_": lp.num_col_, "num_row_": lp.num_row_,
+              "a_matrix_.num_col_": lp.a_matrix_.num_col_,
+              "a_matrix_.num_row_": lp.a_matrix_.num_row_,
+              "a_matrix_.format_": lp.a_matrix_.format_}
+    for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
+        fields[name] = np.asarray(getattr(lp, name), dtype=np.float64).tobytes()
+    fields["a_matrix_.start_"] = list(lp.a_matrix_.start_)
+    fields["a_matrix_.index_"] = list(lp.a_matrix_.index_)
+    fields["a_matrix_.value_"] = np.asarray(lp.a_matrix_.value_, dtype=np.float64).tobytes()
+    return fields
+
+
 # Reference exact simplex: the dense tableau of ``Fraction`` entries that
 # ``simplex`` used before its rows became integers, kept verbatim
 # (``_Tableau`` and ``solve`` renamed ``_FractionTableau`` and

@@ -171,30 +171,75 @@ def test_exact_fallback_without_float_presolve(monkeypatch):
     assert sol2.value == 1
 
 
+def _fresh_python(*code: str) -> str:
+    """Stdout of the ``code`` blocks, run in turn in a fresh interpreter that
+    imports this fdgtool."""
+    src = str(Path(lpbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", "".join(map(textwrap.dedent, code))], env=env,
+                          capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+_BLOCK_SCIPY = """
+    import importlib.abc, sys
+
+    class BlockScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(name)
+
+    sys.meta_path.insert(0, BlockScipy())
+"""
+
+
 def test_a_solve_without_scipy_never_loads_numpy():
     # A fresh interpreter with scipy made unimportable, as in an install
-    # without the test extras: the exact path answers, and numpy stays out.
-    code = textwrap.dedent("""
-        import importlib.abc, sys
-
-        class BlockScipy(importlib.abc.MetaPathFinder):
-            def find_spec(self, name, path=None, target=None):
-                if name == "scipy" or name.startswith("scipy."):
-                    raise ImportError(name)
-
-        sys.meta_path.insert(0, BlockScipy())
+    # without the test extras: the exact path answers, numpy stays out and
+    # so does HiGHS.
+    out = _fresh_python(_BLOCK_SCIPY, """
         from fdgtool.fdg import build_fdg
         from fdgtool.lpbound import build_lp, lp_solve
         from fdgtool.netmodel import Weights, load_fixture
         sol = lp_solve(build_lp(build_fdg(load_fixture("single_edge")), Weights.of({1: 1})))
-        print(sol.status, sol.value, "numpy" in sys.modules)
+        print(sol.status, sol.value, sol.method, "numpy" in sys.modules,
+              any("_highspy" in name for name in sys.modules))
     """)
-    src = str(Path(lpbound.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout == "optimal 1 False\n"
+    assert out == "optimal 1 exact False False\n"
+
+
+def test_a_cli_solve_imports_neither_scipy_optimize_nor_scipy_sparse():
+    fixture = Path(lpbound.__file__).parent / "fixtures" / "single_edge.json"
+    out = _fresh_python(f"""
+        import runpy, sys
+        sys.argv = ["fdgtool", "lp", "--solve", {str(fixture)!r}]
+        try:
+            runpy.run_module("fdgtool", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            assert not exit.code, exit.code
+        print(sorted(name for name in ("scipy.optimize", "scipy.sparse",
+                                       "scipy.optimize._highspy._core")
+                     if name in sys.modules))
+    """)
+    assert out.splitlines()[-1] == "['scipy.optimize._highspy._core']"
+
+
+def test_highs_is_found_where_scipy_is_installed():
+    # A scipy whose layout moved HiGHS would otherwise send every solve down
+    # the exact path without a word.  A later import of scipy.optimize reuses
+    # the loaded module, and linprog still runs.
+    out = _fresh_python("""
+        import sys
+        from fdgtool import lpbound
+        core = lpbound._highs()
+        assert core is not None and lpbound._highs() is core
+        assert "scipy.optimize" not in sys.modules
+        from scipy.optimize import linprog
+        from scipy.optimize._highspy import _core
+        assert _core is core
+        print(linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x.tolist())
+    """)
+    assert out == "[2.0]\n"
 
 
 def test_certificate_and_fallback_agree(monkeypatch):
@@ -462,35 +507,50 @@ def test_build_lp_leaves_no_object_per_row_for_the_collector():
 
 
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
-def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode, monkeypatch):
-    import scipy.optimize
-
-    def same(a, b):
-        if a is None or b is None:
-            return a is b
-        if hasattr(a, "tocsr"):
-            return all(same(getattr(a, k), getattr(b, k))
-                       for k in ("shape", "indptr", "indices", "data"))
-        a, b = np.asarray(a), np.asarray(b)
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    calls = []
-
-    def linprog(c, **kwargs):
-        calls.append((c, kwargs))
-        raise ValueError("arguments captured")  # _float_solve then returns None
-
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode):
+    # The model the float solve hands HiGHS is, bit for bit, the one that
+    # scipy's linprog builds from the reference arrays and hands HiGHS.
+    core = lpbound._highs()
     for p in _reference_cases(fixture, mode):
-        calls.clear()
-        assert lpbound._float_solve(p) is None and len(calls) == 1
-        (c, kwargs), (ref_c, ref_kwargs) = calls[0], ref.reference_linprog_inputs(p)
-        assert same(c, ref_c)
-        assert kwargs.keys() == ref_kwargs.keys()
-        for key in ("A_ub", "b_ub", "A_eq", "b_eq"):
-            assert same(kwargs[key], ref_kwargs[key]), key
-        assert kwargs["bounds"] == ref_kwargs["bounds"] == (0, None)
-        assert kwargs["method"] == ref_kwargs["method"] == "highs"
+        lp, _ = ref.reference_highs_model(p)
+        assert ref.highs_lp_bytes(lpbound._highs_lp(p, core)) == ref.highs_lp_bytes(lp)
+
+
+def test_float_solve_sets_the_linprog_options():
+    _, options = ref.reference_highs_model(_fixture_problem("single_edge", "none"))
+    assert lpbound._highs_options(lpbound._highs()) == options
+
+
+def _linprog_weights(name):
+    """Weights 1,1 and 1,0 and 1/3,2/7 over the fixture's sources."""
+    n_sources = len(parse_network(netmodel.fixture_text(name)).sources)
+    for pair in [(1, 1), (1, 0), (Fraction(1, 3), Fraction(2, 7))]:
+        yield Weights.of(dict(zip((1, 2), pair[:n_sources])))
+
+
+def _assert_solved_as_linprog(problem):
+    from scipy.optimize import linprog
+
+    c, kwargs = ref.reference_linprog_inputs(problem)
+    res = linprog(c, **kwargs)
+    x, row_dual, ub_idx, eq_idx = lpbound._float_solve(problem)
+    assert res.success
+    assert np.array(x).tobytes() == res.x.tobytes()
+    marginals = [*res.ineqlin.marginals.tolist(), *res.eqlin.marginals.tolist()]
+    assert np.array(row_dual).tobytes() == np.array(marginals).tobytes()
+    assert (ub_idx, eq_idx) == ([i for i, row in enumerate(problem.rows) if row.sense != "="],
+                                [i for i, row in enumerate(problem.rows) if row.sense == "="])
+
+
+@pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
+def test_float_solve_equals_the_public_linprog(fixture, mode):
+    for weights in _linprog_weights(fixture):
+        _assert_solved_as_linprog(_fixture_problem(fixture, mode, weights))
+
+
+def test_float_solve_equals_the_public_linprog_at_a_tiny_capacity():
+    _assert_solved_as_linprog(build_lp(_first_capacity_set("single_edge", "1/123456789"),
+                                       Weights.of({1: 1})))
 
 
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -519,33 +579,6 @@ def _rows_and_points(draw):
     return problem, point
 
 
-def _same_arrays(a, b):
-    if a is None or b is None:
-        return a is b
-    if hasattr(a, "tocsr"):
-        return all(_same_arrays(getattr(a, k), getattr(b, k))
-                   for k in ("shape", "indptr", "indices", "data"))
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _linprog_arguments(problem):
-    """The (c, keyword arguments) that ``_float_solve`` hands ``linprog``."""
-    import scipy.optimize
-    from unittest import mock
-
-    calls = []
-
-    def linprog(c, **kwargs):
-        calls.append((c, kwargs))
-        raise ValueError("arguments captured")  # _float_solve then returns None
-
-    with mock.patch.object(scipy.optimize, "linprog", linprog):
-        assert lpbound._float_solve(problem) is None
-    (call,) = calls
-    return call
-
-
 @settings(max_examples=300, deadline=None)
 @given(_rows_and_points())
 def test_integer_row_checks_equal_the_fraction_reference(case):
@@ -558,10 +591,9 @@ def test_integer_row_checks_equal_the_fraction_reference(case):
         i for i, row in enumerate(problem.rows)
         if ref._ray_violates(row, ref._eval_row(row.coeffs, point))]
     assert export_lp(problem) == ref.export_lp(problem)
-    (c, kwargs), (ref_c, ref_kwargs) = (_linprog_arguments(problem),
-                                        ref.reference_linprog_inputs(problem))
-    assert _same_arrays(c, ref_c) and kwargs.keys() == ref_kwargs.keys()
-    assert all(_same_arrays(kwargs[k], ref_kwargs[k]) for k in ("A_ub", "b_ub", "A_eq", "b_eq"))
+    lp, _ = ref.reference_highs_model(problem)
+    assert ref.highs_lp_bytes(lpbound._highs_lp(problem, lpbound._highs())) == \
+        ref.highs_lp_bytes(lp)
 
 
 @st.composite
@@ -599,16 +631,13 @@ def test_integer_dual_check_equals_the_fraction_reference(args):
 def test_negative_float_multipliers_never_certify():
     # max h_1 s.t. h_1 <= 2, h_1 >= 0.  The point h_1 = 1 is feasible but not
     # optimal; only a negative multiplier on the >= row would "certify" it.
-    from types import SimpleNamespace
     rows = (Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", Fraction(2)),
             Row("lower", lpbound.CAPACITY, ((1, Fraction(1)),), ">=", Fraction(0)))
     problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
                         objective=((1, Fraction(1)),), rows=rows)
-    res = SimpleNamespace(success=True, x=np.array([1.0]),
-                          ineqlin=SimpleNamespace(marginals=np.array([-0.5, 0.5])))
     assert lpbound._dual_certifies(problem, [0, 1], [], [Fraction(1, 2), Fraction(-1, 2)],
                                    [], Fraction(1))
-    assert lpbound._certified_from_float(problem, (res, [0, 1], [])) is None
+    assert lpbound._certified_from_float(problem, ([1.0], [-0.5, 0.5], [0, 1], [])) is None
 
 
 def test_a_witness_that_rounds_only_at_the_first_limit_certifies():
@@ -617,14 +646,11 @@ def test_a_witness_that_rounds_only_at_the_first_limit_certifies():
     # 1/3, 5/11, 2, 7/1000, 2, 5/11) under -w 2/7,2/7.  It rounds back to
     # 11521/3000 at 10^4; at 10^8 it rounds to a point that is feasible
     # but not optimal, so no dual certifies it.
-    from types import SimpleNamespace
     cap = Fraction(11521, 3000)
     problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
                         objective=((1, Fraction(1)),),
                         rows=(Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", cap),))
-    res = SimpleNamespace(success=True, x=np.array([3.840333333331596]),
-                          ineqlin=SimpleNamespace(marginals=np.array([-1.0])))
-    sol = lpbound._certified_from_float(problem, (res, [0], []))
+    sol = lpbound._certified_from_float(problem, ([3.840333333331596], [-1.0], [0], []))
     assert sol is not None and sol.method == "certificate"
     assert sol.value == cap
 
