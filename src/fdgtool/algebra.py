@@ -398,10 +398,7 @@ def _search_source(blocks, free: list, p: int) -> str:
     ``e{b}`` then holds those after the last row.  Under the spectator
     loops a loop over the rows adds each row's count before the next block
     and ``e{b}`` after the last row; an empty list skips the spectator
-    loops, adding ``e{b}`` once per spectator combination.  The next
-    block's skips on positions bound outside the rows loop sit just above
-    it: ``if not c{i}`` adds every row's counts, the next block's entry
-    counts once per row and ``e{b}``, and continues.  The counters,
+    loops, adding ``e{b}`` once per spectator combination.  The counters,
     the order of the combinations and the first hit stay those of the full
     loops.  Two kinds of block run their loops in full instead: a tail of
     one loop with one entry, which is already one root table read, and a
@@ -501,7 +498,6 @@ def _search_source(blocks, free: list, p: int) -> str:
             emit(f"if {value} != {target}: {fail}")
 
     parts.append([["def search():", "    nodes = evals = 0"], 1, 0, []])
-    hoisted = set()  # the block's skips emitted above the previous block's rows loop
     for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
         if b:
             nodes_in += 1  # the previous block's passing combination
@@ -510,10 +506,9 @@ def _search_source(blocks, free: list, p: int) -> str:
         if evals_in:
             emit(f"evals += {evals_in}")
         nonzero = _nonzero_factors(*entries[0]) if entries else set()
-        for i in sorted(nonzero - hoisted):
+        for i in sorted(nonzero):
             if i < lo:  # bound by an enclosing loop of an earlier block
                 emit(f"if not c{i}: continue")
-        hoisted = set()
         coefficients = []  # per entry: {monomial in the block: local or literal}
         for terms, _ in entries:
             split = {}
@@ -553,19 +548,6 @@ def _search_source(blocks, free: list, p: int) -> str:
         fail = "continue" if level else leave("None")
         emit(f"if not t{b}: evals += e{b} * {p ** len(spectators)}; {fail}")
         bind(spectators, [])
-        if b + 1 < len(blocks) and blocks[b + 1][2]:
-            # The next block's skips on positions bound outside the rows
-            # loop, taken once for all rows with the counts of each.
-            next_lo, _, next_entries, next_nodes, next_evals = blocks[b + 1]
-            hoisted = {i for i in _nonzero_factors(*next_entries[0]) if i < next_lo}
-            hoisted -= set(tail)
-            if hoisted:
-                skip = " or ".join(f"not c{i}" for i in sorted(hoisted))
-                rows_evals = f"sum([r[-1] for r in t{b}]) + e{b}"
-                if next_evals:
-                    rows_evals += f" + len(t{b}) * {next_evals}"
-                emit(f"if {skip}: nodes += len(t{b}) * {next_nodes + 1}; "
-                     f"evals += {rows_evals}; continue")
         loop(", ".join(row + ["e"]), f"t{b}")
         emit("evals += e")
         # After the rows loop: the evaluations that follow the last row.

@@ -476,30 +476,54 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         working.update((i, triple(i)) for i in violated)
 
 
-def _highs():
-    """scipy's bundled HiGHS extension module, or None without it.
+class _HighsApi(NamedTuple):
+    """What the float solve uses of scipy's HiGHS extension module."""
+
+    module: object  # the module itself
+    solver: type  # ``_Highs``
+    model: type  # ``HighsLp``
+    colwise: object  # ``MatrixFormat.kColwise``
+    inf: float  # ``kHighsInf``
+    optimal: object  # ``HighsModelStatus.kOptimal``
+    options: object  # a ``HighsOptions`` set to ``_highs_options``
+
+
+def _highs() -> _HighsApi | None:
+    """scipy's bundled HiGHS extension, or None without it.
 
     The module is loaded from its file, so neither ``scipy.optimize`` nor
     ``scipy.sparse`` is imported, and registered under its own name, so a
     later ``import scipy.optimize`` reuses it.  scipy is found through the
     import system: whatever hides scipy from an import hides HiGHS too.
+    Every name the float solve reads is looked up here, so a scipy whose
+    module lacks one takes the exact path as a missing scipy does.
     """
-    core = sys.modules.get(_HIGHS_MODULE)
-    if core is not None:
-        return core
     try:
-        spec = importlib.util.find_spec("scipy")
-        for base in (spec and spec.submodule_search_locations) or ():
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                path = os.path.join(base, "optimize", "_highspy", "_core" + suffix)
-                if os.path.isfile(path):
-                    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
-                    core = importlib.util.module_from_spec(spec)
-                    spec.loader.exec_module(core)
-                    sys.modules[_HIGHS_MODULE] = core
-                    return core
-    except (ImportError, OSError):
-        pass
+        core = sys.modules.get(_HIGHS_MODULE) or _load_highs()
+        if core is None:
+            return None
+        options = core.HighsOptions()
+        for name, value in _highs_options(core).items():
+            setattr(options, name, value)
+        return _HighsApi(core, core._Highs, core.HighsLp, core.MatrixFormat.kColwise,
+                      core.kHighsInf, core.HighsModelStatus.kOptimal, options)
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _load_highs():
+    """Load ``optimize/_highspy/_core`` from scipy's directory, or None
+    where there is no such file."""
+    spec = importlib.util.find_spec("scipy")
+    for base in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+                core = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(core)
+                sys.modules[_HIGHS_MODULE] = core
+                return core
     return None
 
 
@@ -511,30 +535,25 @@ def _highs_options(core) -> dict:
             "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}
 
 
-def _highs_row_order(problem: LpProblem) -> tuple[list[int], list[int]]:
-    """Problem row indices of the inequality rows and of the equality rows,
-    in the order ``linprog`` stacks them: inequalities first."""
-    senses = problem.rows.senses
-    return ([i for i, sense in enumerate(senses) if sense != "="],
-            [i for i, sense in enumerate(senses) if sense == "="])
-
-
-def _highs_lp(problem: LpProblem, core):
+def _highs_lp(problem: LpProblem, highs: _HighsApi):
     """The column-wise ``HighsLp`` that ``linprog(method="highs")`` builds
-    for the problem.
+    for the problem, with the problem row indices of its rows:
+    (lp, ub_idx, eq_idx).
 
-    The objective is negated to a minimum.  The rows come in
-    ``_highs_row_order`` with '>=' rows negated to '<='; each column lists its
+    The objective is negated to a minimum.  The rows come in ``linprog``'s
+    order, the inequality rows (``ub_idx``) then the equality rows
+    (``eq_idx``), with '>=' rows negated to '<='; each column lists its
     entries in ascending row order, as a CSC matrix does.  Each number
     enters as an int division (a row's integer over its scale), which is
     exactly ``float`` of it; a number too large for a float raises
     ``OverflowError``.
     """
-    rows, n, inf = problem.rows, problem.dimension, core.kHighsInf
+    rows, n, inf = problem.rows, problem.dimension, highs.inf
     cost = [0.0] * n
     for mask, w in problem.objective:
         cost[mask - 1] = -(w.numerator / w.denominator)
-    ub_idx, eq_idx = _highs_row_order(problem)
+    ub_idx = [i for i, sense in enumerate(rows.senses) if sense != "="]
+    eq_idx = [i for i, sense in enumerate(rows.senses) if sense == "="]
     lower, upper = [], []
     entries = [[] for _ in range(n)]  # per column: row position, value, ...
     for at, i in enumerate(chain(ub_idx, eq_idx)):
@@ -545,10 +564,10 @@ def _highs_lp(problem: LpProblem, core):
         upper.append(b)
         for mask, c in zip(masks, coeffs):
             entries[mask - 1] += (at, -(c / scale) if flip else c / scale)
-    lp = core.HighsLp()
+    lp = highs.model()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs.colwise
     lp.col_cost_ = cost
     lp.col_lower_ = [0.0] * n
     lp.col_upper_ = [inf] * n
@@ -557,38 +576,36 @@ def _highs_lp(problem: LpProblem, core):
     lp.a_matrix_.start_ = [0, *accumulate(len(column) // 2 for column in entries)]
     lp.a_matrix_.index_ = [at for column in entries for at in column[::2]]
     lp.a_matrix_.value_ = [value for column in entries for value in column[1::2]]
-    return lp
+    return lp, ub_idx, eq_idx
 
 
 def _float_solve(problem: LpProblem):
     """Floating-point solve of the full problem (HiGHS), or None.
 
     Returns (x, row_dual, ub_idx, eq_idx): the column values and the row
-    duals as lists, and the problem row indices of HiGHS's rows, in
-    ``_highs_row_order``.  HiGHS gets the model and the options that scipy's
-    ``linprog(method="highs")`` gives it, so these are the bits of that
-    call's ``x`` and of its inequality then equality marginals.  None when
-    scipy is missing, a number does not fit a float or HiGHS reports no
+    duals as lists, and the problem row indices of HiGHS's rows, as
+    ``_highs_lp`` orders them.  HiGHS gets the model and the options that
+    scipy's ``linprog(method="highs")`` gives it, so these are the bits of
+    that call's ``x`` and of its inequality then equality marginals.  None
+    when scipy is missing, a number does not fit a float or HiGHS reports no
     optimum: this solve only suggests a certificate, and the exact path
     answers without it.
     """
-    core = _highs()
-    if core is None:
+    highs = _highs()
+    if highs is None:
         return None
     try:
-        lp = _highs_lp(problem, core)
+        lp, ub_idx, eq_idx = _highs_lp(problem, highs)
     except OverflowError:
         return None
-    highs, options = core._Highs(), core.HighsOptions()
-    for name, value in _highs_options(core).items():
-        setattr(options, name, value)
-    highs.passOptions(options)
-    highs.passModel(lp)
-    highs.run()
-    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+    solver = highs.solver()
+    solver.passOptions(highs.options)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.optimal:
         return None
-    solution = highs.getSolution()
-    return (list(solution.col_value), list(solution.row_dual), *_highs_row_order(problem))
+    solution = solver.getSolution()
+    return list(solution.col_value), list(solution.row_dual), ub_idx, eq_idx
 
 
 def _round_vector(values, limit: int) -> list:

@@ -231,15 +231,32 @@ def test_highs_is_found_where_scipy_is_installed():
     out = _fresh_python("""
         import sys
         from fdgtool import lpbound
-        core = lpbound._highs()
-        assert core is not None and lpbound._highs() is core
+        highs = lpbound._highs()
+        assert highs is not None and lpbound._highs().module is highs.module
         assert "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
         from scipy.optimize._highspy import _core
-        assert _core is core
+        assert _core is highs.module
         print(linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x.tolist())
     """)
     assert out == "[2.0]\n"
+
+
+@pytest.mark.parametrize("missing", ["_Highs", "HighsLp", "HighsOptions", "MatrixFormat",
+                                     "kHighsInf", "HighsModelStatus", "HighsDebugLevel",
+                                     "simplex_constants"])
+def test_a_highs_module_without_a_name_the_solve_reads_takes_the_exact_path(
+        missing, monkeypatch):
+    # A scipy release whose module lacks one of these names is treated as
+    # one without HiGHS, not left to fail inside the solve.
+    core = lpbound._highs().module
+    stub = type(sys)(lpbound._HIGHS_MODULE)
+    stub.__dict__.update((name, getattr(core, name)) for name in dir(core)
+                         if name != missing)
+    monkeypatch.setitem(sys.modules, lpbound._HIGHS_MODULE, stub)
+    assert lpbound._highs() is None
+    sol = lp_solve(build_lp(build_fdg(load_fixture("single_edge")), Weights.of({1: 1})))
+    assert (sol.status, sol.value, sol.method) == ("optimal", 1, "exact")
 
 
 def test_certificate_and_fallback_agree(monkeypatch):
@@ -510,15 +527,19 @@ def test_build_lp_leaves_no_object_per_row_for_the_collector():
 def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode):
     # The model the float solve hands HiGHS is, bit for bit, the one that
     # scipy's linprog builds from the reference arrays and hands HiGHS.
-    core = lpbound._highs()
+    # (The name is older than the direct HiGHS call: the check is of the
+    # model handed to HiGHS, not of linprog's arguments.)
+    highs = lpbound._highs()
     for p in _reference_cases(fixture, mode):
         lp, _ = ref.reference_highs_model(p)
-        assert ref.highs_lp_bytes(lpbound._highs_lp(p, core)) == ref.highs_lp_bytes(lp)
+        assert ref.highs_lp_bytes(lpbound._highs_lp(p, highs)[0]) == ref.highs_lp_bytes(lp)
 
 
 def test_float_solve_sets_the_linprog_options():
     _, options = ref.reference_highs_model(_fixture_problem("single_edge", "none"))
-    assert lpbound._highs_options(lpbound._highs()) == options
+    highs = lpbound._highs()
+    assert lpbound._highs_options(highs.module) == options
+    assert {name: getattr(highs.options, name) for name in options} == options
 
 
 def _linprog_weights(name):
@@ -592,7 +613,7 @@ def test_integer_row_checks_equal_the_fraction_reference(case):
         if ref._ray_violates(row, ref._eval_row(row.coeffs, point))]
     assert export_lp(problem) == ref.export_lp(problem)
     lp, _ = ref.reference_highs_model(problem)
-    assert ref.highs_lp_bytes(lpbound._highs_lp(problem, lpbound._highs())) == \
+    assert ref.highs_lp_bytes(lpbound._highs_lp(problem, lpbound._highs())[0]) == \
         ref.highs_lp_bytes(lp)
 
 

@@ -600,40 +600,6 @@ def test_search_tabulates_within_the_nesting_limit(case, k, tabulated, monkeypat
     assert (f"t{k + 1} = []" in source) == tabulated
 
 
-@pytest.mark.parametrize("demand", [
-    ((1, 2), (1, 2)),  # the hit at x0 = 1
-    ((1, 2), (1, 0)),  # x0*x3 = 1 forces x0 + x3 to 2 or 1: exhausted
-])
-def test_search_skips_a_zero_spectator_above_the_rows_loop(demand, monkeypatch):
-    # The second block's first entry x0*x3 = 1 fails wherever x0 = 0, and x0
-    # is the first block's spectator: that skip is taken once, above the loop
-    # over the first table's rows, with every row's counts.
-    M, _, p, order, pinned = TWO_TABLES
-    lines = [line.strip() for line in compiled_source(
-        monkeypatch, M, demand, p, order=order, pinned=pinned).splitlines()]
-    skip = ("if not c0: nodes += len(t1) * 4; "
-            "evals += sum([r[-1] for r in t1]) + e1 + len(t1) * 9; continue")
-    assert lines.index(skip) == lines.index("for c1, e in t1:") - 1
-    assert "if not c0: continue" not in lines
-    assert_same_search(solvability_search(M, demand, p, order=order, pinned=pinned),
-                       reference_search(M, demand, p, order=order, pinned=pinned))
-
-
-def test_search_keeps_a_skip_on_a_table_column_in_the_rows_loop(monkeypatch):
-    # x0 | x1 x2, then x3 | x4: the second block's x2*x4 = 1 fails where
-    # x2 = 0, and x2 is a column of the first table, so that skip stays in
-    # the loop over its rows.  The table's last row leaves c2 = 0 behind.
-    M, demand, p = [(x(1) + x(2),), (x(2) * x(4),)], ((2,), (1,)), 3
-    order = ("x0", "x1", "x2", "x3", "x4")
-    lines = [line.strip() for line in compiled_source(
-        monkeypatch, M, demand, p, order=order).splitlines()]
-    rows = lines.index("for c1, c2, e in t1:")
-    assert lines.index("if not c2: continue") > rows
-    assert not any(line.startswith("if not c2:") for line in lines[:rows])
-    assert_same_search(solvability_search(M, demand, p, order=order),
-                       reference_search(M, demand, p, order=order))
-
-
 def test_search_compiles_an_entry_with_thousands_of_terms():
     # x13 * (1 + x0) ... (1 + x12): 8192 terms that share x13 and read only
     # positions of earlier blocks, after one forced entry per x0..x12.
