@@ -479,7 +479,6 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
 class _HighsApi(NamedTuple):
     """What the float solve uses of scipy's HiGHS extension module."""
 
-    module: object  # the module itself
     solver: type  # ``_Highs``
     model: type  # ``HighsLp``
     colwise: object  # ``MatrixFormat.kColwise``
@@ -505,8 +504,8 @@ def _highs() -> _HighsApi | None:
         options = core.HighsOptions()
         for name, value in _highs_options(core).items():
             setattr(options, name, value)
-        return _HighsApi(core, core._Highs, core.HighsLp, core.MatrixFormat.kColwise,
-                      core.kHighsInf, core.HighsModelStatus.kOptimal, options)
+        return _HighsApi(core._Highs, core.HighsLp, core.MatrixFormat.kColwise,
+                         core.kHighsInf, core.HighsModelStatus.kOptimal, options)
     except (ImportError, OSError, AttributeError):
         return None
 

@@ -231,12 +231,13 @@ def test_highs_is_found_where_scipy_is_installed():
     out = _fresh_python("""
         import sys
         from fdgtool import lpbound
-        highs = lpbound._highs()
-        assert highs is not None and lpbound._highs().module is highs.module
+        assert lpbound._highs() is not None
+        core = sys.modules[lpbound._HIGHS_MODULE]
+        assert lpbound._highs() is not None and sys.modules[lpbound._HIGHS_MODULE] is core
         assert "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
         from scipy.optimize._highspy import _core
-        assert _core is highs.module
+        assert _core is core
         print(linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x.tolist())
     """)
     assert out == "[2.0]\n"
@@ -249,7 +250,8 @@ def test_a_highs_module_without_a_name_the_solve_reads_takes_the_exact_path(
         missing, monkeypatch):
     # A scipy release whose module lacks one of these names is treated as
     # one without HiGHS, not left to fail inside the solve.
-    core = lpbound._highs().module
+    assert lpbound._highs() is not None
+    core = sys.modules[lpbound._HIGHS_MODULE]
     stub = type(sys)(lpbound._HIGHS_MODULE)
     stub.__dict__.update((name, getattr(core, name)) for name in dir(core)
                          if name != missing)
@@ -527,8 +529,6 @@ def test_build_lp_leaves_no_object_per_row_for_the_collector():
 def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode):
     # The model the float solve hands HiGHS is, bit for bit, the one that
     # scipy's linprog builds from the reference arrays and hands HiGHS.
-    # (The name is older than the direct HiGHS call: the check is of the
-    # model handed to HiGHS, not of linprog's arguments.)
     highs = lpbound._highs()
     for p in _reference_cases(fixture, mode):
         lp, _ = ref.reference_highs_model(p)
@@ -538,7 +538,7 @@ def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode):
 def test_float_solve_sets_the_linprog_options():
     _, options = ref.reference_highs_model(_fixture_problem("single_edge", "none"))
     highs = lpbound._highs()
-    assert lpbound._highs_options(highs.module) == options
+    assert lpbound._highs_options(sys.modules[lpbound._HIGHS_MODULE]) == options
     assert {name: getattr(highs.options, name) for name in options} == options
 
 
