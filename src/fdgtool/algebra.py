@@ -212,20 +212,16 @@ def build_transfer_system(fdg: Fdg) -> TransferSystem:
     sources = fdg.source_vars()
     evars = fdg.edge_vars()
     epos = {v: k for k, v in enumerate(evars)}
-
-    slots = []
-    for s in sources:
-        for sink in sorted(fdg.demand_origin.get(s, ())):
-            slots.append((sink, s.index))
-    slots.sort()
+    slots = sorted((sink, s.index) for s in sources for sink in fdg.demand_origin.get(s, ()))
 
     zero = Poly.zero()
     names = []
 
+    # A source's children come in ascending position, which is evars order.
     A = [[zero] * len(evars) for _ in sources]
     for si, s in enumerate(sources):
-        for v in evars:
-            if s in fdg.up(v):
+        for v in fdg.down(s):
+            if isinstance(v, EdgeVar):
                 name = ind_source(s.index, v.edge_id)
                 names.append(name)
                 A[si][epos[v]] = Poly.var(name)
@@ -239,9 +235,9 @@ def build_transfer_system(fdg: Fdg) -> TransferSystem:
                 F[epos[p]][epos[v]] = Poly.var(name)
 
     B = [[zero] * len(slots) for _ in evars]
+    by_index = {s.index: s for s in sources}
     for t, (sink, index) in enumerate(slots):
-        svar = next(s for s in sources if s.index == index)
-        for p in fdg.up(svar):
+        for p in fdg.up(by_index[index]):
             if isinstance(p, EdgeVar):
                 name = ind_decode(p.edge_id, sink, index)
                 names.append(name)

@@ -193,15 +193,32 @@ class Fdg:
 
     @classmethod
     def from_json(cls, text: str) -> "Fdg":
-        doc = json.loads(text)
+        """The graph that ``to_json`` wrote as ``text``.  Malformed JSON, a
+        document of another shape, a bad name or capacity and a graph that
+        ``Fdg`` refuses all raise ValueError."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed JSON: nested too deeply") from None
+        if not isinstance(doc, dict):
+            raise ValueError("a dependence graph document is a JSON object")
         caps = doc.get("capacities", {})
+        maps = doc.get("parents"), doc.get("demand_origin", {})
+        if not (_is_str_list(doc.get("vars")) and isinstance(caps, dict)
+                and all(isinstance(c, str) for c in caps.values())
+                and all(isinstance(m, dict) and all(map(_is_str_list, m.values())) for m in maps)):
+            raise ValueError("a dependence graph document has vars, a list of names; parents "
+                             "and demand_origin, objects of name lists; and capacities, an "
+                             "object of strings")
 
         def mk(name):
             if name.startswith("Y"):
                 return SourceVar(int(name[1:]))
-            if name.startswith("U:"):
-                return EdgeVar(name[2:], fraction_from_text(caps[name]))
-            raise ValueError(f"bad variable name {name!r}")
+            if not name.startswith("U:"):
+                raise ValueError(f"bad variable name {name!r}")
+            if name not in caps:
+                raise ValueError(f"edge variable {name} has no capacity")
+            return EdgeVar(name[2:], fraction_from_text(caps[name]))
 
         vars_ = [mk(n) for n in doc["vars"]]
         parents = {mk(n): tuple(mk(p) for p in ps) for n, ps in doc["parents"].items()}

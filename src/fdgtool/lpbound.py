@@ -14,7 +14,9 @@ over the frozen variable order.  The constraint families are tagged:
 * ``CAPACITY``: the entropy on an edge never exceeds its capacity.
 
 The objective maximizes the weighted sum of single-source entropies, whose
-optimum upper-bounds the corresponding weighted rate sum.
+optimum upper-bounds the corresponding weighted rate sum.  Every row but a
+CAPACITY row has right-hand side 0, and ``build_lp`` refuses a negative
+capacity, so every LP it makes holds at h = 0, the zero-rate point.
 
 ``lp_stats`` counts the rows a problem holds; ``graph_lp_stats`` gives the
 same counts from the graph alone, in closed form, so ``lp --stats`` never
@@ -23,7 +25,8 @@ The tests hold the two equal.  The solver is exact: a float solve by the
 HiGHS extension that scipy bundles, when scipy is installed, suggests a
 witness and a dual that are rounded and checked in rationals; failing that,
 a dense rational simplex is driven through lazy row generation (the full
-elemental family is enormous, but optima are supported on few of them).
+elemental family is enormous, but optima are supported on few of them); it
+starts from h = 0, so ``lp_solve`` refuses a problem that h = 0 violates.
 Every returned witness is re-checked against every row of the full problem
 afterwards.  The HiGHS module is loaded from its file, so a solve imports
 neither ``scipy.optimize`` nor ``scipy.sparse``: it hands HiGHS the model
@@ -35,7 +38,8 @@ row times its scale, the lcm of its own denominators, flat as in a CSR
 matrix.  ``build_lp`` writes the elemental rows straight into the table's
 lists and adds the other rows one by one; ``problem.rows`` reads it as a
 sequence of ``Row``s of ``Fraction``s, each built when asked for, and
-every stage of the solve and the export reads the integers directly.  The
+every stage of the solve and the export reads the integers directly, the
+exact simplex too: it takes ``integer_row``'s tuples as they are.  The
 exact checks scale a point (witness or ray) once to the common denominator
 of its values and compare it with those rows in integers.  The elemental
 rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
@@ -56,7 +60,7 @@ from typing import NamedTuple
 
 from . import simplex
 from .fdg import Fdg
-from .netmodel import Weights, fraction_text
+from .netmodel import Weights, _cap_text, fraction_text
 
 ELEMENTAL1 = "ELEMENTAL1"
 ELEMENTAL2 = "ELEMENTAL2"
@@ -168,7 +172,7 @@ class LpStats:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str                # 'optimal' | 'unbounded' | 'infeasible'
+    status: str                # 'optimal' | 'unbounded'; lp_solve refuses the rest
     value: Fraction | None
     witness: dict | None       # sparse: column mask -> Fraction, zeros omitted
     source_masks: tuple = ()
@@ -215,6 +219,8 @@ def _check_buildable(fdg: Fdg, cap: int) -> None:
             raise ValueError(
                 f"edge variable {v.name} has no parents; the underlying edge "
                 f"leaves a node with no inputs")
+        if v.cap < 0:  # worded as ``validate`` words it
+            raise ValueError(f"edge {v.edge_id!r}: negative capacity {_cap_text(v.cap)}")
 
 
 def elemental_inequalities(n: int, cap: int = DEFAULT_GENERATION_CAP) -> list[Row]:
@@ -297,10 +303,7 @@ def build_lp(fdg: Fdg, weights: Weights, cap: int = DEFAULT_GENERATION_CAP) -> L
         if not parents:
             continue
         p = mask_of(parents)
-        me = mask_of([s])
-        if me & p:
-            continue
-        rows.add(f"dec_{s.index}", DECODE, ((p, -1), (p | me, 1)), "=")
+        rows.add(f"dec_{s.index}", DECODE, ((p, -1), (p | mask_of([s]), 1)), "=")
 
     for v in fdg.edge_vars():
         rows.add(f"cap_{v.edge_id}", CAPACITY, ((mask_of([v]), 1),), "<=", v.cap)
@@ -417,27 +420,32 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
        its simplex solves and their pivots.
 
     Either way the returned witness is re-verified against every row of the
-    full problem.
+    full problem.  Before either path runs, a problem with a row that h = 0
+    violates is refused with one ValueError that names at most five such
+    rows: no LP that ``build_lp`` makes has one, the exact simplex starts
+    from h = 0, and so the answer never depends on whether scipy is there.
+    An LP that holds at h = 0 is never infeasible.
     """
     check_solve_cap(problem.n_vars, solve_cap() if max_n is None else max_n)
+    rows = problem.rows
+    refused = [name for name, sense, rhs in zip(rows.names, rows.senses, rows.rhs)
+               if (rhs < 0 and sense != ">=") or (rhs > 0 and sense != "<=")]
+    if refused:
+        raise ValueError(f"h = 0 violates {len(refused)} row(s), {', '.join(refused[:5])}: "
+                         f"an entropy LP holds at the zero-rate point")
 
     certified = _certified_from_float(problem, _float_solve(problem))
     if certified is not None:
         return certified
 
-    n_cols = problem.dimension
-    rows = problem.rows
+    # Column j is h of the subset with bitmask j, so column 0 is h(empty),
+    # which no row touches: its reduced cost stays 0 and it never enters.
+    n_cols = problem.dimension + 1
     seed = [i for i, (tag, a, b) in enumerate(zip(rows.tags, rows.starts, rows.starts[1:]))
             if tag != ELEMENTAL2 or b - a == 3]
-    objective = {mask - 1: c for mask, c in problem.objective}
+    objective = dict(problem.objective)
     aux = _bounding_helpers(problem)
-
-    def triple(i):
-        masks, coeffs, rhs, scale, sense = rows.integer_row(i)
-        return ({m - 1: Fraction(c, scale) for m, c in zip(masks, coeffs)},
-                sense, Fraction(rhs, scale))
-
-    working = {i: triple(i) for i in seed}  # row index -> simplex row, in order
+    working = {i: rows.integer_row(i) for i in seed}  # row index -> simplex row, in order
     rounds = pivots = 0
     while True:
         # The full elemental family implies h(A) >= 0 for every subset, so
@@ -450,7 +458,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
                 "rounds": rounds, "pivots": pivots}
 
         if res.status == simplex.OPTIMAL:
-            witness = {j + 1: x for j, x in enumerate(res.x) if x}
+            witness = {j: x for j, x in enumerate(res.x) if x}
             # One scan of every row: it finds the rows to add and, once none
             # is left outside the working set, re-verifies the witness.
             bad = _violated_rows(problem, witness)
@@ -464,16 +472,14 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
                     raise RuntimeError("internal error: objective mismatch")
                 return LpSolution(status="optimal", value=res.value, witness=witness,
                                   **cost)
-        elif res.status == simplex.UNBOUNDED:
-            ray = {j + 1: x for j, x in enumerate(res.ray) if x}
+        else:
+            ray = {j: x for j, x in enumerate(res.ray) if x}
             violated = [i for i in _violated_rows(problem, ray, ray=True)
                         if i not in working]
             if not violated:
                 return LpSolution(status="unbounded", value=None, witness=None, **cost)
-        else:
-            return LpSolution(status="infeasible", value=None, witness=None, **cost)
 
-        working.update((i, triple(i)) for i in violated)
+        working.update((i, rows.integer_row(i)) for i in violated)
 
 
 class _HighsApi(NamedTuple):
@@ -696,7 +702,8 @@ def _bounding_helpers(problem: LpProblem) -> list:
     the capacity rows.  Monotonicity and subadditivity are consequences of
     the full elemental family, so adding them to a relaxation never cuts a
     feasible point of the complete problem; they are working-set helpers
-    only and never appear in the problem's rows or statistics.
+    only and never appear in the problem's rows or statistics.  Each is a
+    row as ``RowTable.integer_row`` returns it, over denominator 1.
     """
     rows, decode = problem.rows, {}
     for i in (i for i, tag in enumerate(rows.tags) if tag == DECODE):
@@ -710,15 +717,10 @@ def _bounding_helpers(problem: LpProblem) -> list:
         if ms not in decode:
             continue
         joint, parents = decode[ms]
-        helpers.append(({ms - 1: Fraction(1), joint - 1: Fraction(-1)}, "<=", Fraction(0)))
-        terms = {parents - 1: Fraction(1)}
-        rest = parents
-        while rest:
-            low = rest & -rest
-            terms[low - 1] = terms.get(low - 1, Fraction(0)) - 1
-            rest &= rest - 1
-        if len(terms) > 1:
-            helpers.append((terms, "<=", Fraction(0)))
+        helpers.append(([ms, joint], [1, -1], 0, 1, "<="))
+        bits = [1 << k for k in range(parents.bit_length()) if parents >> k & 1]
+        if len(bits) > 1:
+            helpers.append(([parents, *bits], [1] + [-1] * len(bits), 0, 1, "<="))
     return helpers
 
 

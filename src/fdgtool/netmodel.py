@@ -88,15 +88,21 @@ class Network:
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing first a decimal exponent larger than the
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal exponent at the end of ``text`` larger than the
     digit limit Python puts on integer strings: ``Fraction`` would build
-    that power of ten, and ``1e10000000`` alone takes about 12 s.  A zero
-    denominator raises ValueError, as every other malformed text does."""
+    that power of ten, and ``1e10000000`` alone takes about 12 s."""
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent and limit and abs(int(exponent.group(1))) > limit:
         raise ValueError(f"exponent {exponent.group(1)} gives more than {limit} digits")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first an exponent past the digit limit
+    (``_check_exponent``).  A zero denominator raises ValueError, as every
+    other malformed text does."""
+    _check_exponent(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -115,12 +121,15 @@ def fraction_text(q) -> str:
 def fraction_from_text(text: str) -> Fraction:
     """The number ``fraction_text`` printed as ``text``, also past the digit
     limit: each side of ``p/q`` is read through ``Decimal``, which converts
-    to an int without that limit.  Malformed text raises ValueError, as
-    ``Fraction(text)`` does."""
+    to an int without that limit.  Each side's exponent is checked as
+    ``parse_fraction`` checks it (``fraction_text`` writes none).  Malformed
+    text, an infinity and a zero denominator raise ValueError."""
     num, _, den = text.partition("/")
+    _check_exponent(num)
+    _check_exponent(den)
     try:
         return Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
-    except InvalidOperation:
+    except (InvalidOperation, OverflowError, ZeroDivisionError):
         raise ValueError(f"invalid fraction {text!r}") from None
 
 

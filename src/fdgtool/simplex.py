@@ -1,28 +1,35 @@
-"""Exact rational simplex on a dense tableau of integer rows.
+"""Exact rational simplex for entropy LPs, on a dense tableau of integer rows.
 
-Solves  max c.x  subject to x >= 0 and rows of the form  a.x (<=|>=|=) b.
-Equalities become inequality pairs, and infeasible starts go through a
-standard phase-1 with artificial variables.  All arithmetic is exact and
-fraction-free, as in exact vertex-enumeration codes (Edmonds 1967; Avis's
-lrs): each tableau row, and the objective row, is a list of Python ints
-over one positive denominator, kept in lowest terms.  A pivot on an entry
-of 1, the common case on entropy LPs, updates a row in place over the
-pivot row's nonzeros; a larger pivot entry scales the row by it first.  The
-gcd of a changed row's entries and denominator is divided out only when
-that denominator is above 1, since otherwise it is 1.  Input rows of ints
-or Fractions are read straight into integer rows; ``Fraction`` appears only
-where the objective is read and where the answer is built.
+Solves  max c.x  subject to x >= 0 and rows of the form  a.x (<=|>=|=) b
+that all hold at x = 0.  Every LP that ``lpbound.build_lp`` makes is of
+that kind: the elemental, INDEP, ENCODE and DECODE rows are homogeneous and
+the CAPACITY rows bound an entropy by a capacity >= 0.  So the slack basis
+is feasible, and the solve starts from it: there is no phase 1.  A row
+arrives as ``RowTable.integer_row`` gives it, ``(cols, coeffs, rhs, den,
+sense)`` in integers with ``den > 0``: the row
+sum(coeffs[k] / den * x[cols[k]]) (sense) rhs / den.  A row that x = 0
+violates raises ValueError.
+
+All arithmetic is exact and fraction-free, as in exact vertex-enumeration
+codes (Edmonds 1967; Avis's lrs): each tableau row, and the objective row,
+is a list of Python ints over one positive denominator, kept in lowest
+terms.  A pivot on an entry of 1, the common case on entropy LPs, updates a
+row in place over the pivot row's nonzeros; a larger pivot entry scales the
+row by it first.  The gcd of a changed row's entries and denominator is
+divided out only when that denominator is above 1, since otherwise it is 1.
+``Fraction`` appears only where the objective is read and where the answer
+is built.
 
 Entering columns follow Dantzig's rule; leaving rows break ratio ties with
-the lexicographic rule over the initial identity block, which is equivalent
-to an infinitesimal perturbation of the right-hand side.  That combination
-cannot cycle and, unlike Bland's rule, does not crawl on the heavily
-degenerate cones this package produces.  Each decision compares the same
-rationals a tableau of fractions would hold, by cross-multiplying integers,
-so the pivot path does not depend on how the rows are stored.  Everything
-is deterministic: identical input always takes the identical pivot path.
+the lexicographic rule over the slack block, which is equivalent to an
+infinitesimal perturbation of the right-hand side.  That combination cannot
+cycle and, unlike Bland's rule, does not crawl on the heavily degenerate
+cones this package produces.  Each decision compares the same rationals a
+tableau of fractions would hold, by cross-multiplying integers, so the
+pivot path does not depend on how the rows are stored.  Everything is
+deterministic: identical input always takes the identical pivot path.
 
-The entry point reports one of three statuses.  For "optimal" the exact
+The entry point reports one of two statuses.  For "optimal" the exact
 objective value and a primal witness are returned; for "unbounded" a
 feasible improving ray is returned so callers can reason about which missing
 constraints would cut it off.
@@ -39,7 +46,6 @@ _MAX_PIVOTS = 2_000_000
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -48,7 +54,7 @@ class SimplexResult:
     value: Fraction | None
     x: list | None
     ray: list | None
-    pivots: int        # phase 1 and phase 2 together
+    pivots: int
 
 
 def _normalised(row, den):
@@ -81,68 +87,52 @@ class _Tableau:
     denominator is positive.  Rows 0..m-1 are the constraints; the last
     row, ``rows[m]``, is the objective in reduced-cost form (entry < 0 means
     the column improves the objective).  Columns are laid out as
-    [structural | slack | artificial | rhs].
+    [structural | slack | rhs].
     """
 
     def __init__(self, n_struct, rows_le):
-        """rows_le holds (coeffs, rhs, den) for the row coeffs.x <= rhs with
-        every number over den > 0: coeffs maps columns to integer numerators."""
+        """rows_le holds (cols, coeffs, rhs, den) for the row coeffs.x <= rhs
+        with every number over den > 0 and rhs >= 0: coeffs[k] is the integer
+        numerator of column cols[k]."""
         self.n_struct = n_struct
         self.m = len(rows_le)
-        art_rows = [i for i, (_, b, _) in enumerate(rows_le) if b < 0]
-        first_art = n_struct + self.m
-        self.art_cols = range(first_art, first_art + len(art_rows))
-        self.width = self.art_cols.stop
+        self.width = n_struct + self.m
         self.rows = []
         self.dens = []
-        self.basis = []
-        for i, (coeffs, b, den) in enumerate(rows_le):
+        for i, (cols, coeffs, b, den) in enumerate(rows_le):
             # The row's scale stays its denominator.  Multiplying it into the
             # row instead would divide slack i's reduced cost by it and change
             # Dantzig's choice between slack and structural columns.
             row = [0] * (self.width + 1)
-            for j, val in coeffs.items():
+            for j, val in zip(cols, coeffs):
                 row[j] = val
             row[n_struct + i] = den
             row[-1] = b
-            if b < 0:
-                row = [-e for e in row]
             self.rows.append(row)
             self.dens.append(den)
-            self.basis.append(n_struct + i)
-        for col, i in zip(self.art_cols, art_rows):
-            self.rows[i][col] = self.dens[i]
-            self.basis[i] = col
+        self.basis = list(range(n_struct, self.width))
         self.rows.append([0] * (self.width + 1))
         self.dens.append(1)
         self.pivots = 0
 
     def set_objective_max(self, coeffs) -> None:
-        """Load reduced costs for maximizing coeffs.x given the current basis."""
+        """Load reduced costs for maximizing coeffs.x on the slack basis,
+        where they are -c."""
         coeffs = {j: Fraction(val) for j, val in coeffs.items() if val}
         c_den = lcm(*(v.denominator for v in coeffs.values()))
-        c = [0] * self.width
+        obj = [0] * (self.width + 1)
         for j, val in coeffs.items():
-            c[j] = val.numerator * (c_den // val.denominator)
-        basic = [(c[b], i) for i, b in enumerate(self.basis) if c[b]]
-        scale = lcm(*(self.dens[i] for _, i in basic))
-        obj = [-e * scale for e in c] + [0]
-        for f, i in basic:
-            f *= scale // self.dens[i]
-            for j, e in enumerate(self.rows[i]):
-                if e:
-                    obj[j] += f * e
-        self.rows[self.m], self.dens[self.m] = _normalised(obj, c_den * scale)
+            obj[j] = -val.numerator * (c_den // val.denominator)
+        self.rows[self.m], self.dens[self.m] = _normalised(obj, c_den)
 
     def objective_value(self) -> Fraction:
         return Fraction(self.rows[self.m][-1], self.dens[self.m])
 
-    def _entering(self, n_cols):
-        # Dantzig's rule over the columns below n_cols, ties to the lowest
-        # index.  The candidates share the objective row's denominator, so
-        # their numerators order them.
+    def _entering(self):
+        # Dantzig's rule, ties to the lowest index.  The candidates share
+        # the objective row's denominator, so their numerators order them.
         obj = self.rows[self.m]
-        best = min(obj[:n_cols], default=0)
+        best = min(obj[:self.width], default=0)
         return obj.index(best) if best < 0 else None
 
     def _leaving(self, pc):
@@ -154,11 +144,10 @@ class _Tableau:
         if len(tied) <= 1:
             return tied[0] if tied else None
         # Lexicographic tie-break: compare rows scaled by the pivot entry
-        # over the initial identity block (slacks, then artificials), one
-        # column of the tied rows at a time.  Those columns hold the current
-        # basis inverse, whose rows are linearly independent, so the tie
-        # always resolves.  A column that is zero on every tied row leaves
-        # every ratio at 0, so it is skipped.
+        # over the slack block, one column of the tied rows at a time.  Those
+        # columns hold the current basis inverse, whose rows are linearly
+        # independent, so the tie always resolves.  A column that is zero on
+        # every tied row leaves every ratio at 0, so it is skipped.
         pivot = [rows[i][pc] for i in tied]
         alive = range(len(tied))  # positions in tied still at the least ratio
         for col in zip(*(rows[i][self.n_struct:self.width] for i in tied)):
@@ -206,11 +195,11 @@ class _Tableau:
                 rows[i], dens[i] = _normalised(other, den * p)
         self.basis[pr] = pc
 
-    def run(self, n_cols):
-        """Pivot to optimality, entering only columns below n_cols.  Returns
-        None or, when unbounded, the entering column that certifies it."""
+    def run(self):
+        """Pivot to optimality.  Returns None or, when unbounded, the
+        entering column that certifies it."""
         while True:
-            pc = self._entering(n_cols)
+            pc = self._entering()
             if pc is None:
                 return None
             pr = self._leaving(pc)
@@ -236,46 +225,29 @@ class _Tableau:
 def solve(n_cols: int, objective: dict, rows) -> SimplexResult:
     """Maximise objective.x over x >= 0 with exact rational arithmetic.
 
-    objective maps column index to coefficient; rows are (coeffs, sense, rhs)
-    triples with sense one of '<=', '>=', '=', whose coefficients and rhs
-    are ints or Fractions.
+    objective maps column index to coefficient, an int or a Fraction; rows
+    are (cols, coeffs, rhs, den, sense) tuples as ``RowTable.integer_row``
+    returns them, with sense one of '<=', '>=', '=', and each must hold at
+    x = 0.  The solve starts from the slack basis.
     """
-    rows_le = []  # (coeffs, rhs, den): the row coeffs.x <= rhs, numerators over den
-    for coeffs, sense, b in rows:
+    rows_le = []  # (cols, coeffs, rhs, den): the row coeffs.x <= rhs, numerators over den
+    for cols, coeffs, rhs, den, sense in rows:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {sense!r}")
-        den = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
-        nums = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items() if v}
-        rhs = b.numerator * (den // b.denominator)
+        if den < 1:
+            raise ValueError(f"row denominator {den} is not positive")
+        if (rhs < 0 and sense != ">=") or (rhs > 0 and sense != "<="):
+            raise ValueError(f"x = 0 violates the row {coeffs} {sense} {rhs} over {den}")
         if sense != ">=":
-            rows_le.append((nums, rhs, den))
+            rows_le.append((cols, coeffs, rhs, den))
         if sense != "<=":
-            rows_le.append(({j: -v for j, v in nums.items()}, -rhs, den))
+            rows_le.append((cols, [-c for c in coeffs], -rhs, den))
 
     tab = _Tableau(n_cols, rows_le)
-
-    if tab.art_cols:
-        tab.set_objective_max({c: -1 for c in tab.art_cols})
-        pc = tab.run(tab.width)
-        if pc is not None:
-            raise RuntimeError("phase 1 cannot be unbounded")
-        if tab.objective_value() < 0:
-            return SimplexResult(status=INFEASIBLE, value=None, x=None, ray=None,
-                                 pivots=tab.pivots)
-        # No artificial is left basic, so no clean-up pivot is needed.  The
-        # lexicographic rule keeps every row's (rhs, slack and artificial
-        # entries) lexicographically positive, and a row's slack entries are
-        # its multipliers of the input rows, up to sign.  So a basic
-        # artificial at level 0 has a positive slack entry, and the first
-        # such slack column over those rows would still improve phase 1.
-        if set(tab.art_cols) & set(tab.basis):
-            raise RuntimeError("internal error: artificial basic after phase 1")
-
     tab.set_objective_max(objective)
-    pc = tab.run(tab.art_cols.start)
+    pc = tab.run()
     if pc is not None:
-        ray = tab.ray(pc)[:n_cols]
-        return SimplexResult(status=UNBOUNDED, value=None, x=None, ray=ray,
-                             pivots=tab.pivots)
+        return SimplexResult(status=UNBOUNDED, value=None, x=None,
+                             ray=tab.ray(pc)[:n_cols], pivots=tab.pivots)
     return SimplexResult(status=OPTIMAL, value=tab.objective_value(),
                          x=tab.solution()[:n_cols], ray=None, pivots=tab.pivots)

@@ -6,6 +6,7 @@ Fraction simplex tableau, the rebuild-per-step reduction) used to
 cross-check the library's own computation paths."""
 
 import json
+import math
 import random
 import signal
 import sys
@@ -22,7 +23,7 @@ from fdgtool.fdg import (COR1, COR2, COR3, COR4, COR5A, COR5B, LINEAR, SHANNON, 
 from fdgtool.lpbound import (CAPACITY, DECODE, DEFAULT_GENERATION_CAP, ELEMENTAL1, ELEMENTAL2,
                              ENCODE, INDEP, LpProblem, Row)
 from fdgtool.netmodel import Weights
-from fdgtool.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
+from fdgtool.simplex import OPTIMAL, UNBOUNDED, SimplexResult
 
 UNIT_FIXTURES = ("butterfly", "two_unicast_side", "two_unicast_chain",
                  "parallel_relay", "fano", "single_edge")
@@ -941,6 +942,9 @@ def highs_lp_bytes(lp) -> dict:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MAX_PIVOTS = 2_000_000
+# The reference's status for an LP that its phase 1 finds empty.
+# ``simplex.solve`` refuses every LP that x = 0 violates, so it has no such status.
+INFEASIBLE = "infeasible"
 
 
 class _FractionTableau:
@@ -1140,6 +1144,40 @@ def reference_simplex_solve(n_cols: int, objective: dict, rows) -> SimplexResult
     return SimplexResult(status=OPTIMAL, value=tab.obj[-1],
                          x=tab.solution()[:n_cols], ray=None,
                          pivots=tab.pivots)
+
+
+def simplex_rows(rows) -> list:
+    """(coeffs, sense, rhs) triples of ints or Fractions as the rows
+    ``simplex.solve`` takes: (cols, coeffs, rhs, den, sense) in integers over
+    den, the lcm of the row's denominators.  That is the scale ``solve`` took
+    when it read the triples itself, and the one ``RowTable`` stores."""
+    out = []
+    for coeffs, sense, rhs in rows:
+        den = math.lcm(Fraction(rhs).denominator,
+                       *(Fraction(v).denominator for v in coeffs.values()))
+        out.append((list(coeffs), [int(v * den) for v in coeffs.values()],
+                    int(rhs * den), den, sense))
+    return out
+
+
+def fraction_rows(rows) -> list:
+    """``simplex.solve``'s integer rows as the (coeffs, sense, rhs) triples of
+    ``Fraction``s that ``reference_simplex_solve`` reads."""
+    return [({j: Fraction(c, den) for j, c in zip(cols, coeffs)}, sense, Fraction(rhs, den))
+            for cols, coeffs, rhs, den, sense in rows]
+
+
+def holds_at_origin(rows) -> bool:
+    """Whether x = 0 satisfies every (coeffs, sense, rhs) row."""
+    return all(rhs >= 0 if sense == "<=" else rhs <= 0 if sense == ">=" else rhs == 0
+               for _, sense, rhs in rows)
+
+
+def moved_to_origin(rows) -> list:
+    """The rows with each right-hand side moved to hold at x = 0: its
+    magnitude for '<=', minus it for '>=' and 0 for '='."""
+    return [(coeffs, sense, abs(rhs) if sense == "<=" else -abs(rhs) if sense == ">=" else 0)
+            for coeffs, sense, rhs in rows]
 
 
 # Reference reduction: the loop that rebuilt the whole graph per step and

@@ -419,6 +419,48 @@ def test_fdg_json_round_trip_keeps_the_capacity(cap):
     assert read_back.edge_vars()[0].cap == netmodel.parse_fraction(cap)
 
 
+def test_fdg_json_round_trip_of_a_capacity_past_the_digit_limit():
+    # A numerator of 4301 digits over 7: not a decimal, so it is written as p/q.
+    cap = Fraction(10 ** 4301 - 1, 7)
+    y, e = SourceVar(1), EdgeVar("e1", cap)
+    g = Fdg([y, e], {e: (y,), y: (e,)}, {y: {"t"}})
+    read_back = Fdg.from_json(g.to_json())
+    assert read_back == g and read_back.edge_vars()[0].cap == cap
+
+
+def _single_edge_doc(**changes):
+    doc = json.loads(build_fdg(load_fixture("single_edge")).to_json())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_MALFORMED_FDG_DOCUMENTS = {  # id -> (document, what the message says)
+    "list": ("[1]", "is a JSON object"),
+    "nested": ("[" * 200_000, "nested too deeply"),
+    "not-json": ("{", "Expecting"),
+    "no-capacity": (_single_edge_doc(capacities={}), "^edge variable U:e1 has no capacity$"),
+    "infinity": (_single_edge_doc(capacities={"U:e1": "Infinity"}), "invalid fraction 'Infinity'"),
+    "zero-denominator": (_single_edge_doc(capacities={"U:e1": "1/0"}), "invalid fraction '1/0'"),
+    "huge-exponent": (_single_edge_doc(capacities={"U:e1": "1e10000000"}), "exponent 10000000"),
+    "huge-exponent-below": (_single_edge_doc(capacities={"U:e1": "1/1e10000000"}),
+                            "exponent 10000000"),
+    "number-capacity": (_single_edge_doc(capacities={"U:e1": 1}), "an object of strings"),
+    "vars-string": (_single_edge_doc(vars="Y1"), "vars, a list of names"),
+    "parents-list": (_single_edge_doc(parents=[]), "parents"),
+    "origin-string": (_single_edge_doc(demand_origin={"Y1": "t"}), "demand_origin"),
+    "bad-name": (_single_edge_doc(vars=["Y1", "Z1"]), "bad variable name 'Z1'"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_FDG_DOCUMENTS)
+def test_a_malformed_fdg_document_is_a_value_error(case):
+    text, message = _MALFORMED_FDG_DOCUMENTS[case]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        Fdg.from_json(text)
+    assert time.perf_counter() - start < 1.0
+
+
 # SHA-256 of ``Fdg.to_json`` for every fixture's graph, unreduced and
 # reduced in each mode, recorded while it was ``json.dumps(doc, indent=2,
 # sort_keys=True)``.

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import conftest as ref
 from fdgtool import lpbound, netmodel, simplex
-from fdgtool.fdg import build_fdg, reduce
+from fdgtool.fdg import EdgeVar, Fdg, SourceVar, build_fdg, reduce
 from fdgtool.lpbound import (LpProblem, Row, build_lp, elemental_inequalities,
                              export_lp, graph_lp_stats, lp_solve, lp_stats,
                              verify_witness)
@@ -134,6 +134,83 @@ def test_dangling_edge_is_a_hard_error():
         build_lp(build_fdg(net), Weights.of({1: 1}))
     with pytest.raises(ValueError, match="no parents"):
         graph_lp_stats(build_fdg(net))
+
+
+# Capacities for the rows-hold-at-zero property, 0 among them.
+_CAPACITIES = st.sampled_from([0, 1]) | st.fractions(min_value=0, max_value=3,
+                                                     max_denominator=7)
+
+
+@pytest.mark.filterwarnings("ignore:source")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(_CAPACITIES, min_size=1, max_size=16))
+def test_every_built_row_holds_at_zero(seed, caps):
+    # The exact simplex starts from h = 0, and lp_solve refuses an LP that
+    # h = 0 violates, so build_lp must never make one.  Linear mode needs
+    # unit capacities, so it runs on the network as generated.
+    unit = random_network(random.Random(seed))
+    net = dataclasses.replace(unit, edges=tuple(
+        dataclasses.replace(e, cap=Fraction(caps[k % len(caps)]))
+        for k, e in enumerate(unit.edges)))
+    g = build_fdg(net)
+    graphs = [g, reduce(g, "shannon")[0], reduce(build_fdg(unit), "linear")[0]]
+    for graph in graphs:
+        if graph.order <= 10:
+            problem = build_lp(graph, W11)
+            assert verify_witness(problem, {}) == []
+            assert all(rhs >= 0 if sense == "<=" else rhs <= 0 if sense == ">=" else rhs == 0
+                       for rhs, sense in zip(problem.rows.rhs, problem.rows.senses))
+
+
+def test_a_row_that_zero_violates_is_refused_with_and_without_scipy():
+    # max h_1 subject to h_1 <= 2 and h_1 >= 1: h = 0 violates the second
+    # row.  Both paths would answer 2; the refusal comes before either.
+    rows = (Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", Fraction(2)),
+            Row("floor", "TEST", ((1, Fraction(1)),), ">=", Fraction(1)))
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=((1, 1),),
+                        objective=((1, Fraction(1)),), rows=rows)
+    message = "h = 0 violates 1 row(s), floor: an entropy LP holds at the zero-rate point"
+    with pytest.raises(ValueError) as refused:
+        lp_solve(problem)
+    assert str(refused.value) == message
+    out = _fresh_python(_BLOCK_SCIPY, """
+        from fractions import Fraction
+        from fdgtool.lpbound import CAPACITY, LpProblem, Row, lp_solve
+        rows = (Row("upper", CAPACITY, ((1, Fraction(1)),), "<=", Fraction(2)),
+                Row("floor", "TEST", ((1, Fraction(1)),), ">=", Fraction(1)))
+        try:
+            lp_solve(LpProblem(n_vars=1, var_names=("v",), source_masks=((1, 1),),
+                               objective=((1, Fraction(1)),), rows=rows))
+        except ValueError as refused:
+            print(refused, "scipy" in sys.modules)
+    """)
+    assert out == f"{message} False\n"
+    # The message names at most five of the rows.
+    rows = tuple(Row(f"r{k}", "TEST", ((1, Fraction(1)),), "=", Fraction(k + 1))
+                 for k in range(7))
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(), objective=(), rows=rows)
+    with pytest.raises(ValueError, match=r"^h = 0 violates 7 row\(s\), r0, r1, r2, r3, r4: "):
+        lp_solve(problem)
+
+
+@pytest.mark.parametrize("cap", ["-1/2", "-1e4300"])
+def test_a_negative_capacity_is_refused_as_validate_words_it(cap):
+    # ``validate`` refuses it in a network; a graph built by hand or read
+    # from JSON reaches build_lp and graph_lp_stats without that check.
+    net = load_fixture("single_edge")
+    net = dataclasses.replace(net, edges=(dataclasses.replace(net.edges[0],
+                                                              cap=netmodel.parse_fraction(cap)),))
+    [message] = [v for v in netmodel.validate(net) if "negative capacity" in v]
+    doc = json.loads(build_fdg(load_fixture("single_edge")).to_json())
+    doc["capacities"] = {"U:e1": cap}
+    by_json = Fdg.from_json(json.dumps(doc))
+    y, e = SourceVar(1), EdgeVar("e1", netmodel.parse_fraction(cap))
+    by_hand = Fdg([y, e], {e: (y,), y: (e,)}, {y: {"t"}})
+    for graph in (by_json, by_hand):
+        for refuse in (lambda g: build_lp(g, Weights.of({1: 1})), graph_lp_stats):
+            with pytest.raises(ValueError) as refused:
+                refuse(graph)
+            assert str(refused.value) == message
 
 
 def test_single_edge_optimum_is_the_capacity():
