@@ -165,8 +165,7 @@ def _lps(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_lps())
-# Once a phase-1 case (its last row over denominator 2 took 3 pivots, not 2,
-# when scaled to integers): x = 0 violates its last two rows, so it is refused.
+# x = 0 violates the last two rows, one over denominator 2: a refusal case.
 @example((2, {}, [({0: Fraction(1)}, "<=", Fraction(1)),
                   ({0: Fraction(-1), 1: Fraction(1)}, "<=", Fraction(-1)),
                   ({1: Fraction(-1)}, "<=", Fraction(-1, 2))]))
