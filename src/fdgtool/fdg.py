@@ -107,6 +107,10 @@ class Fdg:
                 if p not in index:
                     raise ValueError(f"parent {p.name} of {v.name} is not a variable")
             par.append(tuple(sorted(map(index.__getitem__, ps))))
+        for k in demand_origin or ():  # ``to_dict`` writes only the source variables' entries
+            if not (isinstance(k, SourceVar) and k in index):
+                raise ValueError(f"demand_origin key {getattr(k, 'name', repr(k))} is not a "
+                                 f"source variable of the graph")
         self._assemble(vars, par, demand_origin)
 
     def _assemble(self, vars: tuple, parents: list, demand_origin) -> "Fdg":
@@ -213,7 +217,13 @@ class Fdg:
 
         def mk(name):
             if name.startswith("Y"):
-                return SourceVar(int(name[1:]))
+                try:
+                    var = SourceVar(int(name[1:]))
+                except ValueError:
+                    var = None
+                if var is None or var.name != name:  # as Y01, Y 1 or Y+1
+                    raise ValueError(f"bad variable name {name!r}")
+                return var
             if not name.startswith("U:"):
                 raise ValueError(f"bad variable name {name!r}")
             if name not in caps:

@@ -22,8 +22,9 @@ capacity, so every LP it makes holds at h = 0, the zero-rate point.
 same counts from the graph alone, in closed form, so ``lp --stats`` never
 generates the rows it only counts (unreduced fano's LP has about 1.1e8).
 The tests hold the two equal.  The solver is exact: a float solve by the
-HiGHS extension that scipy bundles, when scipy is installed, suggests a
-witness and a dual that are rounded and checked in rationals; failing that,
+HiGHS extension that scipy bundles, when scipy is installed, ends on an
+optimal basis, whose basic point and dual are solved once in exact
+arithmetic and checked in rationals; failing that,
 a dense rational simplex is driven through lazy row generation (the full
 elemental family is enormous, but optima are supported on few of them); it
 starts from h = 0, so ``lp_solve`` refuses a problem that h = 0 violates.
@@ -54,6 +55,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import accumulate, chain
 from math import comb, gcd, lcm
 from typing import NamedTuple
@@ -79,8 +81,6 @@ EXPORT_ROW_CAP = 10 ** 6
 MAX_N_ENV = "FDGTOOL_MAX_N"
 # scipy's HiGHS extension, loaded by ``_highs`` under the name scipy gives it.
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
-# Denominator limits tried, in order, when snapping float solutions to rationals.
-ROUNDING_LIMITS = (10 ** 4, 10 ** 8)
 
 _ZERO = Fraction(0)
 
@@ -176,7 +176,7 @@ class LpSolution:
     value: Fraction | None
     witness: dict | None       # sparse: column mask -> Fraction, zeros omitted
     source_masks: tuple = ()
-    method: str = "exact"      # 'certificate' (rounded float solve) | 'exact' (simplex)
+    method: str = "exact"      # 'certificate' (HiGHS's basis, solved exactly) | 'exact' (simplex)
     rounds: int = 0            # exact path: simplex solves over the growing working set
     pivots: int = 0            # exact path: simplex pivots over those solves
 
@@ -409,10 +409,11 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     Two cooperating engines, both ending in the same exact verification:
 
     1. certificate path: solve in floating point (HiGHS, when scipy is installed),
-       round the primal and dual vectors back to small rationals, and check
-       exactly that the witness satisfies every row and that the dual is
-       feasible with matching objective.  Weak duality then pins the
-       optimum; no conclusion rests on floats.
+       take the optimal basis it ends on, solve that basis exactly for the
+       basic point and for the dual, and check exactly that the witness
+       satisfies every row and that the dual is feasible with matching
+       objective.  Weak duality then pins the optimum; no conclusion rests
+       on floats, and no float value is read.
     2. fallback path: exact simplex over a lazily grown working set of rows
        (the complete elemental family is huge, but optima are supported on
        few of its members), iterating until the exact witness or improving
@@ -434,7 +435,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
         raise ValueError(f"h = 0 violates {len(refused)} row(s), {', '.join(refused[:5])}: "
                          f"an entropy LP holds at the zero-rate point")
 
-    certified = _certified_from_float(problem, _float_solve(problem))
+    certified = _certified_from_basis(problem, _float_solve(problem))
     if certified is not None:
         return certified
 
@@ -490,6 +491,8 @@ class _HighsApi(NamedTuple):
     colwise: object  # ``MatrixFormat.kColwise``
     inf: float  # ``kHighsInf``
     optimal: object  # ``HighsModelStatus.kOptimal``
+    basic_variables: object  # ``_Highs.getBasicVariables``
+    ok: object  # ``HighsStatus.kOk``
     options: object  # a ``HighsOptions`` set to ``_highs_options``
 
 
@@ -511,7 +514,8 @@ def _highs() -> _HighsApi | None:
         for name, value in _highs_options(core).items():
             setattr(options, name, value)
         return _HighsApi(core._Highs, core.HighsLp, core.MatrixFormat.kColwise,
-                         core.kHighsInf, core.HighsModelStatus.kOptimal, options)
+                         core.kHighsInf, core.HighsModelStatus.kOptimal,
+                         core._Highs.getBasicVariables, core.HighsStatus.kOk, options)
     except (ImportError, OSError, AttributeError):
         return None
 
@@ -587,14 +591,15 @@ def _highs_lp(problem: LpProblem, highs: _HighsApi):
 def _float_solve(problem: LpProblem):
     """Floating-point solve of the full problem (HiGHS), or None.
 
-    Returns (x, row_dual, ub_idx, eq_idx): the column values and the row
-    duals as lists, and the problem row indices of HiGHS's rows, as
-    ``_highs_lp`` orders them.  HiGHS gets the model and the options that
-    scipy's ``linprog(method="highs")`` gives it, so these are the bits of
-    that call's ``x`` and of its inequality then equality marginals.  None
-    when scipy is missing, a number does not fit a float or HiGHS reports no
-    optimum: this solve only suggests a certificate, and the exact path
-    answers without it.
+    Returns the optimal basis that HiGHS ends on as (basic, tight, support):
+    the masks of the basic columns, ascending, then the problem row indices
+    of the nonbasic (tight) rows and of the rows whose float dual is not
+    zero, in the order HiGHS holds them.  No float is compared with
+    anything but zero.  HiGHS gets the model and the options that scipy's
+    ``linprog(method="highs")`` gives it, so it ends where that call does.
+    None when scipy is missing, a number does not fit a float, or HiGHS
+    reports no optimum or no valid basis: this solve only suggests a
+    certificate, and the exact path answers without it.
     """
     highs = _highs()
     if highs is None:
@@ -607,61 +612,123 @@ def _float_solve(problem: LpProblem):
     solver.passOptions(highs.options)
     solver.passModel(lp)
     solver.run()
-    if solver.getModelStatus() != highs.optimal:
+    # One int per basic variable: j for column j, -1 - at for HiGHS's row at.
+    # ``getBasis`` builds a status object per row and column instead, which
+    # raised lp-certified's peak RSS from 66 to 71 MB.
+    status, variables = highs.basic_variables(solver)
+    if solver.getModelStatus() != highs.optimal or status != highs.ok:
         return None
-    solution = solver.getSolution()
-    return list(solution.col_value), list(solution.row_dual), ub_idx, eq_idx
+    variables, order = variables.tolist(), ub_idx + eq_idx
+    basic_rows = {-1 - v for v in variables if v < 0}
+    return (sorted(v + 1 for v in variables if v >= 0),
+            [i for at, i in enumerate(order) if at not in basic_rows],
+            [i for i, d in zip(order, solver.getSolution().row_dual) if d])
 
 
-def _round_vector(values, limit: int) -> list:
-    """Snap floats to rationals with denominator at most ``limit``.
+def _solve_unique(equations) -> dict | None:
+    """The unique solution of linear ``equations``, as a dict unknown ->
+    ``Fraction``, or None when they have none or more than one.
 
-    An integral float becomes its integer, which is what
-    ``limit_denominator`` would return for it, without the search.
+    Each equation is (terms, rhs): a dict unknown -> nonzero int and a
+    rational right-hand side.  Sparse elimination: the shortest row left
+    pivots on its unknown held by the fewest rows left, which every other
+    row left then loses, fraction-free: such a row is scaled by the pivot
+    over its gcd with the row's own coefficient when that does not divide,
+    so the coefficients stay ints.  Back substitution, last pivot first,
+    gives each unknown.
     """
-    return [Fraction(int(x)) if x.is_integer() else Fraction(x).limit_denominator(limit)
-            for x in values]
-
-
-def _certified_from_float(problem: LpProblem, solved) -> LpSolution | None:
-    """Exact optimum via rounded float certificates, or None.
-
-    ``solved`` is the result of ``_float_solve``.  The float solution only
-    *suggests* a primal point and a dual vector; both are snapped to
-    rationals and checked exactly.  When the witness satisfies every row,
-    the dual is feasible with nonnegative multipliers on inequalities, and
-    the two exact objectives coincide, weak duality certifies optimality
-    outright.  Any failure falls back to the exact
-    simplex path, so this routine can only accelerate, never corrupt.
-    Each (witness limit, dual limit) pair is tried in ``ROUNDING_LIMITS``
-    order; a dual is rounded only when it is first needed.
-    """
-    if solved is None:
-        return None
-    x, row_dual, ub_idx, eq_idx = solved
-    k = len(ub_idx)
-    duals = {}
-
-    def dual(limit):
-        # Rounding never carries a value across zero, so clamping the float
-        # multipliers at zero gives the same u >= 0 as clamping rounded ones.
-        if limit not in duals:
-            duals[limit] = (_round_vector([max(0.0, -d) for d in row_dual[:k]], limit),
-                            _round_vector([-d for d in row_dual[k:]], limit))
-        return duals[limit]
-
-    for limit in ROUNDING_LIMITS:
-        witness = {j + 1: q for j, q in enumerate(_round_vector(x, limit)) if q}
-        if verify_witness(problem, witness):
+    rows = [dict(terms) for terms, _ in equations]
+    rhs = [b for _, b in equations]
+    holders = {}  # unknown -> the rows left that hold it
+    for r, terms in enumerate(rows):
+        for k in terms:
+            holders.setdefault(k, set()).add(r)
+    heap = sorted((len(terms), r) for r, terms in enumerate(rows))
+    pivots = []
+    while heap:
+        size, r = heappop(heap)
+        row = rows[r]
+        if not row or size != len(row):  # empty, pivoted already or pushed again since
             continue
-        value = _eval_row(problem.objective, witness)
-        for dual_limit in ROUNDING_LIMITS:
-            u, v = dual(dual_limit)
-            if _dual_certifies(problem, ub_idx, eq_idx, u, v, value):
-                return LpSolution(status="optimal", value=value, witness=witness,
-                                  source_masks=problem.source_masks,
-                                  method="certificate")
-    return None
+        k = min(row, key=lambda k: len(holders[k]))
+        for j in row:
+            holders[j].discard(r)
+        rows[r], a, b = None, row.pop(k), rhs[r]
+        for s in holders.pop(k):
+            other = rows[s]
+            f = other.pop(k)
+            g = gcd(a, f)
+            p, m = a // g, f // g  # the row becomes p times itself less m pivot rows
+            if p != 1:
+                for j in other:
+                    other[j] *= p
+                rhs[s] *= p
+            for j, c in row.items():
+                other[j] = other.get(j, 0) - m * c
+                holders[j].add(s)
+                if not other[j]:
+                    del other[j]
+                    holders[j].discard(s)
+            rhs[s] -= m * b
+            heappush(heap, (len(other), s))
+        pivots.append((k, a, row, b))
+    # An unknown no row pivoted on is free; a row left is empty, so 0 = its rhs.
+    if holders or any(rhs[r] for r, row in enumerate(rows) if row is not None):
+        return None
+    x = {}
+    for k, a, row, b in reversed(pivots):
+        total = b - sum(c * x[j] for j, c in row.items())
+        x[k] = total // a if total % a == 0 else Fraction(total) / a
+    return {k: Fraction(v) for k, v in x.items()}
+
+
+def _certified_from_basis(problem: LpProblem, basis) -> LpSolution | None:
+    """Exact optimum on HiGHS's optimal basis, or None.
+
+    ``basis`` is the result of ``_float_solve``: the basic columns, the
+    tight rows and the rows with a nonzero float dual.  The witness is the
+    basic point: the tight rows, as stored, solved over the basic columns,
+    with every other column 0.  The dual gives each basic column its
+    objective coefficient over the rows with a nonzero dual.  Each is solved
+    once, exactly; no float value is read.  When the witness satisfies
+    every row, the dual is feasible with nonnegative multipliers on
+    inequalities, and the two exact objectives coincide, weak duality
+    certifies optimality outright.  Any failure falls back to the exact
+    simplex path, so this routine can only accelerate, never corrupt.
+    """
+    if basis is None:
+        return None
+    basic, tight, support = basis
+    rows, is_basic = problem.rows, set(basic)
+    primal = _solve_unique(
+        [({mask: c for mask, c in zip(masks, coeffs) if mask in is_basic}, rhs)
+         for masks, coeffs, rhs, _, _ in map(rows.integer_row, tight)])
+    if primal is None:
+        return None
+    witness = {mask: x for mask, x in sorted(primal.items()) if x}
+    if verify_witness(problem, witness):
+        return None
+    columns = {mask: {} for mask in basic}  # basic column -> its dual equation
+    for i in support:
+        masks, coeffs, *_ = rows.integer_row(i)
+        for mask, c in zip(masks, coeffs):
+            if mask in columns:
+                columns[mask][i] = c
+    objective = dict(problem.objective)
+    dual = _solve_unique([(terms, objective.get(mask, 0)) for mask, terms in columns.items()])
+    if dual is None:
+        return None
+    # ``_dual_certifies`` reads a multiplier of the row over its scale, with
+    # a '>=' row negated to '<=' as the float solve has it.
+    q = {i: y * rows.scales[i] * (-1 if rows.senses[i] == ">=" else 1) for i, y in dual.items()}
+    ub_idx = [i for i in q if rows.senses[i] != "="]
+    eq_idx = [i for i in q if rows.senses[i] == "="]
+    u, v = [q[i] for i in ub_idx], [q[i] for i in eq_idx]
+    value = _eval_row(problem.objective, witness)
+    if min(u, default=0) < 0 or not _dual_certifies(problem, ub_idx, eq_idx, u, v, value):
+        return None
+    return LpSolution(status="optimal", value=value, witness=witness,
+                      source_masks=problem.source_masks, method="certificate")
 
 
 def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:

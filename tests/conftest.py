@@ -2,8 +2,9 @@
 random-network generator, and the independent oracles (the quadratic network
 checks, the paper's finite series for A (I - F)^{-1} B, symbolic forward
 propagation, LP-text re-import into scipy, the Fraction LP layers, the
-Fraction simplex tableau, the rebuild-per-step reduction) used to
-cross-check the library's own computation paths."""
+Fraction Gauss-Jordan solve, the Fraction simplex tableau, the
+rebuild-per-step reduction) used to cross-check the library's own
+computation paths."""
 
 import json
 import math
@@ -755,6 +756,30 @@ def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
         if column_sums.get(mask, Fraction(0)) < objective.get(mask, Fraction(0)):
             return False
     return True
+
+
+def solve_unique(equations) -> dict | None:
+    """The unique solution of (terms, rhs) equations by dense Fraction
+    Gauss-Jordan elimination over the unknowns they name, or None when
+    there is none or more than one."""
+    unknowns = sorted({k for terms, _ in equations for k in terms})
+    matrix = [[Fraction(terms.get(k, 0)) for k in unknowns] + [Fraction(rhs)]
+              for terms, rhs in equations]
+    rank = 0
+    for col in range(len(unknowns)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            return None  # a free unknown
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = [a / matrix[rank][col] for a in matrix[rank]]
+        matrix[rank] = top
+        for r, row in enumerate(matrix):
+            if r != rank and row[col]:
+                matrix[r] = [a - row[col] * b for a, b in zip(row, top)]
+        rank += 1
+    if any(row[-1] for row in matrix[rank:]):
+        return None  # 0 = nonzero
+    return {k: matrix[i][-1] for i, k in enumerate(unknowns)}
 
 
 def _decimal_exact(f: Fraction) -> str | None:

@@ -449,6 +449,17 @@ _MALFORMED_FDG_DOCUMENTS = {  # id -> (document, what the message says)
     "parents-list": (_single_edge_doc(parents=[]), "parents"),
     "origin-string": (_single_edge_doc(demand_origin={"Y1": "t"}), "demand_origin"),
     "bad-name": (_single_edge_doc(vars=["Y1", "Z1"]), "bad variable name 'Z1'"),
+    # Source names that SourceVar(k).name does not write back.
+    "leading-zero": (_single_edge_doc(vars=["Y01", "U:e1"]), "bad variable name 'Y01'"),
+    "inner-space": (_single_edge_doc(vars=["Y 1", "U:e1"]), "bad variable name 'Y 1'"),
+    "plus-sign": (_single_edge_doc(vars=["Y+1", "U:e1"]), r"bad variable name 'Y\+1'"),
+    "no-index": (_single_edge_doc(vars=["Yx", "U:e1"]), "bad variable name 'Yx'"),
+    "huge-index": (_single_edge_doc(vars=["Y" + "1" * 100_000, "U:e1"]), "bad variable name"),
+    # Keys that to_json would drop.
+    "origin-unknown-source": (_single_edge_doc(demand_origin={"Y1": ["t"], "Y7": ["t"]}),
+                              "^demand_origin key Y7 is not a source variable of the graph$"),
+    "origin-edge": (_single_edge_doc(demand_origin={"U:e1": ["t"]}),
+                    "^demand_origin key U:e1 is not a source variable of the graph$"),
 }
 
 
@@ -459,6 +470,16 @@ def test_a_malformed_fdg_document_is_a_value_error(case):
     with pytest.raises(ValueError, match=message):
         Fdg.from_json(text)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("key, name", [(SourceVar(2), "Y2"), (EdgeVar("e1", Fraction(1)), "U:e1"),
+                                       ("Y1", "'Y1'")])
+def test_a_demand_origin_key_that_is_not_a_source_variable_is_refused(key, name):
+    # to_json writes demand_origin for the source variables only, so such a
+    # key would be dropped on the way out.
+    y, e = SourceVar(1), EdgeVar("e1", Fraction(1))
+    with pytest.raises(ValueError, match=f"^demand_origin key {name} is not a source variable"):
+        Fdg([y, e], {e: (y,), y: (e,)}, {y: {"t"}, key: {"t"}})
 
 
 # SHA-256 of ``Fdg.to_json`` for every fixture's graph, unreduced and

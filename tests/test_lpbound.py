@@ -321,8 +321,8 @@ def test_highs_is_found_where_scipy_is_installed():
 
 
 @pytest.mark.parametrize("missing", ["_Highs", "HighsLp", "HighsOptions", "MatrixFormat",
-                                     "kHighsInf", "HighsModelStatus", "HighsDebugLevel",
-                                     "simplex_constants"])
+                                     "kHighsInf", "HighsModelStatus", "HighsStatus",
+                                     "HighsDebugLevel", "simplex_constants"])
 def test_a_highs_module_without_a_name_the_solve_reads_takes_the_exact_path(
         missing, monkeypatch):
     # A scipy release whose module lacks one of these names is treated as
@@ -626,29 +626,39 @@ def _linprog_weights(name):
         yield Weights.of(dict(zip((1, 2), pair[:n_sources])))
 
 
-def _assert_solved_as_linprog(problem):
+def _assert_solved_as_linprog(problem, monkeypatch):
+    # The float solve returns the basis, not x; the solver it ran is kept
+    # here, so its x and duals are read off the very solve it ran.
     from scipy.optimize import linprog
 
     c, kwargs = ref.reference_linprog_inputs(problem)
     res = linprog(c, **kwargs)
-    x, row_dual, ub_idx, eq_idx = lpbound._float_solve(problem)
+    highs, solvers = lpbound._highs(), []
+    with monkeypatch.context() as m:
+        m.setattr(lpbound, "_highs", lambda: highs._replace(
+            solver=lambda: solvers.append(highs.solver()) or solvers[-1]))
+        basic, tight, support = lpbound._float_solve(problem)
+    solution = solvers[0].getSolution()
     assert res.success
-    assert np.array(x).tobytes() == res.x.tobytes()
+    assert np.array(solution.col_value).tobytes() == res.x.tobytes()
     marginals = [*res.ineqlin.marginals.tolist(), *res.eqlin.marginals.tolist()]
-    assert np.array(row_dual).tobytes() == np.array(marginals).tobytes()
+    assert np.array(solution.row_dual).tobytes() == np.array(marginals).tobytes()
+    _, ub_idx, eq_idx = lpbound._highs_lp(problem, highs)
     assert (ub_idx, eq_idx) == ([i for i, row in enumerate(problem.rows) if row.sense != "="],
                                 [i for i, row in enumerate(problem.rows) if row.sense == "="])
+    assert support == [i for i, d in zip(ub_idx + eq_idx, marginals) if d]
+    assert len(tight) == len(basic)  # a basis has one tight row per basic column
 
 
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
-def test_float_solve_equals_the_public_linprog(fixture, mode):
+def test_float_solve_equals_the_public_linprog(fixture, mode, monkeypatch):
     for weights in _linprog_weights(fixture):
-        _assert_solved_as_linprog(_fixture_problem(fixture, mode, weights))
+        _assert_solved_as_linprog(_fixture_problem(fixture, mode, weights), monkeypatch)
 
 
-def test_float_solve_equals_the_public_linprog_at_a_tiny_capacity():
+def test_float_solve_equals_the_public_linprog_at_a_tiny_capacity(monkeypatch):
     _assert_solved_as_linprog(build_lp(_first_capacity_set("single_edge", "1/123456789"),
-                                       Weights.of({1: 1})))
+                                       Weights.of({1: 1})), monkeypatch)
 
 
 _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -727,30 +737,42 @@ def test_integer_dual_check_equals_the_fraction_reference(args):
 
 
 def test_negative_float_multipliers_never_certify():
-    # max h_1 s.t. h_1 <= 2, h_1 >= 0.  The point h_1 = 1 is feasible but not
-    # optimal; only a negative multiplier on the >= row would "certify" it.
+    # max h_1 s.t. h_1 <= 2, h_1 >= 0.  On the basis {h_1 basic, lower
+    # tight} the point h_1 = 0 is feasible but not optimal; only the
+    # negative multiplier the dual solves to on the >= row would "certify" it.
     rows = (Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", Fraction(2)),
             Row("lower", lpbound.CAPACITY, ((1, Fraction(1)),), ">=", Fraction(0)))
     problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
                         objective=((1, Fraction(1)),), rows=rows)
-    assert lpbound._dual_certifies(problem, [0, 1], [], [Fraction(1, 2), Fraction(-1, 2)],
-                                   [], Fraction(1))
-    assert lpbound._certified_from_float(problem, ([1.0], [-0.5, 0.5], [0, 1], [])) is None
+    assert lpbound._dual_certifies(problem, [1], [], [Fraction(-1)], [], Fraction(0))
+    assert lpbound._certified_from_basis(problem, ([1], [1], [1])) is None
+    assert lpbound._certified_from_basis(problem, ([1], [0], [0])).value == 2
 
 
 def test_a_witness_that_rounds_only_at_the_first_limit_certifies():
-    # HiGHS's value for 11521/3000 in a column of the reduced LP of a
-    # 9-edge network (nodes s1 s2 m1 m2 t1 t2, capacities 3/2, 1/2, 2/7,
-    # 1/3, 5/11, 2, 7/1000, 2, 5/11) under -w 2/7,2/7.  It rounds back to
-    # 11521/3000 at 10^4; at 10^8 it rounds to a point that is feasible
-    # but not optimal, so no dual certifies it.
+    # A column of the reduced LP of a 9-edge network (nodes s1 s2 m1 m2 t1
+    # t2, capacities 3/2, 1/2, 2/7, 1/3, 5/11, 2, 7/1000, 2, 5/11) under
+    # -w 2/7,2/7 is 11521/3000 at the optimum.  Rounding HiGHS's float for
+    # it at 10^8 gave a point that is feasible but not optimal; the basis
+    # {h_1 basic, upper tight} gives 11521/3000 exactly.
     cap = Fraction(11521, 3000)
     problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
                         objective=((1, Fraction(1)),),
                         rows=(Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=", cap),))
-    sol = lpbound._certified_from_float(problem, ([3.840333333331596], [-1.0], [0], []))
+    sol = lpbound._certified_from_basis(problem, ([1], [0], [0]))
     assert sol is not None and sol.method == "certificate"
-    assert sol.value == cap
+    assert sol.value == cap and sol.witness == {1: cap}
+
+
+def test_an_equality_row_with_a_scale_certifies():
+    # max h_1 s.t. h_1 / 2 = 3/4, stored as 2 h_1 = 3 at scale 4: the dual
+    # of the stored row, 1/2, stands for 2 on the row as written.
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
+                        objective=((1, Fraction(1)),),
+                        rows=(Row("half", lpbound.ENCODE, ((1, Fraction(1, 2)),), "=",
+                                  Fraction(3, 4)),))
+    sol = lpbound._certified_from_basis(problem, ([1], [0], [0]))
+    assert sol is not None and sol.value == Fraction(3, 2)
 
 
 def _first_capacity_set(name, cap):
@@ -773,6 +795,79 @@ def test_rounding_limits_certify(name, cap, weights, value, monkeypatch):
     sol = lp_solve(build_lp(_first_capacity_set(name, cap), Weights.of(weights)))
     assert sol.status == "optimal" and sol.method == "certificate"
     assert sol.value == value
+
+
+def _block_simplex(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the exact simplex ran: the certificate failed")
+    monkeypatch.setattr(lpbound.simplex, "solve", solve)
+
+
+def test_a_drawn_capacity_case_that_rounding_missed_certifies(monkeypatch):
+    # Rounding HiGHS's floats to fractions missed this unreduced butterfly,
+    # which then fell to the exact simplex; its optimal basis gives the
+    # Shannon-reduced value, 2/7.
+    doc = json.loads(netmodel.fixture_text("butterfly"))
+    caps = {"e_a": "2/7", "e_b": "3/2", "e_c": "2/7", "e_d": "1", "e_e": "3", "e_f": "2/7",
+            "e_g": "1/2"}
+    for edge in doc["edges"]:
+        edge["cap"] = caps[edge["id"]]
+    _block_simplex(monkeypatch)
+    sol = lp_solve(build_lp(build_fdg(parse_network(json.dumps(doc))), Weights.of({1: 1, 2: 0})))
+    assert (sol.status, sol.value, sol.method) == ("optimal", Fraction(2, 7), "certificate")
+
+
+def test_the_certificate_reads_no_float_value(monkeypatch):
+    # HiGHS's x, and each of its nonzero duals, are replaced by other nonzero
+    # noise: only the basis, and which duals are zero, reach the certificate.
+    highs, rng = lpbound._highs(), random.Random(26)
+
+    def noise():
+        return rng.choice([-1, 1]) * rng.uniform(1e-3, 9)
+
+    class Noisy(highs.solver):
+        def getSolution(self):
+            solution = super().getSolution()
+            solution.col_value = [noise() for _ in solution.col_value]
+            solution.row_dual = [d and noise() for d in solution.row_dual]
+            return solution
+
+    thirds = Weights.of({1: Fraction(1, 3), 2: Fraction(2, 7)})
+    problems = [_fixture_problem("butterfly", "shannon", thirds),
+                _fixture_problem("two_unicast_side", "none"),
+                _fixture_problem("fano", "linear", thirds)]
+    want = [lp_solve(problem) for problem in problems]
+    monkeypatch.setattr(lpbound, "_highs", lambda: highs._replace(solver=Noisy))
+    _block_simplex(monkeypatch)
+    for problem, expected in zip(problems, want):
+        sol = lp_solve(problem)
+        assert (sol.value, sol.witness, sol.method) == (expected.value, expected.witness,
+                                                        "certificate")
+
+
+@st.composite
+def _square_systems(draw):
+    """n equations in n unknowns, n <= 4, with small integer coefficients
+    and rational right-hand sides.  The last equation is sometimes a
+    combination of the others, its right-hand side kept (a singular system)
+    or moved (an inconsistent one)."""
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    matrix = [[draw(coeff) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(_RATIONALS) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        mults = [draw(coeff) for _ in range(n - 1)]
+        matrix[-1] = [sum(m * row[k] for m, row in zip(mults, matrix)) for k in range(n)]
+        rhs[-1] = sum(m * b for m, b in zip(mults, rhs)) + draw(st.sampled_from([0, 0, 1]))
+    return [({k: c for k, c in enumerate(row) if c}, b) for row, b in zip(matrix, rhs)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_systems())
+def test_exact_solve_equals_the_gauss_jordan_reference(equations):
+    got = lpbound._solve_unique(equations)
+    assert got == ref.solve_unique(equations)
+    assert got is None or all(isinstance(x, Fraction) for x in got.values())
 
 
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
