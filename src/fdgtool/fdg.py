@@ -80,6 +80,9 @@ class EdgeVar:
 Var = SourceVar | EdgeVar
 
 
+_FDG_KEYS = frozenset(("vars", "parents", "capacities", "demand_origin"))  # as ``to_dict`` writes
+
+
 class Fdg:
     """Immutable dependence graph over source and edge variables.
 
@@ -96,6 +99,10 @@ class Fdg:
         index = {v: i for i, v in enumerate(vars)}
         if len(index) != len(vars):
             raise ValueError("duplicate variables")
+        for k in parents:  # ``Fdg`` reads parents by variable, so another key would be lost
+            if k not in index:
+                raise ValueError(f"parents key {getattr(k, 'name', repr(k))} is not a "
+                                 f"variable of the graph")
         par = []
         for v in vars:
             ps = tuple(parents.get(v, ()))
@@ -198,8 +205,10 @@ class Fdg:
     @classmethod
     def from_json(cls, text: str) -> "Fdg":
         """The graph that ``to_json`` wrote as ``text``.  Malformed JSON, a
-        document of another shape, a bad name or capacity and a graph that
-        ``Fdg`` refuses all raise ValueError."""
+        document of another shape, a top-level key that ``to_json`` does not
+        write (one that starts with '_' is a comment, and is skipped), a bad
+        name or capacity, a capacity for a name that is not an edge variable
+        of the graph and a graph that ``Fdg`` refuses all raise ValueError."""
         try:
             doc = json.loads(text)
         except RecursionError:
@@ -214,6 +223,9 @@ class Fdg:
             raise ValueError("a dependence graph document has vars, a list of names; parents "
                              "and demand_origin, objects of name lists; and capacities, an "
                              "object of strings")
+        for key in doc:
+            if key not in _FDG_KEYS and not key.startswith("_"):
+                raise ValueError(f"unknown key {key!r} in a dependence graph document")
 
         def mk(name):
             if name.startswith("Y"):
@@ -231,6 +243,11 @@ class Fdg:
             return EdgeVar(name[2:], fraction_from_text(caps[name]))
 
         vars_ = [mk(n) for n in doc["vars"]]
+        edges = {v.name for v in vars_ if isinstance(v, EdgeVar)}
+        for name in caps:
+            if name not in edges:
+                raise ValueError(f"capacity for {name}, which is not an edge variable "
+                                 f"of the graph")
         parents = {mk(n): tuple(mk(p) for p in ps) for n, ps in doc["parents"].items()}
         origin = {mk(n): frozenset(ts) for n, ts in doc.get("demand_origin", {}).items()}
         return cls(vars_, parents, origin)

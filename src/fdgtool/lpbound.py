@@ -42,8 +42,11 @@ sequence of ``Row``s of ``Fraction``s, each built when asked for, and
 every stage of the solve and the export reads the integers directly, the
 exact simplex too: it takes ``integer_row``'s tuples as they are.  The
 exact checks scale a point (witness or ray) once to the common denominator
-of its values and compare it with those rows in integers.  The elemental
-rows, nearly all of the rows, have coefficients +-1, so their scale is 1.
+of its values and compare it with those rows in integers; the certificate's
+dual is one multiplier per row as stored, and weak duality is checked on
+those multipliers over their common denominator, in integers too.  The
+elemental rows, nearly all of the rows, have coefficients +-1, so their
+scale is 1.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -83,6 +86,7 @@ MAX_N_ENV = "FDGTOOL_MAX_N"
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 _ZERO = Fraction(0)
+_SENSES = frozenset(("<=", ">=", "="))
 
 
 class Row(NamedTuple):
@@ -146,7 +150,9 @@ class RowTable(Sequence):
 @dataclass(frozen=True)
 class LpProblem:
     """An entropy LP.  ``rows`` may be given as any sequence of ``Row``s; it
-    is held, and read back, as a ``RowTable``."""
+    is held, and read back, as a ``RowTable``.  A row whose sense is not
+    '<=', '>=' or '=', or a row or objective term whose column mask is not
+    in 1..2^N - 1, is refused with one ValueError that names it."""
 
     n_vars: int
     var_names: tuple[str, ...]
@@ -157,10 +163,24 @@ class LpProblem:
     def __post_init__(self):
         if not isinstance(self.rows, RowTable):
             object.__setattr__(self, "rows", RowTable(self.rows))
+        rows, top = self.rows, self.dimension
+        if not set(rows.senses) <= _SENSES or \
+                not 0 < min(rows.masks, default=1) <= max(rows.masks, default=1) <= top:
+            for i, (name, sense) in enumerate(zip(rows.names, rows.senses)):
+                if sense not in _SENSES:
+                    raise ValueError(f"row {name!r}: unknown sense {sense!r}")
+                _check_masks(f"row {name!r}", rows.masks[rows.starts[i]:rows.starts[i + 1]], top)
+        _check_masks("the objective", [mask for mask, _ in self.objective], top)
 
     @property
     def dimension(self) -> int:
         return (1 << self.n_vars) - 1
+
+
+def _check_masks(what: str, masks, top: int) -> None:
+    for mask in masks:
+        if not 0 < mask <= top:
+            raise ValueError(f"{what}: column mask {mask} is not in 1..{top}")
 
 
 @dataclass(frozen=True)
@@ -546,26 +566,25 @@ def _highs_options(core) -> dict:
 
 def _highs_lp(problem: LpProblem, highs: _HighsApi):
     """The column-wise ``HighsLp`` that ``linprog(method="highs")`` builds
-    for the problem, with the problem row indices of its rows:
-    (lp, ub_idx, eq_idx).
+    for the problem, with the problem row index of each of its rows:
+    (lp, order).
 
     The objective is negated to a minimum.  The rows come in ``linprog``'s
-    order, the inequality rows (``ub_idx``) then the equality rows
-    (``eq_idx``), with '>=' rows negated to '<='; each column lists its
-    entries in ascending row order, as a CSC matrix does.  Each number
-    enters as an int division (a row's integer over its scale), which is
-    exactly ``float`` of it; a number too large for a float raises
-    ``OverflowError``.
+    order, the inequality rows then the equality rows, with '>=' rows
+    negated to '<='; each column lists its entries in ascending row order,
+    as a CSC matrix does.  Each number enters as an int division (a row's
+    integer over its scale), which is exactly ``float`` of it; a number too
+    large for a float raises ``OverflowError``.
     """
     rows, n, inf = problem.rows, problem.dimension, highs.inf
     cost = [0.0] * n
     for mask, w in problem.objective:
         cost[mask - 1] = -(w.numerator / w.denominator)
-    ub_idx = [i for i, sense in enumerate(rows.senses) if sense != "="]
-    eq_idx = [i for i, sense in enumerate(rows.senses) if sense == "="]
+    order = [i for i, sense in enumerate(rows.senses) if sense != "="]
+    order += [i for i, sense in enumerate(rows.senses) if sense == "="]
     lower, upper = [], []
     entries = [[] for _ in range(n)]  # per column: row position, value, ...
-    for at, i in enumerate(chain(ub_idx, eq_idx)):
+    for at, i in enumerate(order):
         masks, coeffs, rhs, scale, sense = rows.integer_row(i)
         flip = sense == ">="
         b = -(rhs / scale) if flip else rhs / scale
@@ -585,7 +604,7 @@ def _highs_lp(problem: LpProblem, highs: _HighsApi):
     lp.a_matrix_.start_ = [0, *accumulate(len(column) // 2 for column in entries)]
     lp.a_matrix_.index_ = [at for column in entries for at in column[::2]]
     lp.a_matrix_.value_ = [value for column in entries for value in column[1::2]]
-    return lp, ub_idx, eq_idx
+    return lp, order
 
 
 def _float_solve(problem: LpProblem):
@@ -605,7 +624,7 @@ def _float_solve(problem: LpProblem):
     if highs is None:
         return None
     try:
-        lp, ub_idx, eq_idx = _highs_lp(problem, highs)
+        lp, order = _highs_lp(problem, highs)
     except OverflowError:
         return None
     solver = highs.solver()
@@ -618,7 +637,7 @@ def _float_solve(problem: LpProblem):
     status, variables = highs.basic_variables(solver)
     if solver.getModelStatus() != highs.optimal or status != highs.ok:
         return None
-    variables, order = variables.tolist(), ub_idx + eq_idx
+    variables = variables.tolist()
     basic_rows = {-1 - v for v in variables if v < 0}
     return (sorted(v + 1 for v in variables if v >= 0),
             [i for at, i in enumerate(order) if at not in basic_rows],
@@ -688,13 +707,14 @@ def _certified_from_basis(problem: LpProblem, basis) -> LpSolution | None:
     ``basis`` is the result of ``_float_solve``: the basic columns, the
     tight rows and the rows with a nonzero float dual.  The witness is the
     basic point: the tight rows, as stored, solved over the basic columns,
-    with every other column 0.  The dual gives each basic column its
-    objective coefficient over the rows with a nonzero dual.  Each is solved
+    with every other column 0.  The dual is one multiplier per row with a
+    nonzero float dual, a multiplier of the row as stored, solved so that
+    each basic column sums to its objective coefficient.  Each is solved
     once, exactly; no float value is read.  When the witness satisfies
-    every row, the dual is feasible with nonnegative multipliers on
-    inequalities, and the two exact objectives coincide, weak duality
-    certifies optimality outright.  Any failure falls back to the exact
-    simplex path, so this routine can only accelerate, never corrupt.
+    every row and ``_dual_certifies`` accepts the dual at the witness's
+    objective, weak duality certifies optimality outright.  Any failure
+    falls back to the exact simplex path, so this routine can only
+    accelerate, never corrupt.
     """
     if basis is None:
         return None
@@ -706,7 +726,7 @@ def _certified_from_basis(problem: LpProblem, basis) -> LpSolution | None:
     if primal is None:
         return None
     witness = {mask: x for mask, x in sorted(primal.items()) if x}
-    if verify_witness(problem, witness):
+    if _violated_rows(problem, witness):
         return None
     columns = {mask: {} for mask in basic}  # basic column -> its dual equation
     for i in support:
@@ -716,38 +736,32 @@ def _certified_from_basis(problem: LpProblem, basis) -> LpSolution | None:
                 columns[mask][i] = c
     objective = dict(problem.objective)
     dual = _solve_unique([(terms, objective.get(mask, 0)) for mask, terms in columns.items()])
-    if dual is None:
-        return None
-    # ``_dual_certifies`` reads a multiplier of the row over its scale, with
-    # a '>=' row negated to '<=' as the float solve has it.
-    q = {i: y * rows.scales[i] * (-1 if rows.senses[i] == ">=" else 1) for i, y in dual.items()}
-    ub_idx = [i for i in q if rows.senses[i] != "="]
-    eq_idx = [i for i in q if rows.senses[i] == "="]
-    u, v = [q[i] for i in ub_idx], [q[i] for i in eq_idx]
     value = _eval_row(problem.objective, witness)
-    if min(u, default=0) < 0 or not _dual_certifies(problem, ub_idx, eq_idx, u, v, value):
+    if dual is None or not _dual_certifies(problem, dual, value):
         return None
     return LpSolution(status="optimal", value=value, witness=witness,
                       source_masks=problem.source_masks, method="certificate")
 
 
-def _dual_certifies(problem, ub_idx, eq_idx, u, v, value) -> bool:
-    """Exact weak-duality check: u >= 0 was ensured by the caller; verify
-    dual feasibility and that the dual objective equals ``value``.
+def _dual_certifies(problem: LpProblem, dual: dict, value: Fraction) -> bool:
+    """Exact weak-duality check: does ``dual`` prove that no feasible point
+    has an objective above ``value``?
 
-    In integers: the multiplier ``q`` of an integer row with scale ``s``
-    stands for ``q / s``, and over the common denominator ``den`` of those,
-    every column sum and the dual objective are integers.
+    ``dual`` maps problem row indices to multipliers of the rows as
+    ``RowTable`` stores them.  It certifies when every multiplier on a '<='
+    row is nonnegative and every one on a '>=' row nonpositive, every
+    column sum is at least that column's objective coefficient (0 for a
+    column outside the objective), and the dual objective equals ``value``.
+    Checked in integers over the multipliers' common denominator ``den``.
     """
-    support = [(q, problem.rows.integer_row(i))
-               for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)] if q]
-    den = lcm(*[q.denominator * scale for q, (_, _, _, scale, _) in support])
-    column_sums = {}
-    dual_value = 0
-    for q, (masks, coeffs, rhs, scale, sense) in support:
-        y = q.numerator * (den // (q.denominator * scale))
-        if sense == ">=":  # negated to '<=' for the float solve
-            y = -y
+    rows = problem.rows
+    den = lcm(*[y.denominator for y in dual.values()])
+    column_sums, dual_value = {}, 0
+    for i, y in dual.items():
+        masks, coeffs, rhs, _, sense = rows.integer_row(i)
+        if (sense == "<=" and y < 0) or (sense == ">=" and y > 0):
+            return False
+        y = y.numerator * (den // y.denominator)
         for mask, c in zip(masks, coeffs):
             column_sums[mask] = column_sums.get(mask, 0) + y * c
         dual_value += y * rhs

@@ -339,6 +339,13 @@ def test_lp_stats_reduced_butterfly(on_disk, capsys):
     assert doc["total_rows"] == 94
 
 
+def test_lp_stats_text(on_disk, capsys):
+    code, out, err = run(capsys, "lp", "--stats", "--format", "text", on_disk("butterfly"))
+    assert (code, err) == (0, "")
+    assert out == ("N=9 dimension=511 rows=4634\n  ELEMENTAL1 9\n  ELEMENTAL2 4608\n"
+                   "  INDEP      1\n  ENCODE     7\n  DECODE     2\n  CAPACITY   7\n")
+
+
 def test_lp_stats_counts_without_generating_rows(on_disk, capsys, monkeypatch):
     def build_lp(*args):
         raise AssertionError("build_lp called to count rows")
@@ -394,6 +401,22 @@ def test_lp_solve_weights(on_disk, capsys):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert doc["value"] == "1"
+
+
+@pytest.mark.parametrize("fmt, printed", [("json", '{\n  "status": "unbounded"\n}\n'),
+                                          ("text", "unbounded\n")])
+def test_lp_solve_reports_an_unbounded_lp(tmp_path, capsys, fmt, printed):
+    # The only sink has no in-edges, so the source has no decode row and no
+    # row bounds its entropy.
+    network = tmp_path / "unbounded.json"
+    network.write_text(json.dumps({
+        "nodes": ["s", "m", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "m", "cap": "1"}],
+        "sources": [{"index": 1, "at": "s"}],
+        "sinks": [{"at": "t", "demands": [1]}]}))
+    code, out, err = run(capsys, "lp", "--solve", "--format", fmt, str(network))
+    assert (code, out) == (1, printed)
+    assert err.startswith("warning: ") and err.count("\n") == 1
 
 
 def test_lp_solve_cap_suggests_export(on_disk, capsys, monkeypatch):
@@ -589,6 +612,19 @@ def test_transfer_search_found_and_exhausted(on_disk, capsys):
     code, out, _ = run(capsys, "transfer", "--search", "3", on_disk("fano"))
     assert code == 1
     assert json.loads(out)["status"] == "exhausted"
+
+
+def test_transfer_search_text_found_and_exhausted(on_disk, capsys):
+    code, out, _ = run(capsys, "transfer", "--search", "2", "--format", "text",
+                       on_disk("butterfly"))
+    assert code == 0
+    assert out == ("found over GF(2):\n"
+                   "  eps[Y1->e_c] = 1\n  eps[Y1->e_f] = 1\n  eps[Y2->e_c] = 1\n"
+                   "  eps[Y2->e_g] = 1\n  eps[e_c->t1:Y1] = 1\n  eps[e_g->t1:Y1] = 1\n"
+                   "  eps[e_c->t2:Y2] = 1\n  eps[e_f->t2:Y2] = 1\n")
+    code, out, _ = run(capsys, "transfer", "--search", "2", "--reduce", "none",
+                       "--format", "text", on_disk("two_unicast_chain"))
+    assert (code, out) == (1, "exhausted over GF(2) (1053 nodes searched)\n")
 
 
 def test_transfer_search_refuses_a_huge_field_at_once(on_disk, capsys):

@@ -136,6 +136,20 @@ def test_undecodable_sources_share_one_warning():
         "sources 1, 2 have no decodable sink in-edges; their variables lie on no cycle"]
 
 
+_ABSENT = EdgeVar("zz", Fraction(1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: reduce(g, "bogus"), ValueError, "^unknown mode 'bogus'$"),
+    (lambda g: g.var_by_name("nope"), KeyError, "no variable named 'nope'"),
+    (lambda g: remove_var(g, _ABSENT), ValueError, "^U:zz is not in the graph$"),
+    (lambda g: remove_group(g, (_ABSENT,)), ValueError, "^U:zz is not in the graph$"),
+], ids=["reduce-mode", "var-by-name", "remove-var", "remove-group"])
+def test_graph_operations_refuse_an_unknown_mode_or_variable(call, error, message):
+    with pytest.raises(error, match=message):
+        call(build_fdg(load_fixture("butterfly")))
+
+
 def test_remove_var_rewires_butterfly_decoder():
     g = build_fdg(load_fixture("butterfly"))
     after = remove_var(g, g.var_by_name("U:e_d"))
@@ -460,6 +474,13 @@ _MALFORMED_FDG_DOCUMENTS = {  # id -> (document, what the message says)
                               "^demand_origin key Y7 is not a source variable of the graph$"),
     "origin-edge": (_single_edge_doc(demand_origin={"U:e1": ["t"]}),
                     "^demand_origin key U:e1 is not a source variable of the graph$"),
+    "parents-unknown-key": (_single_edge_doc(parents={"Y1": ["U:e1"], "U:e1": ["Y1"], "Y7": []}),
+                            "^parents key Y7 is not a variable of the graph$"),
+    "capacity-unknown-edge": (_single_edge_doc(capacities={"U:e1": "1", "U:extra": "1"}),
+                              "^capacity for U:extra, which is not an edge variable"),
+    "capacity-source": (_single_edge_doc(capacities={"U:e1": "1", "Y1": "1"}),
+                        "^capacity for Y1, which is not an edge variable"),
+    "unknown-key": (_single_edge_doc(extra={}), "^unknown key 'extra' in a dependence graph"),
 }
 
 
@@ -470,6 +491,21 @@ def test_a_malformed_fdg_document_is_a_value_error(case):
     with pytest.raises(ValueError, match=message):
         Fdg.from_json(text)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_comment_key_is_skipped_and_valid_documents_keep_their_bytes():
+    text = build_fdg(load_fixture("single_edge")).to_json()
+    assert Fdg.from_json(text).to_json() == text
+    assert Fdg.from_json(_single_edge_doc(_comment="a note")).to_json() == text
+
+
+@pytest.mark.parametrize("key, name", [(SourceVar(2), "Y2"), (EdgeVar("e9", Fraction(1)), "U:e9"),
+                                       ("Y1", "'Y1'")])
+def test_a_parents_key_that_is_not_a_variable_is_refused(key, name):
+    # Fdg reads parents by variable, so such a key would be dropped.
+    y, e = SourceVar(1), EdgeVar("e1", Fraction(1))
+    with pytest.raises(ValueError, match=f"^parents key {name} is not a variable of the graph$"):
+        Fdg([y, e], {e: (y,), y: (e,), key: ()})
 
 
 @pytest.mark.parametrize("key, name", [(SourceVar(2), "Y2"), (EdgeVar("e1", Fraction(1)), "U:e1"),

@@ -270,6 +270,35 @@ _BLOCK_SCIPY = """
 """
 
 
+# id -> (rows as (name, column mask, sense, rhs), objective mask, message).
+# HiGHS would read the sense '=<' as '<=' and the exact checks as '=', and a
+# mask outside 1..2^N - 1 has no column.
+_MISREAD_LPS = {
+    "unknown-sense": ([("upper", 1, "<=", 2), ("odd", 1, "=<", 0)], 1,
+                      "^row 'odd': unknown sense '=<'$"),
+    "row-mask-above": ([("upper", 5, "<=", 2)], 1, "^row 'upper': column mask 5 is not in 1..1$"),
+    "row-mask-negative": ([("upper", -1, "<=", 2)], 1,
+                          "^row 'upper': column mask -1 is not in 1..1$"),
+    "row-mask-zero": ([("upper", 0, "<=", 2)], 1, "^row 'upper': column mask 0 is not in 1..1$"),
+    "objective-mask-above": ([("upper", 1, "<=", 2)], 4,
+                             "^the objective: column mask 4 is not in 1..1$"),
+}
+
+
+@pytest.mark.parametrize("use", ["solve", "solve-without-scipy", "export"])
+@pytest.mark.parametrize("case", _MISREAD_LPS)
+def test_an_lp_that_would_be_read_two_ways_is_refused(case, use, monkeypatch):
+    rows, objective, message = _MISREAD_LPS[case]
+    if use == "solve-without-scipy":
+        monkeypatch.setattr(lpbound, "_highs", lambda: None)
+    run = export_lp if use == "export" else lp_solve
+    with pytest.raises(ValueError, match=message):
+        run(LpProblem(n_vars=1, var_names=("v",), source_masks=(),
+                      objective=((objective, Fraction(1)),),
+                      rows=tuple(Row(name, lpbound.CAPACITY, ((mask, Fraction(1)),), sense,
+                                     Fraction(rhs)) for name, mask, sense, rhs in rows)))
+
+
 def test_a_solve_without_scipy_never_loads_numpy():
     # A fresh interpreter with scipy made unimportable, as in an install
     # without the test extras: the exact path answers, numpy stays out and
@@ -643,9 +672,9 @@ def _assert_solved_as_linprog(problem, monkeypatch):
     assert np.array(solution.col_value).tobytes() == res.x.tobytes()
     marginals = [*res.ineqlin.marginals.tolist(), *res.eqlin.marginals.tolist()]
     assert np.array(solution.row_dual).tobytes() == np.array(marginals).tobytes()
-    _, ub_idx, eq_idx = lpbound._highs_lp(problem, highs)
-    assert (ub_idx, eq_idx) == ([i for i, row in enumerate(problem.rows) if row.sense != "="],
-                                [i for i, row in enumerate(problem.rows) if row.sense == "="])
+    ub_idx = [i for i, row in enumerate(problem.rows) if row.sense != "="]
+    eq_idx = [i for i, row in enumerate(problem.rows) if row.sense == "="]
+    assert lpbound._highs_lp(problem, highs)[1] == ub_idx + eq_idx
     assert support == [i for i, d in zip(ub_idx + eq_idx, marginals) if d]
     assert len(tight) == len(basic)  # a basis has one tight row per basic column
 
@@ -730,10 +759,30 @@ def _dual_checks(draw):
     return problem, ub_idx, eq_idx, u, v, value
 
 
+def _stored_row_dual(problem, ub_idx, eq_idx, u, v, value):
+    """``_dual_checks``' arguments for ``lpbound._dual_certifies``: a linprog
+    multiplier q stands for the row as written, '>=' rows negated, so the
+    multiplier of the row as stored, at scale s, is q / s, negated on '>='."""
+    dual = {i: q / problem.rows.scales[i] * (-1 if problem.rows.senses[i] == ">=" else 1)
+            for q, i in [*zip(u, ub_idx), *zip(v, eq_idx)]}
+    return problem, dual, value
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dual_checks())
 def test_integer_dual_check_equals_the_fraction_reference(args):
-    assert lpbound._dual_certifies(*args) == ref._dual_certifies(*args)
+    assert lpbound._dual_certifies(*_stored_row_dual(*args)) == ref._dual_certifies(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dual_checks(), st.data())
+def test_a_multiplier_of_the_wrong_sign_never_certifies(args, data):
+    problem, dual, value = _stored_row_dual(*args)
+    signed = [i for i, y in dual.items() if y and problem.rows.senses[i] != "="]
+    assume(signed)
+    i = data.draw(st.sampled_from(signed))
+    dual[i] = -dual[i]
+    assert not lpbound._dual_certifies(problem, dual, value)
 
 
 def test_negative_float_multipliers_never_certify():
@@ -744,7 +793,7 @@ def test_negative_float_multipliers_never_certify():
             Row("lower", lpbound.CAPACITY, ((1, Fraction(1)),), ">=", Fraction(0)))
     problem = LpProblem(n_vars=1, var_names=("v",), source_masks=(),
                         objective=((1, Fraction(1)),), rows=rows)
-    assert lpbound._dual_certifies(problem, [1], [], [Fraction(-1)], [], Fraction(0))
+    assert not lpbound._dual_certifies(problem, {1: Fraction(1)}, Fraction(0))
     assert lpbound._certified_from_basis(problem, ([1], [1], [1])) is None
     assert lpbound._certified_from_basis(problem, ([1], [0], [0])).value == 2
 
@@ -815,6 +864,50 @@ def test_a_drawn_capacity_case_that_rounding_missed_certifies(monkeypatch):
     _block_simplex(monkeypatch)
     sol = lp_solve(build_lp(build_fdg(parse_network(json.dumps(doc))), Weights.of({1: 1, 2: 0})))
     assert (sol.status, sol.value, sol.method) == ("optimal", Fraction(2, 7), "certificate")
+
+
+def _spy(monkeypatch, name):
+    """Replace ``lpbound.<name>`` by a wrapper that records each call's
+    arguments and result, as (args, result), in the list returned."""
+    calls, real = [], getattr(lpbound, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(lpbound, name, spy)
+    return calls
+
+
+def test_a_basic_point_that_violates_a_row_is_declined(monkeypatch):
+    # Every capacity, about 8.1e-9, sits below HiGHS's 1e-7 feasibility
+    # tolerance, so the basis HiGHS calls optimal has a basic point that
+    # fails elemental rows in exact arithmetic.  Only the float solve and
+    # the certificate run: the exact fallback takes minutes here.
+    doc = json.loads(netmodel.fixture_text("butterfly"))
+    for edge in doc["edges"]:
+        edge["cap"] = "1/123456789"
+    graph, _ = reduce(build_fdg(parse_network(json.dumps(doc))), "shannon")
+    problem = build_lp(graph, W11)
+    checks = _spy(monkeypatch, "_violated_rows")
+    assert lpbound._certified_from_basis(problem, lpbound._float_solve(problem)) is None
+    [(_, bad)] = checks
+    assert {"elem2_9", "elem2_17", "elem2_34"} < {problem.rows.names[i] for i in bad}
+
+
+def test_a_dual_of_the_wrong_sign_is_declined(monkeypatch):
+    # HiGHS's basis is dual feasible only within its 1e-7 tolerance: its
+    # basic point is feasible, but its exact dual puts multipliers of about
+    # 7e-8 of the wrong sign on elemental rows, which ``_dual_certifies``
+    # refuses by itself.
+    problem = build_lp(_first_capacity_set("two_unicast_chain", "1/3"),
+                       Weights.of({1: Fraction(1, 3), 2: Fraction(2, 7)}))
+    checks, duals = _spy(monkeypatch, "_violated_rows"), _spy(monkeypatch, "_dual_certifies")
+    assert lpbound._certified_from_basis(problem, lpbound._float_solve(problem)) is None
+    [(_, bad)], [((_, dual, _), certifies)] = checks, duals
+    assert bad == [] and certifies is False
+    senses = problem.rows.senses
+    assert any((senses[i] == "<=" and y < 0) or (senses[i] == ">=" and y > 0)
+               for i, y in dual.items())
 
 
 def test_the_certificate_reads_no_float_value(monkeypatch):

@@ -41,6 +41,11 @@ def test_malformed_json_rejected():
         parse_network("{not json")
 
 
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(NetworkFormatError, match="^top-level JSON value must be an object$"):
+        parse_network("[]")
+
+
 def test_deeply_nested_json_rejected():
     with pytest.raises(NetworkFormatError, match="nested too deeply"):
         parse_network("[" * 200000 + "]" * 200000)

@@ -615,6 +615,12 @@ def test_search_compiles_an_entry_with_thousands_of_terms():
     assert got.assignment["z"] == 2
 
 
+def test_search_refuses_an_order_that_misses_an_indeterminate():
+    M, demand = [(Poly.var("x") * Poly.var("y"),)], ((1,),)
+    with pytest.raises(ValueError, match=r"^order is missing indeterminates: \['y'\]$"):
+        solvability_search(M, demand, 3, order=("x",))
+
+
 def test_search_refuses_bad_pins_fields_demands_and_repeated_names():
     M, demand = [(Poly.var("x") * Poly.var("y"),)], ((1,),)
     for bad in (1.5, True, "1", None):
