@@ -29,10 +29,11 @@ a dense rational simplex is driven through lazy row generation (the full
 elemental family is enormous, but optima are supported on few of them); it
 starts from h = 0, so ``lp_solve`` refuses a problem that h = 0 violates.
 Every returned witness is re-checked against every row of the full problem
-afterwards.  The HiGHS module is loaded from its file, so a solve imports
-neither ``scipy.optimize`` nor ``scipy.sparse``: it hands HiGHS the model
-and options that ``scipy.optimize.linprog(method="highs")`` would, and gets
-the same bits back, at a fraction of the start-up time.
+afterwards.  The HiGHS module is loaded from its file, and HiGHS reads the
+model from an MPS file and hands back lists, so a solve imports neither
+numpy nor ``scipy.optimize`` nor ``scipy.sparse``: HiGHS gets the model and
+options that ``scipy.optimize.linprog(method="highs")`` would give it, and
+gives the same bits back, at a fraction of the start-up time.
 
 A problem holds its rows once, in one integer table (``RowTable``): each
 row times its scale, the lcm of its own denominators, flat as in a CSR
@@ -55,11 +56,11 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -152,7 +153,9 @@ class LpProblem:
     """An entropy LP.  ``rows`` may be given as any sequence of ``Row``s; it
     is held, and read back, as a ``RowTable``.  A row whose sense is not
     '<=', '>=' or '=', or a row or objective term whose column mask is not
-    in 1..2^N - 1, is refused with one ValueError that names it."""
+    in 1..2^N - 1, is refused with one ValueError that names it: when the
+    problem is built, and by ``lp_solve`` and ``export_lp`` for a row added
+    since."""
 
     n_vars: int
     var_names: tuple[str, ...]
@@ -163,18 +166,25 @@ class LpProblem:
     def __post_init__(self):
         if not isinstance(self.rows, RowTable):
             object.__setattr__(self, "rows", RowTable(self.rows))
-        rows, top = self.rows, self.dimension
-        if not set(rows.senses) <= _SENSES or \
-                not 0 < min(rows.masks, default=1) <= max(rows.masks, default=1) <= top:
-            for i, (name, sense) in enumerate(zip(rows.names, rows.senses)):
-                if sense not in _SENSES:
-                    raise ValueError(f"row {name!r}: unknown sense {sense!r}")
-                _check_masks(f"row {name!r}", rows.masks[rows.starts[i]:rows.starts[i + 1]], top)
-        _check_masks("the objective", [mask for mask, _ in self.objective], top)
+        _check_rows(self)
 
     @property
     def dimension(self) -> int:
         return (1 << self.n_vars) - 1
+
+
+def _check_rows(problem: LpProblem) -> None:
+    """The check ``LpProblem`` documents: refuse a row or objective term
+    that HiGHS and the exact checks would read two ways.  ``rows`` stays a
+    mutable table, so ``lp_solve`` and ``export_lp`` check it again."""
+    rows, top = problem.rows, problem.dimension
+    if not set(rows.senses) <= _SENSES or \
+            not 0 < min(rows.masks, default=1) <= max(rows.masks, default=1) <= top:
+        for i, (name, sense) in enumerate(zip(rows.names, rows.senses)):
+            if sense not in _SENSES:
+                raise ValueError(f"row {name!r}: unknown sense {sense!r}")
+            _check_masks(f"row {name!r}", rows.masks[rows.starts[i]:rows.starts[i + 1]], top)
+    _check_masks("the objective", [mask for mask, _ in problem.objective], top)
 
 
 def _check_masks(what: str, masks, top: int) -> None:
@@ -448,6 +458,7 @@ def lp_solve(problem: LpProblem, max_n: int | None = None) -> LpSolution:
     An LP that holds at h = 0 is never infeasible.
     """
     check_solve_cap(problem.n_vars, solve_cap() if max_n is None else max_n)
+    _check_rows(problem)
     rows = problem.rows
     refused = [name for name, sense, rhs in zip(rows.names, rows.senses, rows.rhs)
                if (rhs < 0 and sense != ">=") or (rhs > 0 and sense != "<=")]
@@ -507,11 +518,10 @@ class _HighsApi(NamedTuple):
     """What the float solve uses of scipy's HiGHS extension module."""
 
     solver: type  # ``_Highs``
-    model: type  # ``HighsLp``
-    colwise: object  # ``MatrixFormat.kColwise``
-    inf: float  # ``kHighsInf``
+    read_model: object  # ``_Highs.readModel``
+    basis: object  # ``_Highs.getBasis``
+    basic: object  # ``HighsBasisStatus.kBasic``
     optimal: object  # ``HighsModelStatus.kOptimal``
-    basic_variables: object  # ``_Highs.getBasicVariables``
     ok: object  # ``HighsStatus.kOk``
     options: object  # a ``HighsOptions`` set to ``_highs_options``
 
@@ -533,9 +543,9 @@ def _highs() -> _HighsApi | None:
         options = core.HighsOptions()
         for name, value in _highs_options(core).items():
             setattr(options, name, value)
-        return _HighsApi(core._Highs, core.HighsLp, core.MatrixFormat.kColwise,
-                         core.kHighsInf, core.HighsModelStatus.kOptimal,
-                         core._Highs.getBasicVariables, core.HighsStatus.kOk, options)
+        return _HighsApi(core._Highs, core._Highs.readModel, core._Highs.getBasis,
+                         core.HighsBasisStatus.kBasic, core.HighsModelStatus.kOptimal,
+                         core.HighsStatus.kOk, options)
     except (ImportError, OSError, AttributeError):
         return None
 
@@ -564,47 +574,55 @@ def _highs_options(core) -> dict:
             "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}
 
 
-def _highs_lp(problem: LpProblem, highs: _HighsApi):
-    """The column-wise ``HighsLp`` that ``linprog(method="highs")`` builds
-    for the problem, with the problem row index of each of its rows:
-    (lp, order).
+def _mps_text(problem: LpProblem):
+    """The model that ``linprog(method="highs")`` builds for the problem, as
+    free-format MPS text, with the problem row index of each of its rows:
+    (text, order).
 
-    The objective is negated to a minimum.  The rows come in ``linprog``'s
-    order, the inequality rows then the equality rows, with '>=' rows
-    negated to '<='; each column lists its entries in ascending row order,
-    as a CSC matrix does.  Each number enters as an int division (a row's
-    integer over its scale), which is exactly ``float`` of it; a number too
-    large for a float raises ``OverflowError``.
+    The objective is negated to a minimum, and every column is declared
+    with its cost, 0 included.  The rows come in ``linprog``'s order, the
+    inequality rows then the equality rows, with '>=' rows negated to '<='
+    (``L``) rows; each column lists its entries in ascending row order, two
+    to a line, as a CSC matrix holds them.  A right-hand side is written
+    unless it is +0.0, so a negated 0 reads back as linprog's -0.0.  Each
+    number enters as an int division (a row's integer over its scale, made
+    negative on a '>=' row), which is exactly ``float`` of it, and is
+    written as its ``repr``, which reads back to the same bits; a number
+    too large for a float raises ``OverflowError``.  One bit differs: a
+    weight that rounds to a zero cost reads back as +0.0, not linprog's
+    -0.0, as HiGHS's reader drops a zero objective entry.  Columns are
+    named ``c<mask>`` and rows ``r<position>``.
     """
-    rows, n, inf = problem.rows, problem.dimension, highs.inf
-    cost = [0.0] * n
+    rows = problem.rows
+    senses, scales, starts, masks, coeffs = (rows.senses, rows.scales, rows.starts,
+                                             rows.masks, rows.coeffs)
+    order = [i for i, sense in enumerate(senses) if sense != "="]
+    order += [i for i, sense in enumerate(senses) if sense == "="]
+    texts = {}  # coefficient -> its repr, one string per value
+    columns = [["OBJ", "0.0"] for _ in range(problem.dimension + 1)]  # per mask: row, value, ...
     for mask, w in problem.objective:
-        cost[mask - 1] = -(w.numerator / w.denominator)
-    order = [i for i, sense in enumerate(rows.senses) if sense != "="]
-    order += [i for i, sense in enumerate(rows.senses) if sense == "="]
-    lower, upper = [], []
-    entries = [[] for _ in range(n)]  # per column: row position, value, ...
+        columns[mask][1] = repr(-(w.numerator / w.denominator))
+    lines, rhs = ["NAME", "ROWS", " N OBJ"], []
     for at, i in enumerate(order):
-        masks, coeffs, rhs, scale, sense = rows.integer_row(i)
-        flip = sense == ">="
-        b = -(rhs / scale) if flip else rhs / scale
-        lower.append(b if sense == "=" else -inf)
-        upper.append(b)
-        for mask, c in zip(masks, coeffs):
-            entries[mask - 1] += (at, -(c / scale) if flip else c / scale)
-    lp = highs.model()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-    lp.a_matrix_.format_ = highs.colwise
-    lp.col_cost_ = cost
-    lp.col_lower_ = [0.0] * n
-    lp.col_upper_ = [inf] * n
-    lp.row_lower_ = lower
-    lp.row_upper_ = upper
-    lp.a_matrix_.start_ = [0, *accumulate(len(column) // 2 for column in entries)]
-    lp.a_matrix_.index_ = [at for column in entries for at in column[::2]]
-    lp.a_matrix_.value_ = [value for column in entries for value in column[1::2]]
-    return lp, order
+        name, den = f"r{at}", -scales[i] if senses[i] == ">=" else scales[i]
+        lines.append(f" E {name}" if senses[i] == "=" else f" L {name}")
+        b = repr(rows.rhs[i] / den)
+        if b != "0.0":
+            rhs += (name, b)
+        for k in range(starts[i], starts[i + 1]):
+            value = coeffs[k] / den
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = repr(value)
+            columns[masks[k]] += (name, text)
+    lines.append("COLUMNS")
+    for mask in range(1, len(columns)):
+        column, head = columns[mask], f" c{mask} "
+        lines += [head + " ".join(column[k:k + 4]) for k in range(0, len(column), 4)]
+    lines.append("RHS")
+    lines += [" RHS " + " ".join(rhs[k:k + 4]) for k in range(0, len(rhs), 4)]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n", order
 
 
 def _float_solve(problem: LpProblem):
@@ -614,33 +632,36 @@ def _float_solve(problem: LpProblem):
     the masks of the basic columns, ascending, then the problem row indices
     of the nonbasic (tight) rows and of the rows whose float dual is not
     zero, in the order HiGHS holds them.  No float is compared with
-    anything but zero.  HiGHS gets the model and the options that scipy's
-    ``linprog(method="highs")`` gives it, so it ends where that call does.
-    None when scipy is missing, a number does not fit a float, or HiGHS
-    reports no optimum or no valid basis: this solve only suggests a
-    certificate, and the exact path answers without it.
+    anything but zero.  HiGHS reads the model that scipy's
+    ``linprog(method="highs")`` gives it from an MPS file (``_mps_text``),
+    under the same options, so it ends where that call does; nothing it
+    hands over is a numpy array, so a solve never imports numpy.  None when
+    scipy is missing, a number does not fit a float, the file cannot be
+    written or read, or HiGHS reports no optimum or no valid basis: this
+    solve only suggests a certificate, and the exact path answers without it.
     """
     highs = _highs()
     if highs is None:
         return None
-    try:
-        lp, order = _highs_lp(problem, highs)
-    except OverflowError:
-        return None
     solver = highs.solver()
     solver.passOptions(highs.options)
-    solver.passModel(lp)
-    solver.run()
-    # One int per basic variable: j for column j, -1 - at for HiGHS's row at.
-    # ``getBasis`` builds a status object per row and column instead, which
-    # raised lp-certified's peak RSS from 66 to 71 MB.
-    status, variables = highs.basic_variables(solver)
-    if solver.getModelStatus() != highs.optimal or status != highs.ok:
+    try:
+        text, order = _mps_text(problem)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "lp.mps")
+            with open(path, "w", encoding="ascii") as file:
+                file.write(text)
+            del text  # the file holds it, so the text is not kept through the solve
+            if highs.read_model(solver, path) != highs.ok:
+                return None
+    except (OverflowError, OSError):
         return None
-    variables = variables.tolist()
-    basic_rows = {-1 - v for v in variables if v < 0}
-    return (sorted(v + 1 for v in variables if v >= 0),
-            [i for at, i in enumerate(order) if at not in basic_rows],
+    solver.run()
+    basis = highs.basis(solver)
+    if solver.getModelStatus() != highs.optimal or not basis.valid:
+        return None
+    return ([mask for mask, s in enumerate(basis.col_status, 1) if s == highs.basic],
+            [i for i, s in zip(order, basis.row_status) if s != highs.basic],
             [i for i, d in zip(order, solver.getSolution().row_dual) if d])
 
 
@@ -841,6 +862,7 @@ def export_lp(problem: LpProblem) -> str:
     is written from its integer form, in exact decimals when its scale is
     2^a 5^b and else multiplied through by the scale; so is the objective.
     """
+    _check_rows(problem)
     names = [f"h_{mask:x}" for mask in range(problem.dimension + 1)]
 
     def terms(masks, coeffs, den: int) -> str:

@@ -861,8 +861,9 @@ def export_lp(problem: LpProblem) -> str:
 
 
 def reference_linprog_inputs(problem):
-    """The ``linprog`` inputs whose HiGHS model ``_highs_lp`` must equal,
-    built through ``float(Fraction)`` per number: (c, keyword arguments)."""
+    """The ``linprog`` inputs whose HiGHS model the float solve's MPS file
+    must equal, built through ``float(Fraction)`` per number: (c, keyword
+    arguments)."""
     import numpy as np
     from scipy.sparse import csr_matrix
 

@@ -299,6 +299,31 @@ def test_an_lp_that_would_be_read_two_ways_is_refused(case, use, monkeypatch):
                                      Fraction(rhs)) for name, mask, sense, rhs in rows)))
 
 
+# id -> (column mask, sense, message) of a row added to a built problem.
+_LATE_ROWS = {
+    "unknown-sense": (1, "=<", "^row 'late': unknown sense '=<'$"),
+    "row-mask-above": (5, "<=", "^row 'late': column mask 5 is not in 1..1$"),
+}
+
+
+@pytest.mark.parametrize("use", ["solve", "solve-without-scipy", "export"])
+@pytest.mark.parametrize("case", _LATE_ROWS)
+def test_a_row_added_after_the_problem_is_built_is_refused(case, use, monkeypatch):
+    # ``rows`` is a mutable table: a row added to a built problem is refused
+    # as one given to it, so HiGHS never reads it.  Before, the sense '=<'
+    # answered "optimal 0" with scipy, and mask 5 raised an IndexError.
+    mask, sense, message = _LATE_ROWS[case]
+    problem = LpProblem(n_vars=1, var_names=("v",), source_masks=((1, 1),),
+                        objective=((1, Fraction(1)),),
+                        rows=(Row("upper", lpbound.CAPACITY, ((1, Fraction(1)),), "<=",
+                                  Fraction(2)),))
+    problem.rows.add("late", "TEST", ((mask, Fraction(1)),), sense, Fraction(0))
+    if use == "solve-without-scipy":
+        monkeypatch.setattr(lpbound, "_highs", lambda: None)
+    with pytest.raises(ValueError, match=message):
+        (export_lp if use == "export" else lp_solve)(problem)
+
+
 def test_a_solve_without_scipy_never_loads_numpy():
     # A fresh interpreter with scipy made unimportable, as in an install
     # without the test extras: the exact path answers, numpy stays out and
@@ -330,6 +355,51 @@ def test_a_cli_solve_imports_neither_scipy_optimize_nor_scipy_sparse():
     assert out.splitlines()[-1] == "['scipy.optimize._highspy._core']"
 
 
+@pytest.mark.parametrize("fixture, reduce_mode", [("single_edge", "shannon"),
+                                                  ("butterfly", "none")])
+def test_a_cli_solve_never_imports_numpy(fixture, reduce_mode):
+    # HiGHS reads the model from an MPS file and hands back lists, so numpy,
+    # 11 MB and about 0.1 s of start-up, stays out of a solve.
+    path = Path(lpbound.__file__).parent / "fixtures" / f"{fixture}.json"
+    out = _fresh_python(f"""
+        import runpy, sys
+        sys.argv = ["fdgtool", "lp", "--solve", "--reduce", {reduce_mode!r}, {str(path)!r}]
+        try:
+            runpy.run_module("fdgtool", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            assert not exit.code, exit.code
+        print("numpy" in sys.modules, "scipy.optimize._highspy._core" in sys.modules)
+    """)
+    assert out.splitlines()[-1] == "False True"
+
+
+def test_highs_writes_nothing_to_stdout_or_stderr(capfd):
+    # HiGHS writes through C stdio, past ``sys.stdout``: a banner from
+    # reading the model or solving it would land inside the CLI's JSON.
+    sol = lp_solve(_fixture_problem("butterfly", "none"))
+    assert (sol.value, sol.method) == (2, "certificate")
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_model_highs_cannot_read_takes_the_exact_path(monkeypatch):
+    # No temporary file (a full disk, say), or a file HiGHS fails to read:
+    # the exact simplex answers, as without scipy.
+    problem = _fixture_problem("single_edge", "none")
+    highs = lpbound._highs()
+
+    def no_directory():
+        raise OSError(28, "No space left on device")
+
+    for target, name, value in [
+            (lpbound.tempfile, "TemporaryDirectory", no_directory),
+            (lpbound, "_highs", lambda: highs._replace(read_model=lambda solver, path: None))]:
+        with monkeypatch.context() as m:
+            m.setattr(target, name, value)
+            assert lpbound._float_solve(problem) is None
+            sol = lp_solve(problem)
+        assert (sol.status, sol.value, sol.method) == ("optimal", 1, "exact")
+
+
 def test_highs_is_found_where_scipy_is_installed():
     # A scipy whose layout moved HiGHS would otherwise send every solve down
     # the exact path without a word.  A later import of scipy.optimize reuses
@@ -349,18 +419,25 @@ def test_highs_is_found_where_scipy_is_installed():
     assert out == "[2.0]\n"
 
 
-@pytest.mark.parametrize("missing", ["_Highs", "HighsLp", "HighsOptions", "MatrixFormat",
-                                     "kHighsInf", "HighsModelStatus", "HighsStatus",
-                                     "HighsDebugLevel", "simplex_constants"])
+@pytest.mark.parametrize("missing", ["_Highs", "_Highs.readModel", "_Highs.getBasis",
+                                     "HighsOptions", "HighsBasisStatus", "HighsModelStatus",
+                                     "HighsStatus", "HighsDebugLevel", "simplex_constants"])
 def test_a_highs_module_without_a_name_the_solve_reads_takes_the_exact_path(
         missing, monkeypatch):
-    # A scipy release whose module lacks one of these names is treated as
-    # one without HiGHS, not left to fail inside the solve.
+    # A scipy release whose module lacks one of these names, or whose
+    # ``_Highs`` lacks one of these methods, is treated as one without
+    # HiGHS, not left to fail inside the solve.
     assert lpbound._highs() is not None
     core = sys.modules[lpbound._HIGHS_MODULE]
     stub = type(sys)(lpbound._HIGHS_MODULE)
     stub.__dict__.update((name, getattr(core, name)) for name in dir(core)
                          if name != missing)
+    if missing.startswith("_Highs."):
+        method = missing.partition(".")[2]
+        stub._Highs = type("_Highs", (), {name: getattr(core._Highs, name)
+                                          for name in ("passOptions", "readModel", "run",
+                                                       "getModelStatus", "getBasis",
+                                                       "getSolution") if name != method})
     monkeypatch.setitem(sys.modules, lpbound._HIGHS_MODULE, stub)
     assert lpbound._highs() is None
     sol = lp_solve(build_lp(build_fdg(load_fixture("single_edge")), Weights.of({1: 1})))
@@ -631,14 +708,55 @@ def test_build_lp_leaves_no_object_per_row_for_the_collector():
     assert len(gc.get_objects()) - before < 100
 
 
+def _model_highs_reads(problem) -> dict:
+    """``highs_lp_bytes`` of the model HiGHS holds right after it reads the
+    float solve's MPS file for ``problem``."""
+    highs, models = lpbound._highs(), []
+
+    def read_model(solver, path):
+        status = highs.read_model(solver, path)
+        models.append(ref.highs_lp_bytes(solver.getLp()))
+        return status
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lpbound, "_highs", lambda: highs._replace(read_model=read_model))
+        lpbound._float_solve(problem)
+    [model] = models
+    return model
+
+
 @pytest.mark.parametrize("fixture, mode", SMALL_FIXTURE_MODES)
 def test_float_solve_hands_linprog_the_reference_arrays(fixture, mode):
-    # The model the float solve hands HiGHS is, bit for bit, the one that
-    # scipy's linprog builds from the reference arrays and hands HiGHS.
-    highs = lpbound._highs()
+    # The model HiGHS reads from the float solve's MPS file is, bit for bit,
+    # the one that scipy's linprog builds from the reference arrays and
+    # hands HiGHS.
     for p in _reference_cases(fixture, mode):
         lp, _ = ref.reference_highs_model(p)
-        assert ref.highs_lp_bytes(lpbound._highs_lp(p, highs)[0]) == ref.highs_lp_bytes(lp)
+        assert _model_highs_reads(p) == ref.highs_lp_bytes(lp)
+
+
+def test_float_solve_hands_linprog_the_reference_arrays_at_a_tiny_capacity():
+    # 1/123456789 is no short decimal: its repr must read back to its bits.
+    p = build_lp(_first_capacity_set("single_edge", "1/123456789"), Weights.of({1: 1}))
+    lp, _ = ref.reference_highs_model(p)
+    assert _model_highs_reads(p) == ref.highs_lp_bytes(lp)
+
+
+def test_a_weight_below_the_least_float_reads_back_as_a_positive_zero_cost(monkeypatch):
+    # linprog's cost for a weight that rounds to zero is -0.0, but HiGHS's
+    # MPS reader drops a zero objective entry, so that column's cost is
+    # +0.0.  Nothing else in the model differs, and HiGHS still ends where
+    # linprog does, x and duals bit for bit.
+    graph, _ = reduce(build_fdg(load_fixture("butterfly")), "shannon")
+    p = build_lp(graph, Weights.of({1: 1, 2: Fraction(1, 10 ** 400)}))
+    lp, _ = ref.reference_highs_model(p)
+    want, got = ref.highs_lp_bytes(lp), _model_highs_reads(p)
+    [(mask, _)] = [(mask, w) for mask, w in p.objective if w < 1]
+    cost = np.frombuffer(want["col_cost_"]).copy()
+    assert str(cost[mask - 1]) == "-0.0"
+    cost[mask - 1] = 0.0
+    assert got == {**want, "col_cost_": cost.tobytes()}
+    _assert_solved_as_linprog(p, monkeypatch)
 
 
 def test_float_solve_sets_the_linprog_options():
@@ -674,7 +792,7 @@ def _assert_solved_as_linprog(problem, monkeypatch):
     assert np.array(solution.row_dual).tobytes() == np.array(marginals).tobytes()
     ub_idx = [i for i, row in enumerate(problem.rows) if row.sense != "="]
     eq_idx = [i for i, row in enumerate(problem.rows) if row.sense == "="]
-    assert lpbound._highs_lp(problem, highs)[1] == ub_idx + eq_idx
+    assert lpbound._mps_text(problem)[1] == ub_idx + eq_idx
     assert support == [i for i, d in zip(ub_idx + eq_idx, marginals) if d]
     assert len(tight) == len(basic)  # a basis has one tight row per basic column
 
@@ -729,8 +847,7 @@ def test_integer_row_checks_equal_the_fraction_reference(case):
         if ref._ray_violates(row, ref._eval_row(row.coeffs, point))]
     assert export_lp(problem) == ref.export_lp(problem)
     lp, _ = ref.reference_highs_model(problem)
-    assert ref.highs_lp_bytes(lpbound._highs_lp(problem, lpbound._highs())[0]) == \
-        ref.highs_lp_bytes(lp)
+    assert _model_highs_reads(problem) == ref.highs_lp_bytes(lp)
 
 
 @st.composite

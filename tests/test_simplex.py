@@ -111,6 +111,23 @@ def test_infeasible_detected():
             simplex.solve(1, {0: 1}, [([0], [1], 1, 1, "<="), row])
 
 
+def test_an_unknown_sense_is_refused():
+    # ``lp_solve`` never passes one (``LpProblem`` refuses it); a direct
+    # caller gets the refusal, not a row read as '='.
+    with pytest.raises(ValueError, match=r"^unknown sense '=<'$"):
+        simplex.solve(1, {0: 1}, [([0], [1], 1, 1, "<="), ([0], [1], 0, 1, "=<")])
+
+
+def test_the_pivot_limit_stops_the_solve(monkeypatch):
+    # max x0 + x1 over x0 <= 1, x1 <= 1 takes two pivots; a limit of one
+    # stops it on the second.
+    rows = [([0], [1], 1, 1, "<="), ([1], [1], 1, 1, "<=")]
+    assert simplex.solve(2, {0: 1, 1: 1}, rows).pivots == 2
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="^pivot limit exceeded$"):
+        simplex.solve(2, {0: 1, 1: 1}, rows)
+
+
 def test_unbounded_ray_for_free_variable():
     res = _solve(2, {0: Fraction(1), 1: Fraction(0)}, [({1: Fraction(1)}, "<=", Fraction(1))])
     assert res.status == "unbounded"
