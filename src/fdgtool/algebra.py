@@ -29,21 +29,25 @@ nested loops, one per free position.  The part of an entry fixed before its
 block is evaluated once on entering the block, the rest right after each
 loop that binds one of its positions, and the entries due at a block's end
 are tested right after its last loop, whose values are solved from the
-first of them when it is affine in that loop's position; no loop tries 0
-for a factor of every monomial of a first entry that must be nonzero.  The
-loops of a block that its entries do not read, just before the trailing
-loops that they do, are run over a list of the passing trailing values
-built once, not over the trailing loops again for each of their values.
-The node and evaluation counters are defined by the plain depth-first
-search that assigns one indeterminate per node.
+first of them when it is affine in that loop's position, and from the
+second too when that is the position times a coefficient fixed before it;
+no loop tries 0 for a factor of every monomial of a first entry that must
+be nonzero.  The loops of a block that its entries do not read, just
+before the trailing loops that they do, are run over a list of the
+passing trailing values built once, not over the trailing loops again for
+each of their values; the later blocks that read none of those loops
+join the list.  The node and evaluation counters are defined by the plain
+depth-first search that assigns one indeterminate per node.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import prod
 
 from .fdg import EdgeVar, Fdg
 from .netmodel import topological_sort
@@ -354,16 +358,39 @@ def _root_table(p: int, t: int) -> tuple:
     return tuple(table)
 
 
-def _search_source(blocks, free: list, p: int) -> str:
+def _root_pair_table(p: int, t: int, u: int) -> tuple:
+    """``J[a][b][c]``, the values of x in GF(p) with a*x + b = t and c*x = u:
+    the row ``R[a][b]`` of ``_root_table(p, t)`` cut to the values that pass
+    the second equation too.  For a != 0 the row over c depends only on the
+    root, so the p*p*p entries share at most p + 2 rows."""
+    one = [(x,) for x in range(p)]
+    none = ((),) * p
+    by_root = [(one[0],) * p if u == 0 else none]  # by_root[x][c]: (x,) where c*x = u
+    for x in range(1, p):
+        row = [()] * p
+        row[u * pow(x, -1, p) % p] = one[x]
+        by_root.append(tuple(row))
+    # a = 0: every x passes the first equation when b = t, so c*x = u alone decides.
+    second = tuple(tuple(x for x in range(p) if c * x % p == u) for c in range(p))
+    table = [tuple(second if b == t else none for b in range(p))]
+    for a in range(1, p):
+        inverse = pow(a, -1, p)
+        table.append(tuple(by_root[(t - b) * inverse % p] for b in range(p)))
+    return tuple(table)
+
+
+def _search_source(blocks, free: list, p: int, paired: list) -> str:
     """Source of ``search()``, the whole search as nested loops.
 
     ``blocks`` holds (lo, hi, entries, nodes_in, evals_in) per block, where
     ``entries`` are the (terms, target) pairs due at ``hi``.  Free position
-    i is the loop variable ``c{i}``.  Entering a block adds ``nodes_in`` and
-    ``evals_in``, its counts as if exhausted.  Each entry is carried into
-    the block as its coefficients in the block's unbound positions: one
-    local per coefficient, computed at block entry from earlier positions
-    and updated right after each loop that binds one of its positions.
+    i is the loop variable ``c{i}``, over ``F`` = range(p) or, when it must
+    be nonzero, ``F1`` = range(1, p), both bound once per call.  Entering a
+    block adds ``nodes_in`` and ``evals_in``, its counts as if exhausted.
+    Each entry is carried into the block as its coefficients in the block's
+    unbound positions: one local per coefficient, computed at block entry
+    from earlier positions and updated right after each loop that binds one
+    of its positions.
     After the block's last loop the entries are tested in order; reaching
     entry k > 1 adds one evaluation, a failure continues the innermost loop,
     and a pass adds one node and enters the next block.
@@ -375,31 +402,47 @@ def _search_source(blocks, free: list, p: int) -> str:
     mod p for a != 0, all p values for a == 0 and b == t, none otherwise),
     and the entry is not tested.  ``R{t}`` is a local bound once per call
     to ``root_table(p, t)`` (``_root_table``) for each target t that a
-    solved loop uses.  When the target is nonzero and a position i lies in
-    every monomial of the entry, the entry fails wherever c{i} is 0 (p is
-    prime): the block's own loop over i runs over ``range(1, p)``, and an
-    i bound in an earlier block gets one ``if not c{i}: continue`` on block
-    entry, after the counts are added.  Every value skipped fails the first
-    entry, whose evaluations and the nodes before it are counted on entry,
-    so the counters and the first hit stay those of the full loops.
+    solved loop uses.  When the second entry is k*c{i} = u, with k fixed
+    before the loop, the loop runs over ``J{t}_{u}[a][b][k]`` instead, the
+    values that pass both entries (``root_pair_table(p, t, u)``,
+    ``_root_pair_table``, bound once per call), and the second entry is
+    not tested either.  Its evaluations, one per value that passes the
+    first entry, are added before the loop; ``paired`` gets the first
+    entry's terms and i, so that a hit can take back those of the values
+    after it.  When the target is nonzero and a position i lies in every
+    monomial of the entry, the entry fails wherever c{i} is 0 (p is prime):
+    the block's own loop over i runs over ``F1``, and an i bound in an
+    earlier block gets one ``if not c{i}: continue`` on block entry, after
+    the counts are added.  Every value skipped fails the first entry, whose
+    evaluations and the nodes before it are counted on entry, so the
+    counters and the first hit stay those of the full loops.
 
     A block's loops are a head, then spectators (the run of loops before
     the tail that no entry of the block reads), then the tail (the trailing
     run of loops that the entries read).  Which tail combinations pass does
     not depend on the spectators, so the tail is searched once per head
-    combination: right after the head's loops, the tail's loops and tests
-    fill the list ``t{b}``, one row per passing combination, holding the
-    tail's values, every coefficient local assigned in the tail (later
-    blocks read them) and the evaluations counted since the row before;
-    ``e{b}`` then holds those after the last row.  Under the spectator
-    loops a loop over the rows adds each row's count before the next block
-    and ``e{b}`` after the last row; an empty list skips the spectator
-    loops, adding ``e{b}`` once per spectator combination.  The counters,
-    the order of the combinations and the first hit stay those of the full
-    loops.  Two kinds of block run their loops in full instead: a tail of
-    one loop with one entry, which is already one root table read, and a
-    tail whose loops would nest past ``_MAX_NESTED_LOOPS`` in the current
-    function (the list is filled in one function).
+    combination, and with it the run of later blocks that read no
+    spectator (the tail's table joins them): right after the head's loops,
+    the loops and tests of the tail and the joined blocks fill the list
+    ``t{b}``, one row per combination that passes them all, holding their
+    values, every local assigned there (later blocks read them) and the
+    counts from the start of the list to the row, the next block's entry
+    included; ``n{b}`` and ``e{b}`` end as the list's totals.  Under the
+    spectator loops a loop over the rows runs the next block: a hit adds
+    its row's counts (``rn{b}``, ``re{b}``), and the loop's end adds the
+    totals.  An empty list, or a zero that the next block's first entry
+    cannot pass bound before the spectators, skips the spectator loops,
+    adding the totals once per spectator combination.  The next block's
+    code that reads no name the rows loop binds runs once before that
+    loop, not once per row: its coefficient locals, the table read and
+    count of a loop solved on block entry, and the skip on a spectator
+    that its first entry needs nonzero, which adds the totals.  The
+    counters, the order of the combinations and the first hit stay those
+    of the full loops.  Two kinds of block run their loops in full
+    instead: a tail of one loop with one entry that no later block joins,
+    which is already one root table read, and a tail whose loops would
+    nest past ``_MAX_NESTED_LOOPS`` in the current function (the list is
+    filled in one function); a later block joins only if its loops fit.
 
     ``search()`` returns (free values of the hit or None, nodes, evals).  Past
     ``_MAX_NESTED_LOOPS`` loops the rest of the search moves into a nested
@@ -407,9 +450,16 @@ def _search_source(blocks, free: list, p: int) -> str:
     built from integers only.
     """
     parts = []   # [lines, indent, loops, trailers] per function, outermost first
-    held = {}    # expression -> the local holding its value mod p
+    held = {}    # expression -> the local holding its value
+    rows = None  # (names, b, spectators) of table t{b}'s rows loop, until it opens
+    opened = []  # the tables whose rows loops are open: a hit adds its row's counts
+    ranges, tables, pairs = set(), set(), set()  # what the prologue binds
 
-    def emit(line):
+    def emit(line, hoisted=False):
+        # A hoisted line reads no name that the pending rows loop binds: it
+        # runs once, before that loop, which any other line opens first.
+        if rows and not hoisted:
+            open_rows()
         lines, indent, _, _ = parts[-1]
         lines.append("    " * indent + line)
 
@@ -421,7 +471,7 @@ def _search_source(blocks, free: list, p: int) -> str:
             return f"sum(({', '.join(terms)},))"
         return " + ".join(terms) or "0"
 
-    def atom(terms):
+    def atom(terms, hoisted=False):
         # A literal or a loop variable stands for itself; a sum or product
         # becomes a local.
         if len(terms) == 1 and "*" not in terms[0]:
@@ -429,30 +479,47 @@ def _search_source(blocks, free: list, p: int) -> str:
         expr = total(terms)
         if expr not in held:
             held[expr] = f"k{len(held)}"
-            emit(f"{held[expr]} = ({expr}) % {p}")
+            emit(f"{held[expr]} = ({expr}) % {p}", hoisted)
+        return held[expr]
+
+    def read(expr, names):
+        # A table read whose indices the pending rows loop does not bind is
+        # held in a local before that loop.
+        if not rows or not set(rows[0]).isdisjoint(names):
+            return expr
+        if expr not in held:
+            held[expr] = f"k{len(held)}"
+            emit(f"{held[expr]} = {expr}", True)
         return held[expr]
 
     def collect(rep, i):
         # Bind position i in {monomial: coefficient}: group by the rest.
         out = {}
         for mono, a in rep.items():
-            factors = [] if a == "1" else [a]
-            factors += [f"c{i}"] * mono.count(i)
-            rest = tuple(j for j in mono if j != i)
-            out.setdefault(rest, []).append("*".join(factors) or "1")
+            if i in mono:
+                factors = [] if a == "1" else [a]
+                factors += [f"c{i}"] * mono.count(i)
+                out.setdefault(tuple(j for j in mono if j != i), []).append("*".join(factors))
+            else:
+                out.setdefault(mono, []).append(a)
         return out
 
-    tables = set()  # the targets whose root table the search reads
+    def rebind(rep, i):
+        # The coefficients with position i bound; unchanged if none reads it.
+        for mono in rep:
+            if i in mono:
+                return {rest: atom(t) for rest, t in collect(rep, i).items()}
+        return rep
 
-    def roots(rep, i, target):
-        # The values of c{i} passing an entry a*c{i} + b, or None when the
-        # entry is not affine in c{i}.
-        if (i,) not in rep or not rep.keys() <= {(), (i,)}:
-            return None
-        tables.add(target)
-        return f"R{target}[{rep[(i,)]}][{rep.get((), '0')}]"
+    def domain(i, nonzero):
+        # ``F`` is range(p) and ``F1`` range(1, p), bound once per call.
+        name = "F1" if i in nonzero else "F"
+        ranges.add(name)
+        return name
 
     def loop(target, values):
+        if rows:
+            open_rows()
         if parts[-1][2] == _MAX_NESTED_LOOPS:
             name = f"part{len(parts)}"
             emit(f"hit = {name}()")
@@ -462,93 +529,190 @@ def _search_source(blocks, free: list, p: int) -> str:
         parts[-1][1] += 1
         parts[-1][2] += 1
 
-    def domain(i):
-        return f"range(1, {p})" if i in nonzero else f"range({p})"
+    def open_rows():
+        # The loop over table t{b}'s rows; its end adds the table's totals.
+        nonlocal rows
+        (names, b, _), rows = rows, None
+        loop(", ".join(names + [f"rn{b}", f"re{b}"]), f"t{b}")
+        opened.append(b)
+        parts[-1][3].append("    " * (parts[-1][1] - 1) + f"nodes += n{b}; evals += e{b}")
 
-    def bind(loops, coefficients):
-        # A loop per position, each bound in the coefficients as it opens.
+    def bind(loops, coefficients, nonzero):
+        # A loop per position, each bound in the coefficients that read it as
+        # it opens.
         for i in loops:
-            loop(f"c{i}", domain(i))
-            coefficients = [{rest: atom(t) for rest, t in collect(rep, i).items()}
-                            for rep in coefficients]
+            loop(f"c{i}", domain(i, nonzero))
+            coefficients = [rebind(rep, i) for rep in coefficients]
         return coefficients
 
-    def check(loops, entries, coefficients, counter):
+    def check(loops, entries, coefficients, counter, nonzero):
         # The loops, the last one solved from the first entry when it is
-        # affine there, then the entries' tests at the innermost loop.
-        coefficients = bind(loops[:-1], coefficients)
-        solved = None
+        # affine there, and from the second too when that is k*c{x} alone;
+        # then the other entries' tests at the innermost loop.
+        coefficients = bind(loops[:-1], coefficients, nonzero)
+        solved = 0  # how many entries the last loop's values pass untested
         if loops:
-            if entries:
-                solved = roots(coefficients[0], loops[-1], entries[0][1])
-            loop(f"c{loops[-1]}", solved or domain(loops[-1]))
+            x = loops[-1]
+            rep = coefficients[0] if entries else {}
+            if (x,) in rep and rep.keys() <= {(), (x,)}:
+                a, b, t = rep[(x,)], rep.get((), "0"), entries[0][1]
+                if len(entries) > 1 and coefficients[1].keys() == {(x,)}:
+                    k, u = coefficients[1][(x,)], entries[1][1]
+                    # The second entry is evaluated once per value that
+                    # passes the first: one for a != 0, all p for a = 0 and
+                    # b = t, none otherwise.
+                    count = "1"
+                    if not a.isdigit():
+                        every = (f"{p} if {b} == {t} else 0" if not b.isdigit()
+                                 else p if int(b) == t else 0)
+                        count = read(f"1 if {a} else {every}", (a, b))
+                    paired.append((entries[0][0], x))
+                    pairs.add((t, u))
+                    values, solved = read(f"J{t}_{u}[{a}][{b}][{k}]", (a, b, k)), 2
+                    emit(f"{counter} += {count}")
+                else:
+                    tables.add(t)
+                    values, solved = read(f"R{t}[{a}][{b}]", (a, b)), 1
+            else:
+                values = domain(x, nonzero)
+            loop(f"c{x}", values)
         fail = "continue" if parts[-1][2] else leave("None")
         for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
+            if k < solved:
+                continue  # the loop runs only over the values that pass
             if k:
                 emit(f"{counter} += 1")
-            elif solved:
-                continue  # the loop runs only over the values that pass
             terms = collect(rep, loops[-1] if loops else None).get((), [])
             value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
                      else f"({total(terms)}) % {p}")
             emit(f"if {value} != {target}: {fail}")
 
-    parts.append([["def search():", "    nodes = evals = 0"], 1, 0, []])
-    for b, (lo, hi, entries, nodes_in, evals_in) in enumerate(blocks):
-        if b:
-            nodes_in += 1  # the previous block's passing combination
-        if nodes_in:
-            emit(f"nodes += {nodes_in}")
+    def add_counts(b, nodes, evals):
+        # What entering block b adds as if it is exhausted, the previous
+        # block's passing combination included; past the last block, the hit.
+        _, _, _, nodes_in, evals_in = blocks[b] if b < len(blocks) else (0, 0, 0, 0, 0)
+        if nodes_in + (b > 0):
+            emit(f"{nodes} += {nodes_in + (b > 0)}")
         if evals_in:
-            emit(f"evals += {evals_in}")
-        nonzero = _nonzero_factors(*entries[0]) if entries else set()
-        for i in sorted(nonzero):
-            if i < lo:  # bound by an enclosing loop of an earlier block
-                emit(f"if not c{i}: continue")
-        coefficients = []  # per entry: {monomial in the block: local or literal}
+            emit(f"{evals} += {evals_in}")
+
+    def zeros(b):
+        # The positions bound before block b that its first entry needs nonzero.
+        return [f"c{i}" for i in sorted(nonzeros[b]) if i < blocks[b][0]]
+
+    # Per block: its loops, the positions its entries read and those that
+    # its first entry needs nonzero.
+    block_loops = [free[bisect_left(free, lo):bisect_left(free, hi)] for lo, hi, _, _, _ in blocks]
+    reads = [{i for terms, _ in entries for mono in terms for i in mono}
+             for _, _, entries, _, _ in blocks]
+    nonzeros = [_nonzero_factors(*entries[0]) if entries else set()
+                for _, _, entries, _, _ in blocks]
+
+    def enter(b, counters):
+        # Block b's entry: its counts unless a table's rows carry them, the
+        # skip on a zero factor bound before the block, and the entries'
+        # coefficients in the block's positions.  What reads no name that a
+        # pending rows loop binds goes before that loop: a skip on a
+        # spectator adds the table's totals there, and the table skips the
+        # spectator loops for one bound before them.
+        lo, _, entries, _, _ = blocks[b]
+        if counters:
+            add_counts(b, *counters)
+        zero = zeros(b)
+        splits = []  # per entry: {monomial in the block: its terms}
         for terms, _ in entries:
             split = {}
             for mono, c in terms.items():
-                outer = [f"c{i}" for i in mono if i < lo]
-                inner = tuple(i for i in mono if i >= lo)
-                split.setdefault(inner, []).append(
+                cut = bisect_left(mono, lo)  # a monomial's positions are sorted
+                outer = [f"c{i}" for i in mono[:cut]]
+                split.setdefault(mono[cut:], []).append(
                     "*".join(outer if c == 1 and outer else [str(c)] + outer))
-            coefficients.append({inner: atom(t) for inner, t in split.items()})
+            splits.append(split)
+        if rows:
+            names, t, spectators = rows
+            inside = set(names)
+            if any(c in spectators for c in zero):
+                emit(f"if {' or '.join(f'not {c}' for c in zero if c in spectators)}: "
+                     f"nodes += n{t}; evals += e{t}; continue", True)
+            zero = [c for c in zero if c in inside]
+            for split in splits:
+                for inner, terms in split.items():
+                    if inside.isdisjoint(n for term in terms for n in term.split("*")):
+                        split[inner] = [atom(terms, True)]
+        for c in zero:
+            emit(f"if not {c}: continue")
+        return [{inner: atom(terms) for inner, terms in split.items()} for split in splits]
+
+    parts.append([["def search():", "    nodes = evals = 0"], 1, 0, []])
+    b = 0
+    while b < len(blocks):
+        lo, hi, entries, _, _ = blocks[b]
+        coefficients, nonzero = enter(b, None if rows else ("nodes", "evals")), nonzeros[b]
         # The block's loops are head + spectators + tail: the tail is the
         # trailing run the entries read, the spectators the run before it
         # that they do not read.
-        loops = [i for i in free if lo <= i < hi]
-        read = {i for terms, _ in entries for mono in terms for i in mono}
+        loops = block_loops[b]
         t = len(loops)
-        while t and loops[t - 1] in read:
+        while t and loops[t - 1] in reads[b]:
             t -= 1
         s = t
-        while s and loops[s - 1] not in read:
+        while s and loops[s - 1] not in reads[b]:
             s -= 1
         head, spectators, tail = loops[:s], loops[s:t], loops[t:]
-        coefficients = bind(head, coefficients)
-        if (not (spectators and tail) or len(tail) == len(entries) == 1
-                or parts[-1][2] + len(tail) > _MAX_NESTED_LOOPS):
-            check(spectators + tail, entries, coefficients, "evals")
+        coefficients = bind(head, coefficients, nonzero)
+        if rows and spectators and tail:
+            open_rows()  # a table of this block is filled inside the last one's rows
+        # The later blocks that read no spectator join the tail, as far as
+        # the table's loops fit in the current function.
+        depth, joined = parts[-1][2] + len(tail), []
+        for later in range(b + 1, len(blocks)) if spectators and tail else ():
+            if (depth + len(block_loops[later]) > _MAX_NESTED_LOOPS
+                    or not reads[later].isdisjoint(spectators)):
+                break
+            depth += len(block_loops[later])
+            joined.append(later)
+        if (not (spectators and tail) or depth > _MAX_NESTED_LOOPS
+                or len(tail) == len(entries) == 1 and not joined):
+            check(spectators + tail, entries, coefficients, "evals", nonzero)
+            b += 1
             continue
-        # The tail's passing rows, built once here and gone over for each
-        # spectator combination.
+        # The passing rows of the tail and the joined blocks, built once
+        # here and gone over for each spectator combination.  A row holds
+        # their values, every local assigned here (later blocks read them)
+        # and the counts from the start of the build to the row, the next
+        # block's entry included; n{b} and e{b} end as the totals.
         indent, level, start = parts[-1][1], parts[-1][2], len(held)
         emit(f"t{b} = []")
-        emit(f"e{b} = 0")
-        check(tail, entries, coefficients, f"e{b}")
-        row = [f"c{i}" for i in tail] + list(held.values())[start:]
-        emit(f"t{b}.append(({', '.join(row)}, e{b}))")
-        emit(f"e{b} = 0")
+        emit(f"n{b} = e{b} = 0")
+        check(tail, entries, coefficients, f"e{b}", nonzero)
+        bound = list(tail)
+        for later in joined:
+            coefficients = enter(later, (f"n{b}", f"e{b}"))
+            check(block_loops[later], blocks[later][2], coefficients, f"e{b}", nonzeros[later])
+            bound += block_loops[later]
+        after = (joined[-1] if joined else b) + 1
+        names = [f"c{i}" for i in bound] + list(held.values())[start:]
+        add_counts(after, f"n{b}", f"e{b}")
+        emit(f"t{b}.append(({', '.join(names)}, n{b}, e{b}))")
         parts[-1][1:3] = indent, level
-        fail = "continue" if level else leave("None")
-        emit(f"if not t{b}: evals += e{b} * {p ** len(spectators)}; {fail}")
-        bind(spectators, [])
-        loop(", ".join(row + ["e"]), f"t{b}")
-        emit("evals += e")
-        # After the rows loop: the evaluations that follow the last row.
-        parts[-1][3].append("    " * (parts[-1][1] - 1) + f"evals += e{b}")
-    emit("nodes += 1")
+        # No rows, or a zero the next block's first entry cannot pass, bound
+        # before the spectators: every spectator combination adds the totals.
+        spread = p ** len(spectators)
+        before = [c for c in zeros(after) if c not in names
+                  and c not in [f"c{i}" for i in spectators]] if after < len(blocks) else []
+        emit(f"if {' or '.join([f'not t{b}'] + [f'not {c}' for c in before])}: "
+             f"nodes += n{b} * {spread}; evals += e{b} * {spread}; "
+             + ("continue" if level else leave("None")))
+        bind(spectators, [], set())
+        rows = (names, b, [f"c{i}" for i in spectators])
+        b = after
+    carried = bool(rows)  # the last table's rows carry the hit's node
+    if rows:
+        open_rows()
+    hit_nodes = ([] if carried else ["1"]) + [f"rn{b}" for b in opened]
+    emit(f"nodes += {' + '.join(hit_nodes)}")
+    if opened:
+        emit(f"evals += {' + '.join(f're{b}' for b in opened)}")
     emit(leave("(" + "".join(f"c{i}, " for i in free) + ")"))
 
     text = []
@@ -557,7 +721,10 @@ def _search_source(blocks, free: list, p: int) -> str:
         lines.append("    " + leave("None"))
         text = lines[:2] + ["    " + line for line in text] + lines[2:]
         parts.pop()
-    text[1:1] = [f"    R{t} = root_table({p}, {t})" for t in sorted(tables)]
+    text[1:1] = ([f"    F = range({p})"] * ("F" in ranges)
+                 + [f"    F1 = range(1, {p})"] * ("F1" in ranges)
+                 + [f"    R{t} = root_table({p}, {t})" for t in sorted(tables)]
+                 + [f"    J{t}_{u} = root_pair_table({p}, {t}, {u})" for t, u in sorted(pairs)])
     return "\n".join(text) + "\n"
 
 
@@ -593,7 +760,14 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     list of the combinations that pass; the unread run's loops then go
     over that list.  On fano in linear mode over GF(3) the first block's
     last three loops then run once, not 9 times, for each assignment of
-    the six before its two unread ones.
+    the six before its two unread ones.  The blocks after it that read
+    none of the unread run are searched into the same list, and what the
+    next block computes from indeterminates outside the list is computed
+    once per assignment of the unread run, not once per combination.  A
+    block whose second entry is its last indeterminate times a coefficient
+    fixed before it runs that indeterminate only over the values that pass
+    both its first and second entries, read from a table of p**3 value
+    lists built once per call.
 
     The counters are those of a depth-first search that assigns one
     indeterminate per node and checks each entry at its depth.
@@ -603,7 +777,9 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     ``entry_evals`` counts entry evaluations, the failing one included; a
     check stops at its first failure.  Nodes inside a block and first-entry
     evaluations are counted arithmetically: a block adds its exhausted
-    counts on entry, and a hit corrects them along its path.
+    counts on entry, and a hit corrects them along its path, as it does
+    the second-entry evaluations that a loop over the values passing two
+    entries counts on entry for the values after the hit.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"field size {p!r} is not an integer")
@@ -678,8 +854,9 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     exhausted = [counts(lo, hi, last) for lo, hi in spans]
     blocks = [(lo, hi, due[hi], inner, tried if due[hi] else 0)
               for (lo, hi), (inner, tried) in zip(spans, exhausted)]
-    namespace = {"root_table": _root_table}
-    exec(_search_source(blocks, free, p), namespace)
+    namespace = {"root_table": _root_table, "root_pair_table": _root_pair_table}
+    paired = []  # (first entry, position) of each loop solved from two entries
+    exec(_search_source(blocks, free, p, paired), namespace)
     hit, nodes, entry_evals = namespace["search"]()
     if hit is None:
         return SearchResult(status="exhausted", field=p, assignment=None,
@@ -693,6 +870,13 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
         nodes += inner - inner_all
         if due[hi]:
             entry_evals += tried - tried_all
+    for terms, x in paired:
+        # The loop counted the second entry's evaluations for every value
+        # that passes the first: after the hit's value there are p - 1 - x
+        # more when x's coefficient in the first entry is 0, else none.
+        if not sum(c * prod(values[j] for j in mono if j != x)
+                   for mono, c in terms.items() if x in mono) % p:
+            entry_evals -= p - 1 - values[x]
     assignment = dict(pinned)
     for i in free:
         assignment[order[i]] = values[i]

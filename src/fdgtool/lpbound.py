@@ -590,8 +590,11 @@ def _mps_text(problem: LpProblem):
     written as its ``repr``, which reads back to the same bits; a number
     too large for a float raises ``OverflowError``.  One bit differs: a
     weight that rounds to a zero cost reads back as +0.0, not linprog's
-    -0.0, as HiGHS's reader drops a zero objective entry.  Columns are
-    named ``c<mask>`` and rows ``r<position>``.
+    -0.0, as HiGHS's reader drops a zero objective entry.  The reader
+    drops a zero matrix entry too, so a row coefficient that rounds to 0.0
+    is an explicit entry in linprog's matrix and none in HiGHS's; the
+    certificate checks the basis against the exact rows, so the answer
+    stays exact.  Columns are named ``c<mask>`` and rows ``r<position>``.
     """
     rows = problem.rows
     senses, scales, starts, masks, coeffs = (rows.senses, rows.scales, rows.starts,

@@ -759,6 +759,29 @@ def test_a_weight_below_the_least_float_reads_back_as_a_positive_zero_cost(monke
     _assert_solved_as_linprog(p, monkeypatch)
 
 
+def test_a_row_coefficient_below_the_least_float_is_dropped_from_the_matrix():
+    # linprog's matrix keeps a coefficient that rounds to zero as an explicit
+    # 0.0 entry, but HiGHS's MPS reader drops a zero matrix entry, so HiGHS
+    # holds one entry fewer.  Nothing else in the model differs, and the
+    # basis still certifies the exact optimum, 3 - 10^-400.
+    tiny = Fraction(1, 10 ** 400)
+    rows = (Row("mixed", lpbound.CAPACITY, ((1, Fraction(1)), (2, tiny)), "<=", Fraction(1)),
+            Row("second", lpbound.CAPACITY, ((2, Fraction(1)),), "<=", Fraction(1)),
+            Row("third", lpbound.CAPACITY, ((3, Fraction(1)),), "<=", Fraction(1)))
+    p = LpProblem(n_vars=2, var_names=("u", "v"), source_masks=(),
+                  objective=((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(1))), rows=rows)
+    lp, _ = ref.reference_highs_model(p)
+    want, got = ref.highs_lp_bytes(lp), _model_highs_reads(p)
+    value, index = np.frombuffer(want["a_matrix_.value_"]), want["a_matrix_.index_"]
+    [k] = np.flatnonzero(value == 0).tolist()
+    assert got == {**want, "a_matrix_.start_": [s - (s > k) for s in want["a_matrix_.start_"]],
+                   "a_matrix_.index_": index[:k] + index[k + 1:],
+                   "a_matrix_.value_": np.delete(value, k).tobytes()}
+    sol = lp_solve(p)
+    assert sol.method == "certificate" and sol.value == 3 - tiny
+    assert verify_witness(p, sol.witness) == []
+
+
 def test_float_solve_sets_the_linprog_options():
     _, options = ref.reference_highs_model(_fixture_problem("single_edge", "none"))
     highs = lpbound._highs()

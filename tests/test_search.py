@@ -565,25 +565,200 @@ def test_search_with_spectators_matches_reference(case, k):
                        reference_search(M, demand, p, **options))
 
 
+def check_behind_prefix(case, k):
+    """The case against the reference and the brute force, or after a
+    forced prefix of k loops against the reference alone."""
+    M, demand, p, order, pinned = case
+    if not k:
+        check_against_reference_and_brute_force(M, demand, p, order, pinned)
+        return
+    prefix_M, prefix_demand, prefix = forced_chain(k)
+    M, demand, order = prefix_M + list(M), prefix_demand + demand, prefix + order
+    options = dict(order=order, pinned=pinned, indet_cap=len(order))
+    assert_same_search(solvability_search(M, demand, p, **options),
+                       reference_search(M, demand, p, **options))
+
+
+@st.composite
+def second_check_cases(draw):
+    """(M, demand, p, order, pinned) whose last block ends in a first entry
+    affine in the last name x, then k*x with k a polynomial in the earlier
+    names, then perhaps a third entry; earlier entries cut earlier blocks."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    *earlier, last = NAMES[:draw(st.integers(2, 6))]
+    nonzero = st.integers(1, p - 1)
+    k = Poly.const(draw(st.integers(0, p - 1)))
+    for mono in draw(st.lists(st.lists(st.sampled_from(earlier), min_size=1, unique=True),
+                              min_size=1, max_size=2)):
+        term = Poly.const(draw(nonzero))
+        for name in sorted(mono):
+            term = term * Poly.var(name)
+        k = k + term
+    entries = [multilinear_entry(draw, nonzero, earlier, last), k * Poly.var(last)]
+    if draw(st.booleans()):
+        entries.append(multilinear_entry(draw, nonzero, earlier, last))
+    M = [tuple(entries)]
+    if draw(st.booleans()):  # an entry due before the last name
+        M.append((multilinear_entry(draw, nonzero, earlier[:-1] or earlier, earlier[-1]),))
+    order = tuple(earlier) + (last,)
+    pinned = {n: draw(st.integers(0, p - 1))
+              for n in draw(st.lists(st.sampled_from(earlier), unique=True, max_size=2))}
+    while p ** (len(order) - len(pinned)) > MAX_LEAVES:
+        pinned[draw(st.sampled_from([n for n in earlier if n not in pinned]))] = \
+            draw(st.integers(0, p - 1))
+    if draw(st.booleans()):
+        planted = {n: draw(st.integers(0, p - 1)) for n in order}
+        planted.update(pinned)
+        demand = tuple(tuple(entry.eval_mod(planted, p) for entry in row) for row in M)
+    else:
+        demand = tuple(tuple(draw(st.integers(0, p - 1)) for _ in row) for row in M)
+    return M, demand, p, order, pinned
+
+
+# x0 | x1: x0*x1 = 0 then x1 = 1.  x1's loop runs over the values that pass
+# both; at x0 = 0 every value passes the first, the hit takes x1 = 1, and
+# the second entry's evaluations of x1 = 2, 3, 4 are counted but not made.
+SECOND_CHECK_HIT = ([(x(0) * x(1), x(1))], ((0, 1),), 5, ("x0", "x1"), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(second_check_cases(), st.sampled_from((0, 0, 0, 15, 17, 18, 19)))
+@example(SECOND_CHECK_HIT, 0)
+# The second entry's count is added before the loop, which opens a nested
+# function (k = 19).
+@example(SECOND_CHECK_HIT, 19)
+def test_search_with_a_second_check_matches_reference(case, k):
+    # A loop solved from two entries counts the second's evaluations on
+    # entry; the counters and the hit must be those of the full loop.
+    check_behind_prefix(case, k)
+
+
+@st.composite
+def joined_cases(draw):
+    """(M, demand, p, order, pinned): a first block of head, spectator and
+    tail names, then a middle block that reads the head or the tail but no
+    spectator, then a block that reads the spectators, or none."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    names = (f"x{i}" for i in range(10))
+    head, spectators, tail, middle, later = ([next(names) for _ in range(draw(st.integers(least, 2)))]
+                                             for least in (0, 1, 1, 1, 0))
+    nonzero = st.integers(1, p - 1)
+    M = [tuple(multilinear_entry(draw, nonzero, head + tail, tail[-1])
+               for _ in range(draw(st.integers(1, 2)))),
+         tuple(multilinear_entry(draw, nonzero, head + tail + middle, middle[-1])
+               for _ in range(draw(st.integers(1, 2))))]
+    if later:
+        M.append(tuple(multilinear_entry(draw, nonzero, spectators + later, later[-1])
+                       for _ in range(draw(st.integers(1, 2)))))
+    order = tuple(head + spectators + tail + middle + later)
+    pinned = {}
+    while p ** (len(order) - len(pinned)) > MAX_LEAVES:  # spectators are pinned last
+        unpinned = [n for n in order if n not in pinned and n not in spectators]
+        pinned[draw(st.sampled_from(unpinned or spectators))] = draw(st.integers(0, p - 1))
+    if draw(st.booleans()):
+        planted = {n: draw(st.integers(0, p - 1)) for n in order}
+        planted.update(pinned)
+        demand = tuple(tuple(entry.eval_mod(planted, p) for entry in row) for row in M)
+    else:
+        demand = tuple(tuple(draw(st.integers(0, p - 1)) for _ in row) for row in M)
+    return M, demand, p, order, pinned
+
+
+# x0 | x1 | x2, then x3, then x4: x0*x2 = 1 leaves the spectator x1; the
+# block of x3 (x2 + x3 = 2) reads no spectator and joins the tail; x0*x1*x4
+# = 1 reads x1, so its zero skips go before the rows loop (x1) and before
+# the spectator loop (x0), each adding the table's totals.
+JOINED = ([(x(0) * x(2),), (x(2) + x(3),), (x(0) * x(1) * x(4),)],
+          ((1,), (2,), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
+# The same with x3 pinned: x3's block has no loop and joins at no depth.
+JOINED_PINNED = (*JOINED[:4], {"x3": 1})
+# The joined block x2*x3 = 0, x3 = 1 solves x3 from both entries; at x0 = 1,
+# x2 = 0 lets every x3 pass the first, and the hit takes the row x3 = 1.
+JOINED_SECOND = ([(x(0) + x(2),), (x(2) * x(3), x(3)), (x(1) * x(4),)],
+                 ((1,), (0, 1), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
+# No block reads the spectator x1: every later block joins the tail.
+NO_READER = ([(x(0) * x(2),), (x(2) + x(3),)], ((1,), (2,)), 3, ("x0", "x1", "x2", "x3"), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(joined_cases(), st.sampled_from((0, 0, 0, 15, 17, 18, 19)))
+@example(JOINED, 0)
+@example(JOINED_SECOND, 0)
+@example(NO_READER, 0)
+# After a forced prefix of k loops: the joined table fills the 20th loop
+# and the next block moves into a nested function (k = 17); the join does
+# not fit, so the lone tail runs in full (18); the table's rows loop opens
+# a nested function, and what is held before it stays outside (18, pinned).
+@example(JOINED, 17)
+@example(JOINED, 18)
+@example(JOINED_PINNED, 18)
+@example(JOINED_SECOND, 19)
+def test_search_with_joined_blocks_matches_reference(case, k):
+    # A block that reads no spectator joins the tail's table, and what the
+    # next block computes from names bound outside the rows is computed once
+    # per spectator combination; the counters and the hit must not show it.
+    check_behind_prefix(case, k)
+
+
+@pytest.mark.parametrize("case, k, shape", [
+    # The rows hold c3, the joined block's value.  x0 = 0 skips the
+    # spectator loop and x1 = 0 the rows loop, each adding the totals; the
+    # last block's coefficient and its loop's values are held before the
+    # rows loop.
+    (JOINED, 0, ("if not t1 or not c0: nodes += n1 * 3; evals += e1 * 3; continue",
+                 "for c1 in F:", "if not c1: nodes += n1; evals += e1; continue",
+                 "k0 = (c0*c1) % 3", "k1 = R1[k0][0]", "for c2, c3, rn1, re1 in t1:")),
+    (NO_READER, 0, ("for c1 in F:", "for c2, c3, rn1, re1 in t1:")),
+    (JOINED, 17, ("for c19, c20, rn18, re18 in t18:", "hit = part1()")),
+    (JOINED, 18, None),
+    (JOINED_PINNED, 18, ("k2 = R1[k1][0]", "hit = part1()")),
+])
+def test_search_tabulates_the_blocks_that_read_no_spectator(case, k, shape, monkeypatch):
+    M, demand, p, order, pinned = case
+    prefix_M, prefix_demand, prefix = forced_chain(k)
+    lines = [line.strip() for line in compiled_source(
+        monkeypatch, prefix_M + M, prefix_demand + demand, p, order=prefix + order,
+        pinned=pinned, indet_cap=k + len(order)).splitlines()]
+    if shape is None:
+        assert not any(line.endswith("= []") for line in lines)
+    else:
+        at = lines.index(shape[0])
+        assert tuple(lines[at:at + len(shape)]) == shape
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_root_pair_table_holds_the_values_that_pass_both_equations(p):
+    for t, u in itertools.product(range(p), repeat=2):
+        assert algebra._root_pair_table(p, t, u) == tuple(
+            tuple(tuple(tuple(x for x in range(p) if (a * x + b) % p == t and c * x % p == u)
+                        for c in range(p)) for b in range(p)) for a in range(p))
+
+
 @pytest.mark.parametrize("fixture, mode, p, pins, table", [
     # Spectators c6, c7 between the head c0..c5 (c0..c2 pinned) and the
-    # tail c8, c9, c10 of the first block.
+    # tail c8, c9, c10 of the first block.  The next block's coefficients
+    # that read no row are computed once per spectator combination, between
+    # the last spectator loop and the loop over the rows.
     ("fano", "linear", 3, {},
-     ("for c7 in range(3):", "for c8, c9, c10, k0, k1, k2, k3, e in t1:")),
+     ("for c7 in F:", "k4 = (c1*c6) % 3", "k5 = (c2*c6 + c3*c7) % 3", "k6 = (c4*c7) % 3",
+      "for c8, c9, c10, k0, k1, k2, k3, rn1, re1 in t1:")),
     ("fano", "linear", 5, FANO_PINS,
-     ("for c7 in range(5):", "for c8, c9, c10, k0, k1, e in t1:")),
-    # The tail c7 is a lone solved loop with one entry: no table.
-    ("two_unicast_side", "none", 5, {}, None),
+     ("for c7 in F:", "k2 = (c6 + c3*c7) % 5", "k3 = (c4*c7) % 5",
+      "for c8, c9, c10, k0, k1, rn1, re1 in t1:")),
+    # The tail c7 is a lone solved loop with one entry; the block of c8
+    # reads no spectator, so it joins the tail, and c9's block reads the
+    # spectator c6.  Its loop is solved from both its entries, through a
+    # table read held before the rows loop, as is its evaluation count.
+    ("two_unicast_side", "none", 5, {},
+     ("for c6 in F:", "k3 = (c0*c3*c6) % 5", "k4 = (c1*c4*c6) % 5", "k5 = 1 if k3 else 5",
+      "k6 = J0_1[k3][0][k4]", "for c7, c8, k2, rn1, re1 in t1:")),
 ])
 def test_search_tabulates_a_tail_behind_spectators(fixture, mode, p, pins, table, monkeypatch):
     ts, M = fixture_system(fixture, mode)
     lines = [line.strip() for line in compiled_source(
         monkeypatch, M, ts.demand, p, order=ts.indeterminates, pinned=pins).splitlines()]
-    if table is None:
-        assert not any(line.endswith("= []") for line in lines)
-    else:
-        spectator, rows = table
-        assert lines.index("t1 = []") < lines.index(spectator) == lines.index(rows) - 1
+    at = lines.index(table[0])
+    assert lines.index("t1 = []") < at and tuple(lines[at:at + len(table)]) == table
 
 
 @pytest.mark.parametrize("case, k, tabulated", [
