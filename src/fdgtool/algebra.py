@@ -379,18 +379,20 @@ def _root_pair_table(p: int, t: int, u: int) -> tuple:
     return tuple(table)
 
 
-def _search_source(blocks, free: list, p: int, paired: list) -> str:
+def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) -> str:
     """Source of ``search()``, the whole search as nested loops.
 
     ``blocks`` holds (lo, hi, entries, nodes_in, evals_in) per block, where
     ``entries`` are the (terms, target) pairs due at ``hi``.  Free position
     i is the loop variable ``c{i}``, over ``F`` = range(p) or, when it must
-    be nonzero, ``F1`` = range(1, p), both bound once per call.  Entering a
-    block adds ``nodes_in`` and ``evals_in``, its counts as if exhausted.
-    Each entry is carried into the block as its coefficients in the block's
-    unbound positions: one local per coefficient, computed at block entry
-    from earlier positions and updated right after each loop that binds one
-    of its positions.
+    be nonzero, ``F1`` = range(1, p).  The search reads these and its
+    tables as globals: ``namespace`` gets each one it reads, built once per
+    call, and the search is run in it.  Entering a block adds ``nodes_in``
+    and ``evals_in``, its counts as if exhausted.  Each entry is carried
+    into the block as its coefficients in the block's unbound positions:
+    one local per coefficient, computed at block entry from earlier
+    positions and updated right after each loop that binds one of its
+    positions.
     After the block's last loop the entries are tested in order; reaching
     entry k > 1 adds one evaluation, a failure continues the innermost loop,
     and a pass adds one node and enters the next block.
@@ -400,20 +402,18 @@ def _search_source(blocks, free: list, p: int, paired: list) -> str:
     a*c{i} + b with a literal or runtime a, the loop is solved: it runs
     over ``R{t}[a][b]``, the values that pass (the root ((t - b) * a^-1)
     mod p for a != 0, all p values for a == 0 and b == t, none otherwise),
-    and the entry is not tested.  ``R{t}`` is a local bound once per call
-    to ``root_table(p, t)`` (``_root_table``) for each target t that a
-    solved loop uses.  When the second entry is k*c{i} = u, with k fixed
-    before the loop, the loop runs over ``J{t}_{u}[a][b][k]`` instead, the
-    values that pass both entries (``root_pair_table(p, t, u)``,
-    ``_root_pair_table``, bound once per call), and the second entry is
-    not tested either.  Its evaluations, one per value that passes the
-    first entry, are added before the loop; ``paired`` gets the first
-    entry's terms and i, so that a hit can take back those of the values
-    after it.  When the target is nonzero and a position i lies in every
-    monomial of the entry, the entry fails wherever c{i} is 0 (p is prime):
-    the block's own loop over i runs over ``F1``, and an i bound in an
-    earlier block gets one ``if not c{i}: continue`` on block entry, after
-    the counts are added.  Every value skipped fails the first entry, whose
+    and the entry is not tested.  ``R{t}`` is ``_root_table(p, t)``, for
+    each target t that a solved loop uses.  When the second entry is
+    k*c{i} = u, with k fixed before the loop, the loop runs over
+    ``J{t}_{u}[a][b][k]`` instead, the values that pass both entries
+    (``_root_pair_table(p, t, u)``), and the second entry is not tested
+    either.  Its evaluations, one per value that passes the first entry,
+    are added before the loop; ``paired`` gets the first entry's terms and
+    i, so that a hit can take back those of the values after it.  When the
+    target is nonzero and a position i lies in every monomial of the entry,
+    the entry fails wherever c{i} is 0 (p is prime): the block's own loop
+    over i runs over ``F1``, and an i bound in an earlier block gets one
+    ``if not c{i}: continue`` on block entry, after the counts are added.  Every value skipped fails the first entry, whose
     evaluations and the nodes before it are counted on entry, so the
     counters and the first hit stay those of the full loops.
 
@@ -453,7 +453,6 @@ def _search_source(blocks, free: list, p: int, paired: list) -> str:
     held = {}    # expression -> the local holding its value
     rows = None  # (names, b, spectators) of table t{b}'s rows loop, until it opens
     opened = []  # the tables whose rows loops are open: a hit adds its row's counts
-    ranges, tables, pairs = set(), set(), set()  # what the prologue binds
 
     def emit(line, hoisted=False):
         # A hoisted line reads no name that the pending rows loop binds: it
@@ -512,9 +511,15 @@ def _search_source(blocks, free: list, p: int, paired: list) -> str:
         return rep
 
     def domain(i, nonzero):
-        # ``F`` is range(p) and ``F1`` range(1, p), bound once per call.
-        name = "F1" if i in nonzero else "F"
-        ranges.add(name)
+        if i in nonzero:
+            namespace["F1"] = range(1, p)
+            return "F1"
+        namespace["F"] = range(p)
+        return "F"
+
+    def table(name, build, *targets):
+        if name not in namespace:
+            namespace[name] = build(p, *targets)
         return name
 
     def loop(target, values):
@@ -567,12 +572,12 @@ def _search_source(blocks, free: list, p: int, paired: list) -> str:
                                  else p if int(b) == t else 0)
                         count = read(f"1 if {a} else {every}", (a, b))
                     paired.append((entries[0][0], x))
-                    pairs.add((t, u))
-                    values, solved = read(f"J{t}_{u}[{a}][{b}][{k}]", (a, b, k)), 2
+                    pair = table(f"J{t}_{u}", _root_pair_table, t, u)
+                    values, solved = read(f"{pair}[{a}][{b}][{k}]", (a, b, k)), 2
                     emit(f"{counter} += {count}")
                 else:
-                    tables.add(t)
-                    values, solved = read(f"R{t}[{a}][{b}]", (a, b)), 1
+                    roots = table(f"R{t}", _root_table, t)
+                    values, solved = read(f"{roots}[{a}][{b}]", (a, b)), 1
             else:
                 values = domain(x, nonzero)
             loop(f"c{x}", values)
@@ -721,10 +726,6 @@ def _search_source(blocks, free: list, p: int, paired: list) -> str:
         lines.append("    " + leave("None"))
         text = lines[:2] + ["    " + line for line in text] + lines[2:]
         parts.pop()
-    text[1:1] = ([f"    F = range({p})"] * ("F" in ranges)
-                 + [f"    F1 = range(1, {p})"] * ("F1" in ranges)
-                 + [f"    R{t} = root_table({p}, {t})" for t in sorted(tables)]
-                 + [f"    J{t}_{u} = root_pair_table({p}, {t}, {u})" for t, u in sorted(pairs)])
     return "\n".join(text) + "\n"
 
 
@@ -854,9 +855,9 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     exhausted = [counts(lo, hi, last) for lo, hi in spans]
     blocks = [(lo, hi, due[hi], inner, tried if due[hi] else 0)
               for (lo, hi), (inner, tried) in zip(spans, exhausted)]
-    namespace = {"root_table": _root_table, "root_pair_table": _root_pair_table}
+    namespace = {}  # the search's globals: its ranges and tables
     paired = []  # (first entry, position) of each loop solved from two entries
-    exec(_search_source(blocks, free, p, paired), namespace)
+    exec(_search_source(blocks, free, p, namespace, paired), namespace)
     hit, nodes, entry_evals = namespace["search"]()
     if hit is None:
         return SearchResult(status="exhausted", field=p, assignment=None,
