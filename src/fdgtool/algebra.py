@@ -470,26 +470,26 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
             return f"sum(({', '.join(terms)},))"
         return " + ".join(terms) or "0"
 
+    def hold(expr, value, hoisted):
+        if expr not in held:
+            held[expr] = f"k{len(held)}"
+            emit(f"{held[expr]} = {value}", hoisted)
+        return held[expr]
+
     def atom(terms, hoisted=False):
         # A literal or a loop variable stands for itself; a sum or product
         # becomes a local.
         if len(terms) == 1 and "*" not in terms[0]:
             return terms[0]
         expr = total(terms)
-        if expr not in held:
-            held[expr] = f"k{len(held)}"
-            emit(f"{held[expr]} = ({expr}) % {p}", hoisted)
-        return held[expr]
+        return hold(expr, f"({expr}) % {p}", hoisted)
 
     def read(expr, names):
         # A table read whose indices the pending rows loop does not bind is
         # held in a local before that loop.
         if not rows or not set(rows[0]).isdisjoint(names):
             return expr
-        if expr not in held:
-            held[expr] = f"k{len(held)}"
-            emit(f"{held[expr]} = {expr}", True)
-        return held[expr]
+        return hold(expr, expr, True)
 
     def collect(rep, i):
         # Bind position i in {monomial: coefficient}: group by the rest.
