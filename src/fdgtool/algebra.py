@@ -12,32 +12,20 @@ the x with x = A_s + x F, is filled in one forward pass over the edges in
 topological order.  Entry (s, t) of M is the polynomial coefficient with
 which source s arrives at decode slot t; a scalar linear code over GF(p)
 exists exactly when the indeterminates can be assigned field values making
-M match the 0/1 demand pattern.  The search enumerates assignments in
-lexicographic order with early rejection, so the first hit is the
-lexicographically smallest.
+M match the 0/1 demand pattern.
 
 Polynomials are sparse with exact integer coefficients; reduction modulo p
 happens only at evaluation time, so one symbolic matrix serves every field.
 A monomial is a sorted tuple of indeterminate names, a name repeated once
-per power.  The search compiles once per call for its field: each name
-becomes its position in the search order, so an entry becomes monomials of
-the same shape in the free positions, with coefficients mod p and pinned
-values multiplied in.
-The order is cut into blocks at the depths where some entry becomes
-checkable.  The whole search is then generated as one Python function of
-nested loops, one per free position.  The part of an entry fixed before its
-block is evaluated once on entering the block, the rest right after each
-loop that binds one of its positions, and the entries due at a block's end
-are tested right after its last loop, whose values are solved from the
-first of them when it is affine in that loop's position, and from the
-second too when that is the position times a coefficient fixed before it;
-no loop tries 0 for a factor of every monomial of a first entry that must
-be nonzero.  The loops of a block that its entries do not read, just
-before the trailing loops that they do, are run over a list of the
-passing trailing values built once, not over the trailing loops again for
-each of their values; the later blocks that read none of those loops
-join the list.  The node and evaluation counters are defined by the plain
-depth-first search that assigns one indeterminate per node.
+per power.
+
+``solvability_search`` enumerates assignments in lexicographic order with
+early rejection, so its first hit is the lexicographically smallest.  It
+cuts the order into blocks at the depths where some entry becomes
+checkable, plans each block once, and compiles the plan for its field
+into one Python function of nested loops (``_search_source``), whose node
+and evaluation counters are those of the plain depth-first search that
+assigns one indeterminate per node.
 """
 
 from __future__ import annotations
@@ -379,20 +367,45 @@ def _root_pair_table(p: int, t: int, u: int) -> tuple:
     return tuple(table)
 
 
-def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) -> str:
+@dataclass(frozen=True)
+class _Block:
+    """One block of the search plan: positions ``lo``..``hi``-1 and the
+    entries due at ``hi``, each a (terms, target) pair with its terms from
+    ``_entry_terms``."""
+    lo: int
+    hi: int
+    entries: list
+    loops: list         # its free positions, in order
+    reads: set          # the positions its entries read
+    nonzero: set        # those its first entry needs nonzero that no earlier block's does
+    solved: int         # how many entries its last loop is solved from: 0, 1 or 2
+    nodes: int          # the nodes inside it, as if exhausted
+    evals: int          # its first-entry evaluations, as if exhausted
+
+
+def _solved(entries, loops) -> int:
+    """How many of a block's ``entries`` its last loop x is solved from: 1
+    when the first is affine in x, 2 when the second is then k*x with k
+    fixed before the loop, else 0."""
+    x = loops[-1] if loops else None
+    powers = [{mono.count(x) for mono in terms} for terms, _ in entries[:2]]
+    if not powers or 1 not in powers[0] or not powers[0] <= {0, 1}:
+        return 0
+    return 2 if powers[1:] == [{1}] else 1
+
+
+def _search_source(plan, p: int, namespace: dict) -> str:
     """Source of ``search()``, the whole search as nested loops.
 
-    ``blocks`` holds (lo, hi, entries, nodes_in, evals_in) per block, where
-    ``entries`` are the (terms, target) pairs due at ``hi``.  Free position
-    i is the loop variable ``c{i}``, over ``F`` = range(p) or, when it must
-    be nonzero, ``F1`` = range(1, p).  The search reads these and its
-    tables as globals: ``namespace`` gets each one it reads, built once per
-    call, and the search is run in it.  Entering a block adds ``nodes_in``
-    and ``evals_in``, its counts as if exhausted.  Each entry is carried
-    into the block as its coefficients in the block's unbound positions:
-    one local per coefficient, computed at block entry from earlier
-    positions and updated right after each loop that binds one of its
-    positions.
+    ``plan`` holds one ``_Block`` per block.  Free position i is the loop
+    variable ``c{i}``, over ``F`` = range(p) or, when it must be nonzero,
+    ``F1`` = range(1, p).  The search reads these and its tables as
+    globals: ``namespace`` holds the ranges and gets each table it reads,
+    built once per call, and the search is run in it.  Entering a block
+    adds its counts as if exhausted.  Each entry is carried into the block
+    as its coefficients in the block's unbound positions: one local per
+    coefficient, computed at block entry from earlier positions and updated
+    right after each loop that binds one of its positions.
     After the block's last loop the entries are tested in order; reaching
     entry k > 1 adds one evaluation, a failure continues the innermost loop,
     and a pass adds one node and enters the next block.
@@ -408,14 +421,16 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
     ``J{t}_{u}[a][b][k]`` instead, the values that pass both entries
     (``_root_pair_table(p, t, u)``), and the second entry is not tested
     either.  Its evaluations, one per value that passes the first entry,
-    are added before the loop; ``paired`` gets the first entry's terms and
-    i, so that a hit can take back those of the values after it.  When the
-    target is nonzero and a position i lies in every monomial of the entry,
-    the entry fails wherever c{i} is 0 (p is prime): the block's own loop
-    over i runs over ``F1``, and an i bound in an earlier block gets one
-    ``if not c{i}: continue`` on block entry, after the counts are added.  Every value skipped fails the first entry, whose
-    evaluations and the nodes before it are counted on entry, so the
-    counters and the first hit stay those of the full loops.
+    are added before the loop; a hit takes back those of the values after
+    it.  When the target is nonzero and a position i lies in every monomial
+    of the entry, the entry fails wherever c{i} is 0 (p is prime): the
+    block's own loop over i runs over ``F1``, and an i bound in an earlier
+    block gets one ``if not c{i}: continue`` on block entry, after the
+    counts are added, unless an earlier block's first entry needs c{i}
+    nonzero too (its loop ran over ``F1``, was solved from that entry, or
+    skipped 0, so the test could not fire).  Every value skipped fails the
+    first entry, whose evaluations and the nodes before it are counted on
+    entry, so the counters and the first hit stay those of the full loops.
 
     A block's loops are a head, then spectators (the run of loops before
     the tail that no entry of the block reads), then the tail (the trailing
@@ -449,7 +464,7 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
     function, called once per combination that reaches it.  The text is
     built from integers only.
     """
-    parts = []   # [lines, indent, loops, trailers] per function, outermost first
+    parts = []   # [lines, loops, trailers] per function, outermost first
     held = {}    # expression -> the local holding its value
     rows = None  # (names, b, spectators) of table t{b}'s rows loop, until it opens
     opened = []  # the tables whose rows loops are open: a hit adds its row's counts
@@ -459,11 +474,15 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
         # runs once, before that loop, which any other line opens first.
         if rows and not hoisted:
             open_rows()
-        lines, indent, _, _ = parts[-1]
-        lines.append("    " * indent + line)
+        lines, loops, _ = parts[-1]
+        lines.append("    " * (loops + 1) + line)
 
     def leave(value):
         return f"return {value}, nodes, evals" if len(parts) == 1 else f"return {value}"
+
+    def fail():
+        # Continue the innermost loop, or return when no loop is open.
+        return "continue" if parts[-1][1] else leave("None")
 
     def total(terms):
         if len(terms) > _MAX_CHAINED_TERMS:
@@ -510,13 +529,6 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
                 return {rest: atom(t) for rest, t in collect(rep, i).items()}
         return rep
 
-    def domain(i, nonzero):
-        if i in nonzero:
-            namespace["F1"] = range(1, p)
-            return "F1"
-        namespace["F"] = range(p)
-        return "F"
-
     def table(name, build, *targets):
         if name not in namespace:
             namespace[name] = build(p, *targets)
@@ -525,14 +537,13 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
     def loop(target, values):
         if rows:
             open_rows()
-        if parts[-1][2] == _MAX_NESTED_LOOPS:
+        if parts[-1][1] == _MAX_NESTED_LOOPS:
             name = f"part{len(parts)}"
             emit(f"hit = {name}()")
             emit(f"if hit is not None: {leave('hit')}")
-            parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 1, 0, []])
+            parts.append([[f"def {name}():", "    nonlocal nodes, evals"], 0, []])
         emit(f"for {target} in {values}:")
         parts[-1][1] += 1
-        parts[-1][2] += 1
 
     def open_rows():
         # The loop over table t{b}'s rows; its end adds the table's totals.
@@ -540,78 +551,64 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
         (names, b, _), rows = rows, None
         loop(", ".join(names + [f"rn{b}", f"re{b}"]), f"t{b}")
         opened.append(b)
-        parts[-1][3].append("    " * (parts[-1][1] - 1) + f"nodes += n{b}; evals += e{b}")
+        parts[-1][2].append("    " * parts[-1][1] + f"nodes += n{b}; evals += e{b}")
 
     def bind(loops, coefficients, nonzero):
         # A loop per position, each bound in the coefficients that read it as
         # it opens.
         for i in loops:
-            loop(f"c{i}", domain(i, nonzero))
+            loop(f"c{i}", "F1" if i in nonzero else "F")
             coefficients = [rebind(rep, i) for rep in coefficients]
         return coefficients
 
-    def check(loops, entries, coefficients, counter, nonzero):
-        # The loops, the last one solved from the first entry when it is
-        # affine there, and from the second too when that is k*c{x} alone;
-        # then the other entries' tests at the innermost loop.
-        coefficients = bind(loops[:-1], coefficients, nonzero)
-        solved = 0  # how many entries the last loop's values pass untested
+    def check(block, loops, coefficients, counter):
+        # The block's loops not bound yet, the last one solved from the
+        # first entry or the first two; then the other entries' tests at the
+        # innermost loop.
+        coefficients = bind(loops[:-1], coefficients, block.nonzero)
         if loops:
             x = loops[-1]
-            rep = coefficients[0] if entries else {}
-            if (x,) in rep and rep.keys() <= {(), (x,)}:
-                a, b, t = rep[(x,)], rep.get((), "0"), entries[0][1]
-                if len(entries) > 1 and coefficients[1].keys() == {(x,)}:
-                    k, u = coefficients[1][(x,)], entries[1][1]
-                    # The second entry is evaluated once per value that
-                    # passes the first: one for a != 0, all p for a = 0 and
-                    # b = t, none otherwise.
-                    count = "1"
-                    if not a.isdigit():
-                        every = (f"{p} if {b} == {t} else 0" if not b.isdigit()
-                                 else p if int(b) == t else 0)
-                        count = read(f"1 if {a} else {every}", (a, b))
-                    paired.append((entries[0][0], x))
-                    pair = table(f"J{t}_{u}", _root_pair_table, t, u)
-                    values, solved = read(f"{pair}[{a}][{b}][{k}]", (a, b, k)), 2
-                    emit(f"{counter} += {count}")
-                else:
-                    roots = table(f"R{t}", _root_table, t)
-                    values, solved = read(f"{roots}[{a}][{b}]", (a, b)), 1
-            else:
-                values = domain(x, nonzero)
+            values = "F1" if x in block.nonzero else "F"
+            if block.solved:
+                a, b, t = coefficients[0][(x,)], coefficients[0].get((), "0"), block.entries[0][1]
+            if block.solved == 2:
+                k, u = coefficients[1][(x,)], block.entries[1][1]
+                # The second entry is evaluated once per value that passes
+                # the first: one for a != 0, all p for a = 0 and b = t, none
+                # otherwise.
+                count = "1"
+                if not a.isdigit():
+                    every = (f"{p} if {b} == {t} else 0" if not b.isdigit()
+                             else p if int(b) == t else 0)
+                    count = read(f"1 if {a} else {every}", (a, b))
+                pair = table(f"J{t}_{u}", _root_pair_table, t, u)
+                values = read(f"{pair}[{a}][{b}][{k}]", (a, b, k))
+                emit(f"{counter} += {count}")
+            elif block.solved:
+                values = read(f"{table(f'R{t}', _root_table, t)}[{a}][{b}]", (a, b))
             loop(f"c{x}", values)
-        fail = "continue" if parts[-1][2] else leave("None")
-        for k, ((_, target), rep) in enumerate(zip(entries, coefficients)):
-            if k < solved:
+        for k, ((_, target), rep) in enumerate(zip(block.entries, coefficients)):
+            if k < block.solved:
                 continue  # the loop runs only over the values that pass
             if k:
                 emit(f"{counter} += 1")
             terms = collect(rep, loops[-1] if loops else None).get((), [])
             value = (terms[0] if len(terms) == 1 and "*" not in terms[0]
                      else f"({total(terms)}) % {p}")
-            emit(f"if {value} != {target}: {fail}")
+            emit(f"if {value} != {target}: {fail()}")
 
     def add_counts(b, nodes, evals):
         # What entering block b adds as if it is exhausted, the previous
         # block's passing combination included; past the last block, the hit.
-        _, _, _, nodes_in, evals_in = blocks[b] if b < len(blocks) else (0, 0, 0, 0, 0)
+        nodes_in, evals_in = (plan[b].nodes, plan[b].evals) if b < len(plan) else (0, 0)
         if nodes_in + (b > 0):
             emit(f"{nodes} += {nodes_in + (b > 0)}")
         if evals_in:
             emit(f"{evals} += {evals_in}")
 
     def zeros(b):
-        # The positions bound before block b that its first entry needs nonzero.
-        return [f"c{i}" for i in sorted(nonzeros[b]) if i < blocks[b][0]]
-
-    # Per block: its loops, the positions its entries read and those that
-    # its first entry needs nonzero.
-    block_loops = [free[bisect_left(free, lo):bisect_left(free, hi)] for lo, hi, _, _, _ in blocks]
-    reads = [{i for terms, _ in entries for mono in terms for i in mono}
-             for _, _, entries, _, _ in blocks]
-    nonzeros = [_nonzero_factors(*entries[0]) if entries else set()
-                for _, _, entries, _, _ in blocks]
+        # The positions bound before block b that it tests for zero.
+        return [f"c{i}" for i in sorted(plan[b].nonzero) if i < plan[b].lo]
 
     def enter(b, counters):
         # Block b's entry: its counts unless a table's rows carry them, the
@@ -620,15 +617,14 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
         # pending rows loop binds goes before that loop: a skip on a
         # spectator adds the table's totals there, and the table skips the
         # spectator loops for one bound before them.
-        lo, _, entries, _, _ = blocks[b]
         if counters:
             add_counts(b, *counters)
         zero = zeros(b)
         splits = []  # per entry: {monomial in the block: its terms}
-        for terms, _ in entries:
+        for terms, _ in plan[b].entries:
             split = {}
             for mono, c in terms.items():
-                cut = bisect_left(mono, lo)  # a monomial's positions are sorted
+                cut = bisect_left(mono, plan[b].lo)  # a monomial's positions are sorted
                 outer = [f"c{i}" for i in mono[:cut]]
                 split.setdefault(mono[cut:], []).append(
                     "*".join(outer if c == 1 and outer else [str(c)] + outer))
@@ -648,37 +644,37 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
             emit(f"if not {c}: continue")
         return [{inner: atom(terms) for inner, terms in split.items()} for split in splits]
 
-    parts.append([["def search():", "    nodes = evals = 0"], 1, 0, []])
+    parts.append([["def search():", "    nodes = evals = 0"], 0, []])
     b = 0
-    while b < len(blocks):
-        lo, hi, entries, _, _ = blocks[b]
-        coefficients, nonzero = enter(b, None if rows else ("nodes", "evals")), nonzeros[b]
+    while b < len(plan):
+        block = plan[b]
+        coefficients = enter(b, None if rows else ("nodes", "evals"))
         # The block's loops are head + spectators + tail: the tail is the
         # trailing run the entries read, the spectators the run before it
         # that they do not read.
-        loops = block_loops[b]
+        loops = block.loops
         t = len(loops)
-        while t and loops[t - 1] in reads[b]:
+        while t and loops[t - 1] in block.reads:
             t -= 1
         s = t
-        while s and loops[s - 1] not in reads[b]:
+        while s and loops[s - 1] not in block.reads:
             s -= 1
         head, spectators, tail = loops[:s], loops[s:t], loops[t:]
-        coefficients = bind(head, coefficients, nonzero)
+        coefficients = bind(head, coefficients, block.nonzero)
         if rows and spectators and tail:
             open_rows()  # a table of this block is filled inside the last one's rows
         # The later blocks that read no spectator join the tail, as far as
         # the table's loops fit in the current function.
-        depth, joined = parts[-1][2] + len(tail), []
-        for later in range(b + 1, len(blocks)) if spectators and tail else ():
-            if (depth + len(block_loops[later]) > _MAX_NESTED_LOOPS
-                    or not reads[later].isdisjoint(spectators)):
+        depth, joined = parts[-1][1] + len(tail), []
+        for later in range(b + 1, len(plan)) if spectators and tail else ():
+            if (depth + len(plan[later].loops) > _MAX_NESTED_LOOPS
+                    or not plan[later].reads.isdisjoint(spectators)):
                 break
-            depth += len(block_loops[later])
+            depth += len(plan[later].loops)
             joined.append(later)
         if (not (spectators and tail) or depth > _MAX_NESTED_LOOPS
-                or len(tail) == len(entries) == 1 and not joined):
-            check(spectators + tail, entries, coefficients, "evals", nonzero)
+                or len(tail) == len(block.entries) == 1 and not joined):
+            check(block, spectators + tail, coefficients, "evals")
             b += 1
             continue
         # The passing rows of the tail and the joined blocks, built once
@@ -686,28 +682,26 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
         # their values, every local assigned here (later blocks read them)
         # and the counts from the start of the build to the row, the next
         # block's entry included; n{b} and e{b} end as the totals.
-        indent, level, start = parts[-1][1], parts[-1][2], len(held)
+        level, start = parts[-1][1], len(held)
         emit(f"t{b} = []")
         emit(f"n{b} = e{b} = 0")
-        check(tail, entries, coefficients, f"e{b}", nonzero)
+        check(block, tail, coefficients, f"e{b}")
         bound = list(tail)
         for later in joined:
-            coefficients = enter(later, (f"n{b}", f"e{b}"))
-            check(block_loops[later], blocks[later][2], coefficients, f"e{b}", nonzeros[later])
-            bound += block_loops[later]
+            check(plan[later], plan[later].loops, enter(later, (f"n{b}", f"e{b}")), f"e{b}")
+            bound += plan[later].loops
         after = (joined[-1] if joined else b) + 1
         names = [f"c{i}" for i in bound] + list(held.values())[start:]
         add_counts(after, f"n{b}", f"e{b}")
         emit(f"t{b}.append(({', '.join(names)}, n{b}, e{b}))")
-        parts[-1][1:3] = indent, level
+        parts[-1][1] = level
         # No rows, or a zero the next block's first entry cannot pass, bound
         # before the spectators: every spectator combination adds the totals.
         spread = p ** len(spectators)
         before = [c for c in zeros(after) if c not in names
-                  and c not in [f"c{i}" for i in spectators]] if after < len(blocks) else []
+                  and c not in [f"c{i}" for i in spectators]] if after < len(plan) else []
         emit(f"if {' or '.join([f'not t{b}'] + [f'not {c}' for c in before])}: "
-             f"nodes += n{b} * {spread}; evals += e{b} * {spread}; "
-             + ("continue" if level else leave("None")))
+             f"nodes += n{b} * {spread}; evals += e{b} * {spread}; {fail()}")
         bind(spectators, [], set())
         rows = (names, b, [f"c{i}" for i in spectators])
         b = after
@@ -718,10 +712,10 @@ def _search_source(blocks, free: list, p: int, namespace: dict, paired: list) ->
     emit(f"nodes += {' + '.join(hit_nodes)}")
     if opened:
         emit(f"evals += {' + '.join(f're{b}' for b in opened)}")
-    emit(leave("(" + "".join(f"c{i}, " for i in free) + ")"))
+    emit(leave("(" + "".join(f"c{i}, " for block in plan for i in block.loops) + ")"))
 
     text = []
-    for lines, _, _, trailers in reversed(parts):
+    for lines, _, trailers in reversed(parts):
         lines += reversed(trailers)
         lines.append("    " + leave("None"))
         text = lines[:2] + ["    " + line for line in text] + lines[2:]
@@ -738,49 +732,25 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
     sorted names appearing in M) and returns the first assignment making M
     match the demand pattern entrywise, or exhaustion.  An entry is checked
     as soon as the last indeterminate it mentions is assigned, which prunes
-    whole subtrees.  ``pinned`` fixes chosen indeterminates to integers.
+    whole subtrees.  ``pinned`` fixes chosen indeterminates to integers in
+    0..p-1.  Raises ValueError for a p that is not a prime int at most
+    ``field_cap``, an ``order`` that repeats a name or misses one of M's, a
+    pin of a name not in ``order`` or to anything but an int in 0..p-1, a
+    demand entry that is not an int, and more than ``indet_cap`` free
+    indeterminates.
 
     The depths at which some entry becomes checkable cut ``order`` into
-    blocks.  The whole search is compiled for this field into one function
-    of nested loops, one ``for`` per free position; a pinned value is a
-    constant.  Each entry's part that depends only on positions fixed
-    before its block is computed once on entering the block, and the rest
-    is updated right after each loop that binds one of its positions.  A
-    block's entries are tested in order at its end; a combination that
-    passes runs straight into the next block's loops.  A transfer-matrix
-    entry is multilinear, so a block's first entry is usually affine in the
-    block's last indeterminate: that loop then runs only over the values
-    that pass the entry, at most one when its coefficient is nonzero, read
-    from a table of roots built once per target.  When that entry must be
-    nonzero and an indeterminate divides every one of its monomials, no
-    loop tries the value 0 for it: its own loop skips 0, or the block is
-    skipped on entry when it was assigned in an earlier block.  A block
-    whose entries do not read a run of its indeterminates just before the
-    trailing run that they do read searches that trailing run once for
-    each assignment of the indeterminates before the unread run, into a
-    list of the combinations that pass; the unread run's loops then go
-    over that list.  On fano in linear mode over GF(3) the first block's
-    last three loops then run once, not 9 times, for each assignment of
-    the six before its two unread ones.  The blocks after it that read
-    none of the unread run are searched into the same list, and what the
-    next block computes from indeterminates outside the list is computed
-    once per assignment of the unread run, not once per combination.  A
-    block whose second entry is its last indeterminate times a coefficient
-    fixed before it runs that indeterminate only over the values that pass
-    both its first and second entries, read from a table of p**3 value
-    lists built once per call.
-
-    The counters are those of a depth-first search that assigns one
-    indeterminate per node and checks each entry at its depth.
-    ``evaluations_tried`` counts the nodes it visits: the root when the
-    constant entries hold, every node inside a block on the way to a
-    combination tried, and every block end whose check passes.
-    ``entry_evals`` counts entry evaluations, the failing one included; a
-    check stops at its first failure.  Nodes inside a block and first-entry
-    evaluations are counted arithmetically: a block adds its exhausted
-    counts on entry, and a hit corrects them along its path, as it does
-    the second-entry evaluations that a loop over the values passing two
-    entries counts on entry for the values after the hit.
+    blocks, one ``_Block`` of the plan each, and ``_search_source``
+    compiles the plan into the search for this field.  The counters are
+    those of a depth-first search that assigns one indeterminate per node
+    and checks each entry at its depth.  ``evaluations_tried`` counts the
+    nodes it visits: the root when the constant entries hold, every node
+    inside a block on the way to a combination tried, and every block end
+    whose check passes.  ``entry_evals`` counts entry evaluations, the
+    failing one included; a check stops at its first failure.  The
+    compiled search counts a block's inner nodes and first-entry
+    evaluations as if it is exhausted, and a hit corrects them along its
+    path from the plan.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"field size {p!r} is not an integer")
@@ -836,7 +806,8 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
 
     def counts(lo, hi, values) -> tuple[int, int]:
         # Nodes strictly inside block lo..hi-1 up to and including the
-        # combination ``values[lo:hi]``, and the combinations tried up to it:
+        # combination that ``values`` (by position) gives it, and the
+        # combinations tried up to it:
         # at each depth, the mixed-radix index of the prefix (a pinned
         # position has radix 1) plus one.
         inner = index = 0
@@ -849,35 +820,39 @@ def solvability_search(M, demand, p: int, *, order=None, pinned=None,
 
     # Block b covers positions lo..hi-1; the first block is the empty one at
     # the root, whose single (empty) combination checks the constant entries.
+    # A position that an earlier block's first entry needs nonzero is
+    # nonzero in every combination that reaches a block, so its ``nonzero``
+    # leaves it out.
     ends = sorted({0, n}.union(d for d in range(1, n) if due[d]))
-    spans = list(zip([0] + ends, ends))
-    last = [p - 1] * n
-    exhausted = [counts(lo, hi, last) for lo, hi in spans]
-    blocks = [(lo, hi, due[hi], inner, tried if due[hi] else 0)
-              for (lo, hi), (inner, tried) in zip(spans, exhausted)]
-    namespace = {}  # the search's globals: its ranges and tables
-    paired = []  # (first entry, position) of each loop solved from two entries
-    exec(_search_source(blocks, free, p, namespace, paired), namespace)
+    last, proven, plan = [p - 1] * n, set(), []
+    for lo, hi in zip([0] + ends, ends):
+        entries, loops = due[hi], free[bisect_left(free, lo):bisect_left(free, hi)]
+        nonzero = _nonzero_factors(*entries[0]) - proven if entries else set()
+        proven |= nonzero
+        inner, tried = counts(lo, hi, last)
+        plan.append(_Block(lo, hi, entries, loops,
+                           {i for terms, _ in entries for mono in terms for i in mono},
+                           nonzero, _solved(entries, loops), inner, tried if entries else 0))
+    namespace = {"F": range(p), "F1": range(1, p)}  # the search's globals, tables added
+    exec(_search_source(plan, p, namespace), namespace)
     hit, nodes, entry_evals = namespace["search"]()
     if hit is None:
         return SearchResult(status="exhausted", field=p, assignment=None,
                             evaluations_tried=nodes, entry_evals=entry_evals)
 
-    values = [0] * n  # pinned positions are not read
-    for i, value in zip(free, hit):
-        values[i] = value
-    for (lo, hi), (inner_all, tried_all) in zip(spans, exhausted):
-        inner, tried = counts(lo, hi, values)
-        nodes += inner - inner_all
-        if due[hi]:
-            entry_evals += tried - tried_all
-    for terms, x in paired:
-        # The loop counted the second entry's evaluations for every value
-        # that passes the first: after the hit's value there are p - 1 - x
-        # more when x's coefficient in the first entry is 0, else none.
-        if not sum(c * prod(values[j] for j in mono if j != x)
-                   for mono, c in terms.items() if x in mono) % p:
-            entry_evals -= p - 1 - values[x]
+    values = dict(zip(free, hit))  # by position; pinned positions are not read
+    for block in plan:
+        inner, tried = counts(block.lo, block.hi, values)
+        nodes += inner - block.nodes
+        entry_evals += tried - block.evals if block.entries else 0
+        if block.solved == 2:
+            # The loop counted the second entry's evaluations for every
+            # value that passes the first: after the hit's value there are
+            # p - 1 - x more when x's coefficient in the first entry is 0.
+            terms, x = block.entries[0][0], block.loops[-1]
+            if not sum(c * prod(values[j] for j in mono if j != x)
+                       for mono, c in terms.items() if x in mono) % p:
+                entry_evals -= p - 1 - values[x]
     assignment = dict(pinned)
     for i in free:
         assignment[order[i]] = values[i]

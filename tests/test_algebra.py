@@ -54,6 +54,13 @@ def test_evaluation_is_a_ring_homomorphism(p):
         assert lhs == rhs
 
 
+def test_poly_is_zero_and_hashes_by_its_terms():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert Poly.zero().is_zero() and (x - x).is_zero() and not x.is_zero()
+    assert hash(x * y + x) == hash(x + y * x)
+    assert len({x + y, y + x, x}) == 2
+
+
 def test_poly_render():
     p = Poly.var("a") * Poly.var("b") + Poly.const(-2) * Poly.var("c")
     assert p.render() == "a*b - 2*c"

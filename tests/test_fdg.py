@@ -203,6 +203,16 @@ def test_rule_predicates_on_butterfly():
         removable(g, e_d, "COR9")
 
 
+def test_a_group_with_a_repeated_variable_or_a_source_is_not_removable():
+    # {e_d} alone passes COR2; the same variable twice, or with a source,
+    # is no group of distinct edge variables.
+    g = build_fdg(load_fixture("butterfly"))
+    e_d = g.var_by_name("U:e_d")
+    assert removable(g, [e_d], "COR2")
+    assert not removable(g, [e_d, e_d], "COR2")
+    assert not removable(g, [g.source_vars()[0], e_d], "COR2")
+
+
 def test_unit_rules_refuse_general_capacities():
     text = netmodel.fixture_text("single_edge").replace('"cap": "1"', '"cap": "2"')
     g = build_fdg(netmodel.parse_network(text))

@@ -85,6 +85,8 @@ def test_elemental_generation_cap():
         elemental_inequalities(25)
     with pytest.raises(ValueError, match="cap"):
         elemental_inequalities(7, cap=6)
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        elemental_inequalities(0)
 
 
 def test_single_edge_problem_shape():
@@ -936,6 +938,28 @@ def test_negative_float_multipliers_never_certify():
     assert not lpbound._dual_certifies(problem, {1: Fraction(1)}, Fraction(0))
     assert lpbound._certified_from_basis(problem, ([1], [1], [1])) is None
     assert lpbound._certified_from_basis(problem, ([1], [0], [0])).value == 2
+
+
+def test_a_basis_that_leaves_a_basic_column_free_is_declined():
+    # max h_1 + h_2 s.t. h_1 + h_2 <= 2: with both columns basic, the one
+    # tight row does not fix the basic point.
+    rows = (Row("upper", lpbound.CAPACITY, ((1, Fraction(1)), (2, Fraction(1))), "<=",
+                Fraction(2)),)
+    problem = LpProblem(n_vars=2, var_names=("u", "v"), source_masks=(),
+                        objective=((1, Fraction(1)), (2, Fraction(1))), rows=rows)
+    assert lpbound._certified_from_basis(problem, ([1, 2], [0], [0])) is None
+    assert lpbound._certified_from_basis(problem, ([1], [0], [0])).value == 2
+
+
+def test_rate_needs_a_witness_and_a_known_source():
+    unbounded = lpbound.LpSolution(status="unbounded", value=None, witness=None)
+    with pytest.raises(ValueError, match="^no witness on a unbounded solution$"):
+        unbounded.rate(1)
+    solution = lpbound.LpSolution(status="optimal", value=Fraction(1),
+                                  witness={1: Fraction(1)}, source_masks=((1, 1),))
+    assert solution.rate(1) == 1
+    with pytest.raises(KeyError, match="unknown source index 2"):
+        solution.rate(2)
 
 
 def test_a_witness_that_rounds_only_at_the_first_limit_certifies():

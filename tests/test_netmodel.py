@@ -298,6 +298,19 @@ def test_in_out_edges_on_butterfly(butterfly):
     assert in_edges(butterfly, "n") == ["e_c"]
     with pytest.raises(KeyError):
         in_edges(butterfly, "nope")
+    with pytest.raises(KeyError, match="unknown node or edge id: 'nope'"):
+        out_edges(butterfly, "nope")
+
+
+def test_edge_looks_an_edge_up_by_id(butterfly):
+    assert butterfly.edge("e_c") is butterfly.edges[2]
+    with pytest.raises(KeyError, match="unknown edge id: 'nope'"):
+        butterfly.edge("nope")
+
+
+def test_fixture_text_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown fixture 'nope'; have "):
+        netmodel.fixture_text("nope")
 
 
 @pytest.mark.parametrize("name", netmodel.FIXTURE_NAMES)

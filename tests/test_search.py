@@ -10,6 +10,8 @@ same order) and the same two counters, ``evaluations_tried`` and
 
 import functools
 import itertools
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -666,8 +668,8 @@ def joined_cases(draw):
 
 # x0 | x1 | x2, then x3, then x4: x0*x2 = 1 leaves the spectator x1; the
 # block of x3 (x2 + x3 = 2) reads no spectator and joins the tail; x0*x1*x4
-# = 1 reads x1, so its zero skips go before the rows loop (x1) and before
-# the spectator loop (x0), each adding the table's totals.
+# = 1 reads x1, so its zero skip goes before the rows loop, adding the
+# table's totals.  It needs x0 nonzero too, which x0*x2 = 1 already did.
 JOINED = ([(x(0) * x(2),), (x(2) + x(3),), (x(0) * x(1) * x(4),)],
           ((1,), (2,), (1,)), 3, ("x0", "x1", "x2", "x3", "x4"), {})
 # The same with x3 pinned: x3's block has no loop and joins at no depth.
@@ -701,11 +703,11 @@ def test_search_with_joined_blocks_matches_reference(case, k):
 
 
 @pytest.mark.parametrize("case, k, shape", [
-    # The rows hold c3, the joined block's value.  x0 = 0 skips the
+    # The rows hold c3, the joined block's value.  An empty table skips the
     # spectator loop and x1 = 0 the rows loop, each adding the totals; the
     # last block's coefficient and its loop's values are held before the
-    # rows loop.
-    (JOINED, 0, ("if not t1 or not c0: nodes += n1 * 3; evals += e1 * 3; continue",
+    # rows loop.  x0's loop runs over F1, so no test skips x0 = 0.
+    (JOINED, 0, ("if not t1: nodes += n1 * 3; evals += e1 * 3; continue",
                  "for c1 in F:", "if not c1: nodes += n1; evals += e1; continue",
                  "k0 = (c0*c1) % 3", "k1 = R1[k0][0]", "for c2, c3, rn1, re1 in t1:")),
     (NO_READER, 0, ("for c1 in F:", "for c2, c3, rn1, re1 in t1:")),
@@ -724,6 +726,45 @@ def test_search_tabulates_the_blocks_that_read_no_spectator(case, k, shape, monk
     else:
         at = lines.index(shape[0])
         assert tuple(lines[at:at + len(shape)]) == shape
+
+
+def settled_positions(M, demand, p, order, pinned) -> dict:
+    """Position -> the first position of the first block whose first entry
+    needs it nonzero: that entry's target is nonzero mod p and the position
+    lies in each of its monomials, once the pins are multiplied in."""
+    position = {name: k for k, name in enumerate(order)}
+    fixed = {position[name]: value for name, value in pinned.items()}
+    first = {}  # block end -> the positions its first entry needs nonzero
+    for row, targets in zip(M, demand):
+        for entry, target in zip(row, targets):
+            end = max((position[n] + 1 for n in entry.indeterminates()), default=0)
+            terms = algebra._entry_terms(entry, position, fixed, p)
+            first.setdefault(end, set.intersection(*map(set, terms))
+                             if terms and target % p else set())
+    settled, start = {}, 0
+    for end in sorted(first):
+        for i in first[end]:
+            settled.setdefault(i, start)
+        start = end
+    return settled
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(search_cases(), search_cases(multilinear=True), joined_cases(),
+                 factored_cases()))
+@example(JOINED)
+def test_search_tests_no_zero_that_an_earlier_block_settled(case):
+    # A block tests c{i} for zero only when its first entry is the first
+    # to need c{i} nonzero and c{i} is bound before it: past that block
+    # every combination has c{i} nonzero.  This holds for plain tests,
+    # tests hoisted before a rows loop and the empty-table test alike.
+    M, demand, p, order, pinned = case
+    with pytest.MonkeyPatch.context() as patch:
+        source = compiled_source(patch, M, demand, p, order=order, pinned=pinned,
+                                 field_cap=11)
+    settled = settled_positions(M, demand, p, order, pinned)
+    for i, count in Counter(map(int, re.findall(r"\bnot c(\d+)\b", source))).items():
+        assert i < settled.get(i, -1) and count == 1, (i, source)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
