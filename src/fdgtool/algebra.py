@@ -34,7 +34,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import count, groupby
 from math import prod
 
 from .fdg import EdgeVar, Fdg
@@ -349,22 +349,9 @@ def _root_table(p: int, t: int) -> tuple:
 def _root_pair_table(p: int, t: int, u: int) -> tuple:
     """``J[a][b][c]``, the values of x in GF(p) with a*x + b = t and c*x = u:
     the row ``R[a][b]`` of ``_root_table(p, t)`` cut to the values that pass
-    the second equation too.  For a != 0 the row over c depends only on the
-    root, so the p*p*p entries share at most p + 2 rows."""
-    one = [(x,) for x in range(p)]
-    none = ((),) * p
-    by_root = [(one[0],) * p if u == 0 else none]  # by_root[x][c]: (x,) where c*x = u
-    for x in range(1, p):
-        row = [()] * p
-        row[u * pow(x, -1, p) % p] = one[x]
-        by_root.append(tuple(row))
-    # a = 0: every x passes the first equation when b = t, so c*x = u alone decides.
-    second = tuple(tuple(x for x in range(p) if c * x % p == u) for c in range(p))
-    table = [tuple(second if b == t else none for b in range(p))]
-    for a in range(1, p):
-        inverse = pow(a, -1, p)
-        table.append(tuple(by_root[(t - b) * inverse % p] for b in range(p)))
-    return tuple(table)
+    the second equation too."""
+    return tuple(tuple(tuple(tuple(x for x in roots if c * x % p == u) for c in range(p))
+                       for roots in row) for row in _root_table(p, t))
 
 
 @dataclass(frozen=True)
@@ -440,14 +427,17 @@ def _search_source(plan, p: int, namespace: dict) -> str:
     spectator (the tail's table joins them): right after the head's loops,
     the loops and tests of the tail and the joined blocks fill the list
     ``t{b}``, one row per combination that passes them all, holding their
-    values, every local assigned there (later blocks read them) and the
-    counts from the start of the list to the row, the next block's entry
-    included; ``n{b}`` and ``e{b}`` end as the list's totals.  Under the
-    spectator loops a loop over the rows runs the next block: a hit adds
-    its row's counts (``rn{b}``, ``re{b}``), and the loop's end adds the
-    totals.  An empty list, or a zero that the next block's first entry
-    cannot pass bound before the spectators, skips the spectator loops,
-    adding the totals once per spectator combination.  The next block's
+    values and the counts from the start of the list to the row, the next
+    block's entry included; ``n{b}`` and ``e{b}`` end as the list's totals.
+    A local assigned while the list fills is not read after it: a later
+    block computes what it reads itself.  Locals are numbered in order of
+    assignment, so no name is reused and a nested function never shadows a
+    local of the one around it.  Under the spectator loops a loop over the
+    rows runs the next block: a hit adds its row's counts (``rn{b}``,
+    ``re{b}``), and the loop's end adds the totals.  An empty list, or a
+    zero that the next block's first entry cannot pass bound before the
+    spectators, skips the spectator loops, adding the totals once per
+    spectator combination.  The next block's
     code that reads no name the rows loop binds runs once before that
     loop, not once per row: its coefficient locals, the table read and
     count of a loop solved on block entry, and the skip on a spectator
@@ -466,6 +456,7 @@ def _search_source(plan, p: int, namespace: dict) -> str:
     """
     parts = []   # [lines, loops, trailers] per function, outermost first
     held = {}    # expression -> the local holding its value
+    fresh = count()  # numbers the locals
     rows = None  # (names, b, spectators) of table t{b}'s rows loop, until it opens
     opened = []  # the tables whose rows loops are open: a hit adds its row's counts
 
@@ -491,7 +482,7 @@ def _search_source(plan, p: int, namespace: dict) -> str:
 
     def hold(expr, value, hoisted):
         if expr not in held:
-            held[expr] = f"k{len(held)}"
+            held[expr] = f"k{next(fresh)}"
             emit(f"{held[expr]} = {value}", hoisted)
         return held[expr]
 
@@ -679,9 +670,10 @@ def _search_source(plan, p: int, namespace: dict) -> str:
             continue
         # The passing rows of the tail and the joined blocks, built once
         # here and gone over for each spectator combination.  A row holds
-        # their values, every local assigned here (later blocks read them)
-        # and the counts from the start of the build to the row, the next
-        # block's entry included; n{b} and e{b} end as the totals.
+        # their values and the counts from the start of the build to the
+        # row, the next block's entry included; n{b} and e{b} end as the
+        # totals.  The locals assigned here hold the last row's values once
+        # the build ends, so they leave ``held``.
         level, start = parts[-1][1], len(held)
         emit(f"t{b} = []")
         emit(f"n{b} = e{b} = 0")
@@ -691,10 +683,12 @@ def _search_source(plan, p: int, namespace: dict) -> str:
             check(plan[later], plan[later].loops, enter(later, (f"n{b}", f"e{b}")), f"e{b}")
             bound += plan[later].loops
         after = (joined[-1] if joined else b) + 1
-        names = [f"c{i}" for i in bound] + list(held.values())[start:]
+        names = [f"c{i}" for i in bound]
         add_counts(after, f"n{b}", f"e{b}")
         emit(f"t{b}.append(({', '.join(names)}, n{b}, e{b}))")
         parts[-1][1] = level
+        for expr in list(held)[start:]:
+            del held[expr]
         # No rows, or a zero the next block's first entry cannot pass, bound
         # before the spectators: every spectator combination adds the totals.
         spread = p ** len(spectators)

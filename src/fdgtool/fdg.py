@@ -182,8 +182,13 @@ class Fdg:
             raise KeyError(f"no variable named {name!r}") from None
 
     def __eq__(self, other) -> bool:
+        """Same variables, parents and demand origins; a source with no
+        origin entry has the empty one, as ``to_json`` writes it."""
+        none = frozenset()
         return (isinstance(other, Fdg) and self._vars == other._vars
-                and self._parents == other._parents)
+                and self._parents == other._parents
+                and all(self._demand_origin.get(v, none) == other._demand_origin.get(v, none)
+                        for v in self.source_vars()))
 
     def __repr__(self) -> str:
         return f"Fdg(order={self.order})"

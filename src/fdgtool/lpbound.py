@@ -601,7 +601,6 @@ def _mps_text(problem: LpProblem):
                                              rows.masks, rows.coeffs)
     order = [i for i, sense in enumerate(senses) if sense != "="]
     order += [i for i, sense in enumerate(senses) if sense == "="]
-    texts = {}  # coefficient -> its repr, one string per value
     columns = [["OBJ", "0.0"] for _ in range(problem.dimension + 1)]  # per mask: row, value, ...
     for mask, w in problem.objective:
         columns[mask][1] = repr(-(w.numerator / w.denominator))
@@ -613,11 +612,7 @@ def _mps_text(problem: LpProblem):
         if b != "0.0":
             rhs += (name, b)
         for k in range(starts[i], starts[i + 1]):
-            value = coeffs[k] / den
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = repr(value)
-            columns[masks[k]] += (name, text)
+            columns[masks[k]] += (name, repr(coeffs[k] / den))
     lines.append("COLUMNS")
     for mask in range(1, len(columns)):
         column, head = columns[mask], f" c{mask} "

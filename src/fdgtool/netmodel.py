@@ -243,21 +243,11 @@ def _records(doc: dict, section: str, keys):
     """Each record of the list ``doc[section]``, checked to be an object
     with no key outside ``keys``, with the place errors name it by."""
     for i, rec in enumerate(_require(doc, section, list, "network document")):
-        yield rec, _checked(rec, section, i, keys)
-
-
-def _checked(rec, section: str, i: int, keys) -> str:
-    """The place errors name the record ``doc[section][i]`` by, once
-    ``rec`` is checked to be an object with no key outside ``keys``."""
-    where = f"{section}[{i}]"
-    if not isinstance(rec, dict):
-        raise NetworkFormatError(f"{where} must be an object")
-    _check_keys(rec, keys, where)
-    return where
-
-
-_EDGE_KEYS = dict.fromkeys(("id", "tail", "head", "cap")).keys()  # in the order faults are named
-_STR = frozenset((str,))
+        where = f"{section}[{i}]"
+        if not isinstance(rec, dict):
+            raise NetworkFormatError(f"{where} must be an object")
+        _check_keys(rec, keys, where)
+        yield rec, where
 
 
 def parse_network(text: str) -> Network:
@@ -283,17 +273,15 @@ def parse_network(text: str) -> Network:
 
     caps = {}  # capacity text -> Fraction, for this document: most edges repeat a few texts
     edges = []
-    for i, rec in enumerate(_require(doc, "edges", list, "network document")):
-        # A record with exactly the four keys, each a string, needs no other check.
-        if (type(rec) is not dict or rec.keys() != _EDGE_KEYS
-                or set(map(type, rec.values())) != _STR):
-            where = _checked(rec, "edges", i, _EDGE_KEYS)
-            for key in _EDGE_KEYS:
-                _require(rec, key, str, where)
-        cap = caps.get(rec["cap"])
+    for rec, where in _records(doc, "edges", {"id", "tail", "head", "cap"}):
+        edge_id = _require(rec, "id", str, where)
+        tail = _require(rec, "tail", str, where)
+        head = _require(rec, "head", str, where)
+        cap_text = _require(rec, "cap", str, where)
+        cap = caps.get(cap_text)
         if cap is None:
-            cap = caps[rec["cap"]] = _parse_cap(rec["cap"])
-        edges.append(Edge(rec["id"], rec["tail"], rec["head"], cap))
+            cap = caps[cap_text] = _parse_cap(cap_text)
+        edges.append(Edge(edge_id, tail, head, cap))
 
     sources = []
     for rec, where in _records(doc, "sources", {"index", "at"}):

@@ -431,6 +431,18 @@ def test_fdg_json_round_trip():
         assert Fdg.from_json(reduced.to_json()) == reduced
 
 
+def test_fdg_equality_compares_the_demand_origins():
+    g = build_fdg(load_fixture("butterfly"))
+    doc = g.to_dict()
+    doc["demand_origin"] = {name: [] for name in doc["demand_origin"]}
+    assert Fdg.from_json(json.dumps(doc)) != g
+    # A source with no entry has the empty origin, as the document writes it.
+    y, e = SourceVar(1), EdgeVar("e1", Fraction(1))
+    hand_built = Fdg([y, e], {e: (y,)})
+    assert Fdg.from_json(hand_built.to_json()) == hand_built
+    assert hand_built != Fdg([y, e], {e: (y,)}, {y: {"t"}})
+
+
 @pytest.mark.parametrize("cap", ["1e4300", "1/3"])
 def test_fdg_json_round_trip_keeps_the_capacity(cap):
     # 1e4300 prints as 4301 digits, one more than Python's default limit on

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -419,6 +421,37 @@ def test_highs_is_found_where_scipy_is_installed():
         print(linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x.tolist())
     """)
     assert out == "[2.0]\n"
+
+
+def test_highs_is_loaded_from_scipys_directory_and_registered(monkeypatch):
+    # The suite imports scipy.optimize, which registers the module first; with
+    # it gone, ``_load_highs`` loads it from its file.  An extension module is
+    # initialised once per process, so a load returns the same object.
+    assert lpbound._highs() is not None
+    core = sys.modules[lpbound._HIGHS_MODULE]
+    monkeypatch.delitem(sys.modules, lpbound._HIGHS_MODULE)
+    loaded = lpbound._load_highs()
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    assert Path(loaded.__file__).parent == Path(scipy_dir, "optimize", "_highspy")
+    assert sys.modules[lpbound._HIGHS_MODULE] is loaded is core
+    assert lpbound._load_highs() is loaded
+    sol = lp_solve(build_lp(build_fdg(load_fixture("butterfly")), Weights.of({1: 1, 2: 1})))
+    assert (sol.status, sol.value, sol.method) == ("optimal", 2, "certificate")
+
+
+def test_a_scipy_without_the_highs_file_takes_the_exact_path(monkeypatch, tmp_path):
+    # ``find_spec`` returns the spec of a module in ``sys.modules``: here a
+    # scipy whose only directory is empty.
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations.append(str(tmp_path))
+    scipy = type(sys)("scipy")
+    scipy.__spec__ = spec
+    monkeypatch.setitem(sys.modules, "scipy", scipy)
+    monkeypatch.delitem(sys.modules, lpbound._HIGHS_MODULE, raising=False)
+    assert lpbound._highs() is None
+    assert lpbound._HIGHS_MODULE not in sys.modules
+    sol = lp_solve(build_lp(build_fdg(load_fixture("single_edge")), Weights.of({1: 1})))
+    assert (sol.status, sol.value, sol.method) == ("optimal", 1, "exact")
 
 
 @pytest.mark.parametrize("missing", ["_Highs", "_Highs.readModel", "_Highs.getBasis",

@@ -779,20 +779,22 @@ def test_root_pair_table_holds_the_values_that_pass_both_equations(p):
     # Spectators c6, c7 between the head c0..c5 (c0..c2 pinned) and the
     # tail c8, c9, c10 of the first block.  The next block's coefficients
     # that read no row are computed once per spectator combination, between
-    # the last spectator loop and the loop over the rows.
+    # the last spectator loop and the loop over the rows.  A row holds only
+    # the tail's values and counts: the coefficients that read a row are
+    # computed under the rows loop, in fresh locals.
     ("fano", "linear", 3, {},
      ("for c7 in F:", "k4 = (c1*c6) % 3", "k5 = (c2*c6 + c3*c7) % 3", "k6 = (c4*c7) % 3",
-      "for c8, c9, c10, k0, k1, k2, k3, rn1, re1 in t1:")),
+      "for c8, c9, c10, rn1, re1 in t1:", "k7 = (c1*c8) % 3", "k8 = (c2*c8) % 3")),
     ("fano", "linear", 5, FANO_PINS,
      ("for c7 in F:", "k2 = (c6 + c3*c7) % 5", "k3 = (c4*c7) % 5",
-      "for c8, c9, c10, k0, k1, rn1, re1 in t1:")),
+      "for c8, c9, c10, rn1, re1 in t1:")),
     # The tail c7 is a lone solved loop with one entry; the block of c8
     # reads no spectator, so it joins the tail, and c9's block reads the
     # spectator c6.  Its loop is solved from both its entries, through a
     # table read held before the rows loop, as is its evaluation count.
     ("two_unicast_side", "none", 5, {},
      ("for c6 in F:", "k3 = (c0*c3*c6) % 5", "k4 = (c1*c4*c6) % 5", "k5 = 1 if k3 else 5",
-      "k6 = J0_1[k3][0][k4]", "for c7, c8, k2, rn1, re1 in t1:")),
+      "k6 = J0_1[k3][0][k4]", "for c7, c8, rn1, re1 in t1:")),
 ])
 def test_search_tabulates_a_tail_behind_spectators(fixture, mode, p, pins, table, monkeypatch):
     ts, M = fixture_system(fixture, mode)

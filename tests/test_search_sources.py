@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -26,11 +27,11 @@ def test_main_prints_a_digest_per_search_within_the_caps(capsys):
     lines = capsys.readouterr().out.splitlines()
     # Unreduced and Shannon-reduced fano have more free indeterminates than
     # the cap allows; every other search is listed once.
-    names = [line.split(" ", 1)[1] for line in lines]
+    names = [line.split(" ", 2)[2] for line in lines]
     assert len(names) == len(set(names)) == 65
     assert not any(name.startswith(("fano none", "fano shannon")) for name in names)
     assert names[-1] == "fano linear 5 eps[Y1->e1]=1,eps[Y1->e2]=1,eps[Y2->e2]=1"
-    # A digest is that of the source the search compiles.
+    # A digest and a node count are those of the source the search compiles.
     sources = []
 
     def compile_search(*args):
@@ -46,4 +47,5 @@ def test_main_prints_a_digest_per_search_within_the_caps(capsys):
     finally:
         algebra._search_source = generate
     digest = hashlib.sha256(sources[0].encode()).hexdigest()
-    assert f"{digest} butterfly linear 7" in lines
+    nodes = sum(1 for _ in ast.walk(ast.parse(sources[0])))
+    assert f"{digest} {nodes} butterfly linear 7" in lines

@@ -1,4 +1,4 @@
-"""Print the SHA-256 of each GF(p) search source that fdgtool generates.
+"""Print the SHA-256 and size of each GF(p) search source that fdgtool generates.
 
     python3 tools/search_sources.py [SRC]
 
@@ -6,10 +6,11 @@ Imports ``fdgtool`` from ``SRC`` (by default this checkout's ``src``).  For
 every bundled fixture x reduce mode x prime p <= 7 whose search fits the
 default caps, then for the benchmark's pinned fano GF(5) search, it
 builds the transfer matrix as ``fdgtool transfer --search`` does and
-prints one line ``<sha256> <fixture> <mode> <p> [<pins>]``: the digest of
-the source that ``solvability_search`` compiles for it.  A search that the
-caps refuse prints nothing.  The source is generated but never run, so the
-whole list takes seconds.
+prints one line ``<sha256> <nodes> <fixture> <mode> <p> [<pins>]``: the
+digest of the source that ``solvability_search`` compiles for it, and the
+number of nodes in its syntax tree, to which the time to compile it is
+about proportional.  A search that the caps refuse prints nothing.  The
+source is generated but never run, so the whole list takes seconds.
 
 Run it on two checkouts and diff the outputs: the lines that differ are
 exactly the searches a change regenerates.
@@ -17,6 +18,7 @@ exactly the searches a change regenerates.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import sys
 from pathlib import Path
@@ -38,7 +40,7 @@ def searches(fixture_names) -> list:
 
 
 def digests(src: Path) -> list[str]:
-    """One ``<sha256> <fixture> <mode> <p> [<pins>]`` line per search that
+    """One ``<sha256> <nodes> <fixture> <mode> <p> [<pins>]`` line per search that
     the ``fdgtool`` under ``src`` generates within the default caps."""
     sys.path.insert(0, str(src))
     from fdgtool import algebra, fdg, netmodel
@@ -58,10 +60,11 @@ def digests(src: Path) -> list[str]:
                 algebra.solvability_search(algebra.transfer_matrix(system), system.demand, p,
                                            order=system.indeterminates, pinned=pins)
             except _Generated as generated:
-                digest = hashlib.sha256(generated.args[0].encode()).hexdigest()
+                source = generated.args[0]
             except ValueError:  # past a cap
                 continue
-            line = f"{digest} {fixture} {mode} {p}"
+            nodes = sum(1 for _ in ast.walk(ast.parse(source)))
+            line = f"{hashlib.sha256(source.encode()).hexdigest()} {nodes} {fixture} {mode} {p}"
             if pins:
                 line += " " + ",".join(f"{name}={value}" for name, value in pins.items())
             lines.append(line)
